@@ -14,18 +14,8 @@
 
 open Alt
 
-let scale =
-  match Sys.getenv_opt "ALT_BENCH_SCALE" with
-  | Some "smoke" -> `Smoke
-  | Some "full" -> `Full
-  | Some "quick" | None -> `Quick
-  | Some s -> Fmt.failwith "unknown ALT_BENCH_SCALE %S" s
-
-let scale_name =
-  match scale with `Smoke -> "smoke" | `Quick -> "quick" | `Full -> "full"
-
-let pick ~smoke ~quick ~full =
-  match scale with `Smoke -> smoke | `Quick -> quick | `Full -> full
+let scale_name = Bench_util.scale_name
+let pick = Bench_util.pick
 
 (* Candidate generation: the deterministic layout zoo under one fixed
    scalar serial schedule.  Holding the loop structure constant is what
@@ -148,9 +138,7 @@ let () =
   in
   let rows = [ stream; gmm; conv ] in
   let json = json_of_rows rows in
-  let oc = open_out "BENCH_crossval.json" in
-  output_string oc json;
-  close_out oc;
+  Bench_util.write_bench "BENCH_crossval.json" json;
   Fmt.pr "%s" json;
   (* The bench is also a gate, but only where the two devices share the
      dominant cost: the streaming workload is miss-bound on both sides,

@@ -130,9 +130,7 @@ let () =
   let speedup = static.total_ms /. gradient.total_ms in
   Fmt.pr "static/gradient latency ratio at equal budget: %.4f@." speedup;
   let json = json_of_runs static gradient ~speedup in
-  let oc = open_out "BENCH_e2e.json" in
-  output_string oc json;
-  close_out oc;
+  Bench_util.write_bench "BENCH_e2e.json" json;
   Fmt.pr "%s" json;
   (* the gate: the gradient scheduler must not lose the zoo total to the
      static split when both spend the same global budget *)

@@ -29,18 +29,8 @@
 
 open Alt
 
-let scale =
-  match Sys.getenv_opt "ALT_BENCH_SCALE" with
-  | Some "smoke" -> `Smoke
-  | Some "full" -> `Full
-  | Some "quick" | None -> `Quick
-  | Some s -> Fmt.failwith "unknown ALT_BENCH_SCALE %S" s
-
-let scale_name =
-  match scale with `Smoke -> "smoke" | `Quick -> "quick" | `Full -> "full"
-
-let pick ~smoke ~quick ~full =
-  match scale with `Smoke -> smoke | `Quick -> quick | `Full -> full
+let scale_name = Bench_util.scale_name
+let pick = Bench_util.pick
 
 let domain_counts = [| 1; 2; 4 |]
 let max_domains = domain_counts.(Array.length domain_counts - 1)
@@ -284,7 +274,7 @@ let () =
             macro_rows))
   in
   let speedup_gate =
-    if scale = `Smoke then
+    if Bench_util.scale = Bench_util.Smoke then
       Fmt.str "skipped: smoke scale (measured %.2fx)" macro_speedup
     else if cores < max_domains then
       Fmt.str "skipped: %d core(s) < %d domains (measured %.2fx)" cores
@@ -317,9 +307,7 @@ let () =
         else Fmt.str "FAILED: rho %.3f <= 0.5" rho
   in
   let json = json_of rows ~macro_speedup ~speedup_gate ~rank_gate in
-  let oc = open_out "BENCH_exec.json" in
-  output_string oc json;
-  close_out oc;
+  Bench_util.write_bench "BENCH_exec.json" json;
   Fmt.pr "%s" json;
   if String.length speedup_gate >= 6 && String.sub speedup_gate 0 6 = "FAILED"
   then

@@ -14,18 +14,8 @@
 
 open Alt
 
-let scale =
-  match Sys.getenv_opt "ALT_BENCH_SCALE" with
-  | Some "smoke" -> `Smoke
-  | Some "full" -> `Full
-  | Some "quick" | None -> `Quick
-  | Some s -> Fmt.failwith "unknown ALT_BENCH_SCALE %S" s
-
-let scale_name =
-  match scale with `Smoke -> "smoke" | `Quick -> "quick" | `Full -> "full"
-
-let pick ~smoke ~quick ~full =
-  match scale with `Smoke -> smoke | `Quick -> quick | `Full -> full
+let scale_name = Bench_util.scale_name
+let pick = Bench_util.pick
 
 type workload = {
   wname : string;
@@ -237,7 +227,4 @@ let () =
   let speedups = List.map (fun r -> r.fast_rps /. r.scalar_rps) rows in
   Fmt.pr "geomean speedup: %.2fx@." (geomean speedups);
   let json = json_of_rows machine rows in
-  let oc = open_out "BENCH_profiler.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote BENCH_profiler.json@."
+  Bench_util.write_bench "BENCH_profiler.json" json

@@ -25,18 +25,8 @@
 
 open Alt
 
-let scale =
-  match Sys.getenv_opt "ALT_BENCH_SCALE" with
-  | Some "smoke" -> `Smoke
-  | Some "full" -> `Full
-  | Some "quick" | None -> `Quick
-  | Some s -> Fmt.failwith "unknown ALT_BENCH_SCALE %S" s
-
-let scale_name =
-  match scale with `Smoke -> "smoke" | `Quick -> "quick" | `Full -> "full"
-
-let pick ~smoke ~quick ~full =
-  match scale with `Smoke -> smoke | `Quick -> quick | `Full -> full
+let scale_name = Bench_util.scale_name
+let pick = Bench_util.pick
 
 (* 256 training samples / 64-candidate ranking batch is the configuration
    the tuner actually runs at (PR acceptance measures quick scale). *)
@@ -278,7 +268,4 @@ let () =
   Fmt.pr "ranking throughput          : %.1f candidates/s (feature cache %d hits / %d misses)@."
     e.ranked_per_s e.feat_hits e.feat_misses;
   let json = json_of machine m e in
-  let oc = open_out "BENCH_tuner.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pr "wrote BENCH_tuner.json@."
+  Bench_util.write_bench "BENCH_tuner.json" json

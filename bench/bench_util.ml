@@ -23,6 +23,23 @@ let scale_name =
 let pick ~smoke ~quick ~full =
   match scale with Smoke -> smoke | Quick -> quick | Full -> full
 
+(* Write a bench's [BENCH_*.json]: the committed file at the repository
+   root for quick and full runs, and a copy under _build/ for smoke runs
+   (the gates [make check] runs), so a gate never overwrites committed
+   numbers. *)
+let write_bench file contents =
+  let path =
+    match scale with
+    | Smoke ->
+        (try Sys.mkdir "_build" 0o755 with Sys_error _ -> ());
+        Filename.concat "_build" file
+    | Quick | Full -> file
+  in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Fmt.pr "wrote %s@." path
+
 (* Measurement parallelism for the tuning drivers.  Defaults from ALT_JOBS;
    bench/main.ml overrides it from a --jobs flag.  0 = all cores.  Tuning
    results are identical for every value (the engine's determinism

@@ -1,15 +1,16 @@
 (* Compiled macro-kernels: the exec backend's lowering (DESIGN.md §12).
 
-   This is the value half of the fast-sim compiler in
-   lib/machine/profiler.ml with the cache model cut away: the same
-   expression compilation, the same hoisted affine bases, the same
-   multiply-accumulate specialization — but executing for wall-clock
-   time instead of feeding a simulator.  The mirroring is deliberate and
-   load-bearing: because every combine function, evaluation order and
-   accumulation chain matches the scalar interpreter operation for
-   operation, kernel outputs are bit-identical to a simulator run of the
-   same program, which is what the differential suite in
-   test/test_exec.ml pins.
+   Index expressions, conditions and access offsets compile through
+   the access compiler the simulator uses too ({!Alt_ir.Loopenv}: affine
+   offsets are dot products over the loop environment).  On top of it
+   this module keeps the value half of the simulator's fast engine with
+   the cache model cut away: hoisted affine bases, one per distinct
+   access, and the multiply-accumulate specialization — executing for
+   wall-clock time instead of feeding a simulator.  Every combine
+   function, evaluation order and accumulation chain matches the scalar
+   interpreter operation for operation, so kernel outputs are
+   bit-identical to a simulator run of the same program, which is what
+   the differential suite in test/test_exec.ml pins.
 
    Differences from the profiler's fast planner:
 
@@ -36,11 +37,11 @@
    [par_fallbacks] tick, so silent serialization is observable. *)
 
 module Var = Alt_tensor.Var
-module Shape = Alt_tensor.Shape
 module Ixexpr = Alt_tensor.Ixexpr
 module Layout = Alt_tensor.Layout
 module Program = Alt_ir.Program
 module Sexpr = Alt_ir.Sexpr
+module Loopenv = Alt_ir.Loopenv
 module Team = Alt_parallel.Team
 
 type stats = {
@@ -61,92 +62,10 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Expression compilation (mirrors profiler.ml)                       *)
+(* Expression compilation                                             *)
 (* ------------------------------------------------------------------ *)
 
 type ctx = { mutable env : int array; bufs : float array array }
-
-type varmap = { tbl : (int, int) Hashtbl.t; mutable next : int }
-
-let var_slot vm (v : Var.t) =
-  match Hashtbl.find_opt vm.tbl (Var.id v) with
-  | Some i -> i
-  | None ->
-      let i = vm.next in
-      vm.next <- i + 1;
-      Hashtbl.replace vm.tbl (Var.id v) i;
-      i
-
-let rec compile_ix vm (e : Ixexpr.t) : int array -> int =
-  match e with
-  | Ixexpr.Const n -> fun _ -> n
-  | Ixexpr.Var v ->
-      let i = var_slot vm v in
-      fun env -> env.(i)
-  | Ixexpr.Add (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> fa env + fb env
-  | Ixexpr.Sub (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> fa env - fb env
-  | Ixexpr.Mul (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> fa env * fb env
-  | Ixexpr.Div (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> Ixexpr.fdiv (fa env) (fb env)
-  | Ixexpr.Mod (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> Ixexpr.fmod (fa env) (fb env)
-  | Ixexpr.Min (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> min (fa env) (fb env)
-  | Ixexpr.Max (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> max (fa env) (fb env)
-
-let rec compile_cond vm (c : Sexpr.cond) : int array -> bool =
-  match c with
-  | Sexpr.Cmp (op, a, b) -> (
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      match op with
-      | Sexpr.Clt -> fun env -> fa env < fb env
-      | Sexpr.Cle -> fun env -> fa env <= fb env
-      | Sexpr.Cgt -> fun env -> fa env > fb env
-      | Sexpr.Cge -> fun env -> fa env >= fb env
-      | Sexpr.Ceq -> fun env -> fa env = fb env)
-  | Sexpr.And (a, b) ->
-      let fa = compile_cond vm a and fb = compile_cond vm b in
-      fun env -> fa env && fb env
-  | Sexpr.Or (a, b) ->
-      let fa = compile_cond vm a and fb = compile_cond vm b in
-      fun env -> fa env || fb env
-
-let compile_offset vm (slots : Program.slot array) (a : Program.access) :
-    int array -> int =
-  let strides = Layout.phys_strides slots.(a.Program.slot).Program.layout in
-  let fs = Array.map (compile_ix vm) a.Program.idx in
-  let n = Array.length fs in
-  fun env ->
-    let off = ref 0 in
-    for i = 0 to n - 1 do
-      off := !off + (fs.(i) env * strides.(i))
-    done;
-    !off
-
-(* Element stride of loop variable [v] through the flattened offset of
-   [a]; [None] when not affine in [v]. *)
-let affine_stride (slots : Program.slot array) (a : Program.access)
-    (v : Var.t) : int option =
-  let strides = Layout.phys_strides slots.(a.Program.slot).Program.layout in
-  let total = ref (Some 0) in
-  Array.iteri
-    (fun i e ->
-      match (!total, Ixexpr.coeff_of e v) with
-      | Some t, Some c -> total := Some (t + (c * strides.(i)))
-      | _ -> total := None)
-    a.Program.idx;
-  !total
 
 (* Plain evaluator over the loop environment; used outside macro groups.
    Mirrors the profiler's [compile_pexpr] minus the counter effects. *)
@@ -154,9 +73,9 @@ let rec compile_plain vm slots ctx (e : Program.pexpr) : int array -> float =
   match e with
   | Program.Pconst f -> fun _ -> f
   | Program.Pload a ->
-      let off = compile_offset vm slots a in
+      let off = Loopenv.compile_offset vm slots a in
       let buf = ctx.bufs.(a.Program.slot) in
-      fun env -> buf.(off env)
+      fun env -> buf.(Loopenv.eval off env)
   | Program.Pbin (op, a, b) ->
       let fa = compile_plain vm slots ctx a
       and fb = compile_plain vm slots ctx b in
@@ -167,46 +86,42 @@ let rec compile_plain vm slots ctx (e : Program.pexpr) : int array -> float =
       let g = Sexpr.apply_unop op in
       fun env -> g (fa env)
   | Program.Pselect (c, a, b) ->
-      let fc = compile_cond vm c
+      let fc = Loopenv.compile_cond vm c
       and fa = compile_plain vm slots ctx a
       and fb = compile_plain vm slots ctx b in
       fun env -> if fc env then fa env else fb env
 
-(* Hoisted affine load base: refreshed once per innermost-loop execution,
-   advanced by [pb_stride * x] inside. *)
+(* Hoisted affine base of one distinct access: refreshed once per
+   innermost-loop execution, advanced by [pb_stride * x] inside. *)
 type pbase = {
-  pb_off : int array -> int;
+  pb_off : Loopenv.offset;
   pb_stride : int;
   mutable pb_base : int;
 }
 
 (* x-indexed evaluator with every load hoisted to a pbase; structure is
    the profiler's [compile_pure], so float results are bit-identical. *)
-let rec compile_value vm slots ctx (bases : pbase list ref)
-    (strides : Program.access -> int) (e : Program.pexpr) : int -> float =
+let rec compile_value vm ctx (pbase_of : Program.access -> pbase)
+    (e : Program.pexpr) : int -> float =
   match e with
   | Program.Pconst f -> fun _ -> f
   | Program.Pload a ->
-      let pb =
-        { pb_off = compile_offset vm slots a; pb_stride = strides a;
-          pb_base = 0 }
-      in
-      bases := pb :: !bases;
+      let pb = pbase_of a in
       let buf = ctx.bufs.(a.Program.slot) in
       fun x -> buf.(pb.pb_base + (pb.pb_stride * x))
   | Program.Pbin (op, a, b) ->
-      let fa = compile_value vm slots ctx bases strides a
-      and fb = compile_value vm slots ctx bases strides b in
+      let fa = compile_value vm ctx pbase_of a
+      and fb = compile_value vm ctx pbase_of b in
       let g = Sexpr.apply_binop op in
       fun x -> g (fa x) (fb x)
   | Program.Pun (op, a) ->
-      let fa = compile_value vm slots ctx bases strides a in
+      let fa = compile_value vm ctx pbase_of a in
       let g = Sexpr.apply_unop op in
       fun x -> g (fa x)
   | Program.Pselect (c, a, b) ->
-      let fc = compile_cond vm c
-      and fa = compile_value vm slots ctx bases strides a
-      and fb = compile_value vm slots ctx bases strides b in
+      let fc = Loopenv.compile_cond vm c
+      and fa = compile_value vm ctx pbase_of a
+      and fb = compile_value vm ctx pbase_of b in
       fun x -> if fc ctx.env then fa x else fb x
 
 (* ------------------------------------------------------------------ *)
@@ -244,19 +159,23 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
     if stmts = [] then raise Fallback;
     let v = l.Program.v in
     let stride_any a =
-      match affine_stride slots a v with
+      match Loopenv.affine_stride slots a v with
       | Some s -> s
       | None -> raise Fallback
     in
-    let vslot = var_slot vm l.Program.v in
+    let vslot = Loopenv.var_slot vm l.Program.v in
     let pbases = ref [] in
-    let hoist a =
-      let pb =
-        { pb_off = compile_offset vm slots a; pb_stride = stride_any a;
-          pb_base = 0 }
-      in
-      pbases := pb :: !pbases;
-      pb
+    (* one hoisted base per distinct access *)
+    let hoist (a : Program.access) =
+      match List.assoc_opt a !pbases with
+      | Some pb -> pb
+      | None ->
+          let pb =
+            { pb_off = Loopenv.compile_offset vm slots a;
+              pb_stride = stride_any a; pb_base = 0 }
+          in
+          pbases := (a, pb) :: !pbases;
+          pb
     in
     (* Whole-loop runner from a per-iteration step; the loop variable's
        env slot tracks x for Pselect conditions. *)
@@ -270,7 +189,7 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
     let compile_leaf (s : Program.stmt) : macro_leaf =
       match s with
       | Program.Store (a, e) ->
-          let fe = compile_value vm slots ctx pbases stride_any e in
+          let fe = compile_value vm ctx hoist e in
           let spb = hoist a in
           let buf = ctx.bufs.(a.Program.slot) in
           let step x = buf.(spb.pb_base + (spb.pb_stride * x)) <- fe x in
@@ -286,8 +205,8 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
           in
           { ml_step = step; ml_run = run }
       | Program.Reduce (a, r, e) ->
-          let astride = stride_any a in
           let apb = hoist a in
+          let astride = apb.pb_stride in
           let buf = ctx.bufs.(a.Program.slot) in
           let step, run =
             match e with
@@ -388,7 +307,7 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
                 in
                 (step, run)
             | _ ->
-                let fe = compile_value vm slots ctx pbases stride_any e in
+                let fe = compile_value vm ctx hoist e in
                 let combine =
                   match r with
                   | Program.Rsum -> Float.add
@@ -405,7 +324,9 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
       | Program.For _ | Program.Block _ -> raise Fallback
     in
     let leaves = Array.of_list (List.map compile_leaf stmts) in
-    Some { mp_pbases = Array.of_list !pbases; mp_leaves = leaves }
+    Some
+      { mp_pbases = Array.of_list (List.rev_map snd !pbases);
+        mp_leaves = leaves }
   with Fallback -> None
 
 (* One execution of a macro group: refresh hoisted bases at x = 0, then
@@ -420,7 +341,7 @@ let make_macro_runner ctx st (plan : macro_plan) vslot n =
     env.(vslot) <- 0;
     for i = 0 to n_pbases - 1 do
       let pb = pbases.(i) in
-      pb.pb_base <- pb.pb_off env
+      pb.pb_base <- Loopenv.eval pb.pb_off env
     done;
     if n_leaves = 1 then leaves.(0).ml_run n
     else
@@ -440,7 +361,7 @@ let compile_stmts ctx st vm (slots : Program.slot array)
   let rec comp (s : Program.stmt) : unit -> unit =
     match s with
     | Program.For (l, b) -> (
-        let vslot = var_slot vm l.Program.v in
+        let vslot = Loopenv.var_slot vm l.Program.v in
         let n = l.Program.extent in
         let plan =
           if all_leaves b then macro_plan_of vm slots ctx l b else None
@@ -473,15 +394,15 @@ let compile_stmts ctx st vm (slots : Program.slot array)
         let fs = List.map comp lst in
         fun () -> List.iter (fun f -> f ()) fs
     | Program.Store (a, e) ->
-        let off = compile_offset vm slots a in
+        let off = Loopenv.compile_offset vm slots a in
         let fe = compile_plain vm slots ctx e in
         let buf = ctx.bufs.(a.Program.slot) in
         fun () ->
           let v = fe ctx.env in
-          let o = off ctx.env in
+          let o = Loopenv.eval off ctx.env in
           buf.(o) <- v
     | Program.Reduce (a, r, e) ->
-        let off = compile_offset vm slots a in
+        let off = Loopenv.compile_offset vm slots a in
         let fe = compile_plain vm slots ctx e in
         let buf = ctx.bufs.(a.Program.slot) in
         let combine =
@@ -491,7 +412,7 @@ let compile_stmts ctx st vm (slots : Program.slot array)
         in
         fun () ->
           let v = fe ctx.env in
-          let o = off ctx.env in
+          let o = Loopenv.eval off ctx.env in
           buf.(o) <- combine buf.(o) v
   in
   comp body
@@ -679,9 +600,9 @@ let compile ?(domains = 1) (p : Program.t) ~(bufs : float array array) : t =
       par_fallbacks = 0;
     }
   in
-  let vm = { tbl = Hashtbl.create 64; next = 0 } in
+  let vm = Loopenv.create () in
   let serial = compile_stmts ctx st vm p.Program.slots p.Program.body in
-  ctx.env <- Array.make (max 1 vm.next) 0;
+  ctx.env <- Loopenv.alloc_env vm;
   let par_loops, inner = peel_parallel [] p.Program.body in
   if domains = 1 then { prog = p; bufs; run = serial; stats = st; par_ms = [||] }
   else if par_loops = [] || not (parallel_legal p par_loops) then begin
@@ -714,13 +635,13 @@ let compile ?(domains = 1) (p : Program.t) ~(bufs : float array array) : t =
               par_fallbacks = 0;
             }
           in
-          let cvm = { tbl = Hashtbl.create 64; next = 0 } in
+          let cvm = Loopenv.create () in
           let body = compile_stmts cctx cst cvm p.Program.slots inner in
           let pslots =
             Array.of_list
-              (List.map (fun l -> var_slot cvm l.Program.v) par_loops)
+              (List.map (fun l -> Loopenv.var_slot cvm l.Program.v) par_loops)
           in
-          cctx.env <- Array.make (max 1 cvm.next) 0;
+          cctx.env <- Loopenv.alloc_env cvm;
           (cctx, cst, body, pslots))
     in
     let par_ms = Array.make nchunks 0.0 in

@@ -1,0 +1,145 @@
+(* The access compiler shared by every executor of lowered programs.
+
+   The simulator's interpreter (lib/machine/profiler.ml) and the exec
+   backend's kernels (lib/exec/kernel.ml) both run a loop nest over a
+   dense integer environment: every loop variable owns one slot, and each
+   loop writes its current value there.  This module assigns the slots and
+   compiles index expressions, conditions and access offsets against them.
+
+   An access offset [Σᵢ idxᵢ·strideᵢ] is read from [Ixexpr]'s linear
+   normal form and compiled to a dot product [c0 + Σⱼ kⱼ·env.(sⱼ)] over
+   the distinct loop variables: no closure is called for the affine part.
+   Only the atoms that are not affine — floor-division, modulo, min/max
+   and products of variables — keep a closure tree, which is added on top.
+   Integer arithmetic is exact, so the compiled offset equals the
+   expression's value under every environment (test/test_ir.ml checks it
+   against [Ixexpr.eval]). *)
+
+module Var = Alt_tensor.Var
+module Ixexpr = Alt_tensor.Ixexpr
+module Layout = Alt_tensor.Layout
+
+type t = { tbl : (int, int) Hashtbl.t; mutable next : int }
+
+let create () = { tbl = Hashtbl.create 64; next = 0 }
+
+let var_slot vm (v : Var.t) =
+  match Hashtbl.find_opt vm.tbl (Var.id v) with
+  | Some i -> i
+  | None ->
+      let i = vm.next in
+      vm.next <- i + 1;
+      Hashtbl.replace vm.tbl (Var.id v) i;
+      i
+
+let alloc_env vm = Array.make (max 1 vm.next) 0
+
+(* Closure tree for the non-affine residue of an index. *)
+let rec compile_ix vm (e : Ixexpr.t) : int array -> int =
+  match e with
+  | Ixexpr.Const n -> fun _ -> n
+  | Ixexpr.Var v ->
+      let i = var_slot vm v in
+      fun env -> env.(i)
+  | Ixexpr.Add (a, b) ->
+      let fa = compile_ix vm a and fb = compile_ix vm b in
+      fun env -> fa env + fb env
+  | Ixexpr.Sub (a, b) ->
+      let fa = compile_ix vm a and fb = compile_ix vm b in
+      fun env -> fa env - fb env
+  | Ixexpr.Mul (a, b) ->
+      let fa = compile_ix vm a and fb = compile_ix vm b in
+      fun env -> fa env * fb env
+  | Ixexpr.Div (a, b) ->
+      let fa = compile_ix vm a and fb = compile_ix vm b in
+      fun env -> Ixexpr.fdiv (fa env) (fb env)
+  | Ixexpr.Mod (a, b) ->
+      let fa = compile_ix vm a and fb = compile_ix vm b in
+      fun env -> Ixexpr.fmod (fa env) (fb env)
+  | Ixexpr.Min (a, b) ->
+      let fa = compile_ix vm a and fb = compile_ix vm b in
+      fun env -> min (fa env) (fb env)
+  | Ixexpr.Max (a, b) ->
+      let fa = compile_ix vm a and fb = compile_ix vm b in
+      fun env -> max (fa env) (fb env)
+
+type offset = {
+  k0 : int;
+  slots : int array;
+  coeffs : int array;
+  resid : (int array -> int) option;
+}
+
+(* [Σᵢ exprsᵢ·scalesᵢ]: affine terms merged per slot (zero sums dropped),
+   residues summed into one closure tree. *)
+let compile_sum vm (exprs : Ixexpr.t array) (scales : int array) : offset =
+  let k0 = ref 0 and terms = ref [] and resid = ref [] in
+  Array.iteri
+    (fun i e ->
+      let s = scales.(i) in
+      let k, vars, rs = Ixexpr.affine e in
+      k0 := !k0 + (k * s);
+      List.iter
+        (fun (v, c) ->
+          let j = var_slot vm v in
+          let prev = Option.value ~default:0 (List.assoc_opt j !terms) in
+          terms := (j, prev + (c * s)) :: List.remove_assoc j !terms)
+        vars;
+      List.iter (fun r -> resid := Ixexpr.mul (Ixexpr.const s) r :: !resid) rs)
+    exprs;
+  let terms = List.filter (fun (_, c) -> c <> 0) !terms in
+  {
+    k0 = !k0;
+    slots = Array.of_list (List.map fst terms);
+    coeffs = Array.of_list (List.map snd terms);
+    resid =
+      (match !resid with
+      | [] -> None
+      | rs -> Some (compile_ix vm (Ixexpr.sum rs)));
+  }
+
+let eval o env =
+  let acc = ref o.k0 in
+  let slots = o.slots and coeffs = o.coeffs in
+  for j = 0 to Array.length slots - 1 do
+    acc := !acc + (coeffs.(j) * env.(slots.(j)))
+  done;
+  match o.resid with None -> !acc | Some f -> !acc + f env
+
+let compile_index vm e = compile_sum vm [| e |] [| 1 |]
+
+let compile_offset vm (slots : Program.slot array) (a : Program.access) =
+  compile_sum vm a.Program.idx
+    (Layout.phys_strides slots.(a.Program.slot).Program.layout)
+
+(* Each comparison compiles as the sign of one difference [a - b]. *)
+let rec compile_cond vm (c : Sexpr.cond) : int array -> bool =
+  match c with
+  | Sexpr.Cmp (op, a, b) -> (
+      let d = compile_index vm (Ixexpr.sub a b) in
+      match op with
+      | Sexpr.Clt -> fun env -> eval d env < 0
+      | Sexpr.Cle -> fun env -> eval d env <= 0
+      | Sexpr.Cgt -> fun env -> eval d env > 0
+      | Sexpr.Cge -> fun env -> eval d env >= 0
+      | Sexpr.Ceq -> fun env -> eval d env = 0)
+  | Sexpr.And (a, b) ->
+      let fa = compile_cond vm a and fb = compile_cond vm b in
+      fun env -> fa env && fb env
+  | Sexpr.Or (a, b) ->
+      let fa = compile_cond vm a and fb = compile_cond vm b in
+      fun env -> fa env || fb env
+
+(* Element stride of loop variable [v] through the flattened offset of
+   [a]; [None] when [v] occurs under a non-affine atom. *)
+let affine_stride (slots : Program.slot array) (a : Program.access)
+    (v : Var.t) : int option =
+  let strides = Layout.phys_strides slots.(a.Program.slot).Program.layout in
+  let total = ref (Some 0) in
+  Array.iteri
+    (fun i e ->
+      match (!total, Ixexpr.coeff_of e v) with
+      | Some t, Some c -> total := Some (t + (c * strides.(i)))
+      | _ -> total := None)
+    a.Program.idx;
+  !total

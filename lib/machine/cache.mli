@@ -2,10 +2,10 @@
     Addresses are byte addresses; only line tags are stored.
 
     In addition to the element-wise {!access}, a handle-based bulk
-    interface supports the profiler's line-granular fast path
-    (DESIGN.md §9): every entry point leaves the clock/stamp/tag state
-    exactly equivalent to the corresponding sequence of plain [access]
-    calls, so batched simulation stays counter-exact. *)
+    interface and per-site cursors support the profiler (DESIGN.md §9):
+    every entry point leaves the clock/stamp/tag state exactly equivalent
+    to the corresponding sequence of plain [access] calls, so batched
+    simulation stays counter-exact.  No entry point allocates. *)
 
 type cfg = { size_bytes : int; assoc : int; line_bytes : int }
 
@@ -34,37 +34,61 @@ val dump : t -> int array * int array
     tests check beyond mere counter equality. *)
 
 val reset : t -> unit
-(** Invalidate all lines and zero the {!stats}. *)
+(** Invalidate all lines and zero the {!stats}: the state of a fresh
+    {!create}, so one cache can serve many simulations. *)
 
 val access : t -> int -> bool
 (** [access t addr] returns [true] on hit; on miss the line is installed
     with LRU eviction. *)
 
-val access_way : t -> int -> bool * int
-(** Like {!access}, but also returns the way slot now holding the line —
-    a handle for {!touch_run}/{!way_line}. *)
+val access_way : t -> int -> int
+(** Like {!access}, but returns the way slot now holding the line — a
+    handle for {!touch_run} — encoded with the outcome so the call
+    allocates nothing: the slot on a hit, [lnot slot] (negative) on a
+    miss. *)
 
-val access_run : t -> int -> int -> bool * int
+val slot_of : int -> int
+(** The way slot of an {!access_way}/{!access_run} result. *)
+
+val access_run : t -> int -> int -> int
 (** [access_run t addr n] performs [n] consecutive demand accesses to the
     single cache line containing [addr] with one set/tag computation
     (after the first access the line is resident, so the remaining [n-1]
     are hits).  State and counters end exactly as after [n] successive
-    [access t addr] calls.  Returns the first access's (hit, way slot). *)
+    [access t addr] calls.  Returns the first access's result, encoded as
+    by {!access_way}. *)
 
 val touch_run : t -> int -> int -> unit
 (** [touch_run t slot n] replays [n] guaranteed-hit accesses to the line
     held by way slot [slot] in O(1).  Only valid when the line is known
-    resident at [slot] and already demand-touched — i.e. immediately
-    after {!access_way}/{!access_run} on it, or when {!generation} is
-    unchanged (or {!way_line} still matches) since then. *)
+    resident at [slot] and already demand-touched, with no line installed
+    since — e.g. immediately after {!access_way}/{!access_run} on it. *)
 
-val way_line : t -> int -> int
-(** The line tag currently held by a way slot ([-1] = invalid); used to
-    revalidate a memoized slot after installs elsewhere. *)
+(** {1 Cursors}
 
-val generation : t -> int
-(** Bumped on every line install (demand miss or prefetch).  While it is
-    unchanged no line can have been evicted, so memoized residency holds. *)
+    A cursor memoizes, for one access site, the line it touched last and
+    the way holding it.  While no line has been installed since, the next
+    access to that line is a guaranteed hit and costs O(1) instead of a
+    tag probe; every cursor operation leaves the same state and counters
+    as the plain accesses it stands for.  A cursor belongs to one cache
+    between resets. *)
+
+type cursor
+
+val cursor : unit -> cursor
+
+val access_at : t -> cursor -> int -> int
+(** [access_at t c addr] is [access_way t addr], in O(1) when [c] last
+    touched [addr]'s line and nothing was installed since; [c] then
+    points at that line. *)
+
+val resident : t -> cursor -> bool
+(** Whether the line [c] touched last is still held by its way. *)
+
+val touch_at : t -> cursor -> int -> int -> unit
+(** [touch_at t c addr n] performs [n] further demand accesses to [addr],
+    whose line [c] touched last and which is {!resident}.  Equivalent to
+    [n] successive [access t addr] calls. *)
 
 val stats : t -> stats
 (** The live counter record of this cache (mutated in place). *)

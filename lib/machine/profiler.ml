@@ -23,6 +23,15 @@
      (documented in DESIGN.md §5); [sampled] is set in the result and
      numerical outputs are then partial.
 
+   Access offsets compile through the access compiler shared with the
+   exec kernels (Alt_ir.Loopenv): an affine offset is a dot product over
+   the loop environment, and only div/mod/min/max residues keep a
+   closure.  Every access site reaches the L1 model through a
+   [Cache.cursor], so re-touching the line it touched last, with nothing
+   installed since, costs O(1) instead of a tag probe.  [run] borrows the
+   domain's cache pair for the machine's geometry and resets it, instead
+   of allocating a pair per simulation.
+
    Fast path (DESIGN.md §9): innermost loops whose statements access
    memory affinely with stride 0 or 1 in the loop variable — the
    contiguous-innermost structure ALT's own layout+loop tuning drives
@@ -31,11 +40,12 @@
    *spans* (maximal iteration ranges in which no access stream crosses a
    cache line and no accumulator spill fires): within a span every access
    is a guaranteed cache hit, so per stream it costs one O(1)
-   [Cache.touch_run] instead of per-element tag probes, and the
+   [Cache.touch_at] instead of per-element tag probes, and the
    per-iteration counter increments collapse to one bulk update per
    statement run.  Values are computed in a separate tight loop over
-   pre-hoisted base offsets (base + stride·x), eliminating the
-   per-iteration closure chains and env reads of the scalar interpreter.
+   pre-hoisted base offsets (base + stride·x, one base per distinct
+   access, refreshed once per run), eliminating the per-iteration
+   closure chains and env reads of the scalar interpreter.
    Every batched operation reproduces the exact clock/stamp/tag
    transitions of the element-wise walk, so the produced counters are
    bit-identical to the scalar interpreter's — proven by the differential
@@ -49,6 +59,7 @@ module Ixexpr = Alt_tensor.Ixexpr
 module Layout = Alt_tensor.Layout
 module Program = Alt_ir.Program
 module Sexpr = Alt_ir.Sexpr
+module Loopenv = Alt_ir.Loopenv
 
 type counters = {
   mutable insts : float;
@@ -115,115 +126,38 @@ type ctx = {
   (* hoisted [Machine.t]/[Cache.t] fields, read on every access *)
   prefetch_extra : int;
   lb1 : int; (* l1 line bytes *)
-  shift1 : int; (* log2 lb1 *)
   c : counters;
   es : engine_stats;
 }
 
-let mem_access ctx addr =
+(* After an L1 miss at [addr]: the L2 access and the prefetches the miss
+   triggers; true when L2 missed too. *)
+let l1_miss ctx addr =
+  let l2_missed = not (Cache.access ctx.l2 addr) in
+  let lb = ctx.lb1 in
+  for k = 1 to ctx.prefetch_extra do
+    ignore (Cache.prefetch ctx.l1 (addr + (k * lb)) : bool);
+    ignore (Cache.prefetch ctx.l2 (addr + (k * lb)) : bool)
+  done;
+  l2_missed
+
+(* One demand access through the access site's L1 cursor. *)
+let mem_access ctx cur addr =
   ctx.c.l1_accesses <- ctx.c.l1_accesses +. 1.0;
-  if not (Cache.access ctx.l1 addr) then begin
+  if Cache.access_at ctx.l1 cur addr < 0 then begin
     ctx.c.l1_misses <- ctx.c.l1_misses +. 1.0;
-    if not (Cache.access ctx.l2 addr) then
-      ctx.c.l2_misses <- ctx.c.l2_misses +. 1.0;
-    let lb = ctx.lb1 in
-    for k = 1 to ctx.prefetch_extra do
-      ignore (Cache.prefetch ctx.l1 (addr + (k * lb)) : bool);
-      ignore (Cache.prefetch ctx.l2 (addr + (k * lb)) : bool)
-    done
+    if l1_miss ctx addr then ctx.c.l2_misses <- ctx.c.l2_misses +. 1.0
   end
 
 (* ------------------------------------------------------------------ *)
-(* Expression compilation                                             *)
+(* Expression compilation (the shared access compiler, Alt_ir.Loopenv) *)
 (* ------------------------------------------------------------------ *)
-
-type varmap = { tbl : (int, int) Hashtbl.t; mutable next : int }
-
-let var_slot vm (v : Var.t) =
-  match Hashtbl.find_opt vm.tbl (Var.id v) with
-  | Some i -> i
-  | None ->
-      let i = vm.next in
-      vm.next <- i + 1;
-      Hashtbl.replace vm.tbl (Var.id v) i;
-      i
-
-let rec compile_ix vm (e : Ixexpr.t) : int array -> int =
-  match e with
-  | Ixexpr.Const n -> fun _ -> n
-  | Ixexpr.Var v ->
-      let i = var_slot vm v in
-      fun env -> env.(i)
-  | Ixexpr.Add (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> fa env + fb env
-  | Ixexpr.Sub (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> fa env - fb env
-  | Ixexpr.Mul (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> fa env * fb env
-  | Ixexpr.Div (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> Ixexpr.fdiv (fa env) (fb env)
-  | Ixexpr.Mod (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> Ixexpr.fmod (fa env) (fb env)
-  | Ixexpr.Min (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> min (fa env) (fb env)
-  | Ixexpr.Max (a, b) ->
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      fun env -> max (fa env) (fb env)
-
-let rec compile_cond vm (c : Sexpr.cond) : int array -> bool =
-  match c with
-  | Sexpr.Cmp (op, a, b) -> (
-      let fa = compile_ix vm a and fb = compile_ix vm b in
-      match op with
-      | Sexpr.Clt -> fun env -> fa env < fb env
-      | Sexpr.Cle -> fun env -> fa env <= fb env
-      | Sexpr.Cgt -> fun env -> fa env > fb env
-      | Sexpr.Cge -> fun env -> fa env >= fb env
-      | Sexpr.Ceq -> fun env -> fa env = fb env)
-  | Sexpr.And (a, b) ->
-      let fa = compile_cond vm a and fb = compile_cond vm b in
-      fun env -> fa env && fb env
-  | Sexpr.Or (a, b) ->
-      let fa = compile_cond vm a and fb = compile_cond vm b in
-      fun env -> fa env || fb env
-
-(* Static offset of an access: element offset closure over env. *)
-let compile_offset vm (slots : Program.slot array) (a : Program.access) :
-    int array -> int =
-  let phys = Layout.physical_shape slots.(a.Program.slot).Program.layout in
-  let strides = Shape.strides phys in
-  let fs = Array.map (compile_ix vm) a.Program.idx in
-  let n = Array.length fs in
-  fun env ->
-    let off = ref 0 in
-    for i = 0 to n - 1 do
-      off := !off + (fs.(i) env * strides.(i))
-    done;
-    !off
 
 (* Stride of the vectorized variable through the flattened offset of [a];
    [None] when not affine.  0 and 1 are "contiguous" for vector issue. *)
-let vec_stride (slots : Program.slot array) (a : Program.access)
-    (v : Var.t option) : int option =
-  match v with
+let vec_stride (slots : Program.slot array) (a : Program.access) = function
   | None -> Some 0
-  | Some v -> (
-      let phys = Layout.physical_shape slots.(a.Program.slot).Program.layout in
-      let strides = Shape.strides phys in
-      let total = ref (Some 0) in
-      Array.iteri
-        (fun i e ->
-          match (!total, Ixexpr.coeff_of e v) with
-          | Some t, Some c -> total := Some (t + (c * strides.(i)))
-          | _ -> total := None)
-        a.Program.idx;
-      !total)
+  | Some v -> Loopenv.affine_stride slots a v
 
 type vec_ctx = { vvar : Var.t option; lanes : int }
 
@@ -241,12 +175,13 @@ let rec compile_pexpr vm slots vc ctx (e : Program.pexpr) :
   match e with
   | Program.Pconst f -> fun _ -> f
   | Program.Pload a ->
-      let off = compile_offset vm slots a in
+      let off = Loopenv.compile_offset vm slots a in
       let cost = access_inst_cost slots vc a in
       let slot = a.Program.slot in
+      let cur = Cache.cursor () in
       fun env ->
-        let o = off env in
-        mem_access ctx (ctx.bases.(slot) + (o * elem_bytes));
+        let o = Loopenv.eval off env in
+        mem_access ctx cur (ctx.bases.(slot) + (o * elem_bytes));
         ctx.c.loads <- ctx.c.loads +. cost;
         ctx.c.insts <- ctx.c.insts +. cost;
         ctx.bufs.(slot).(o)
@@ -260,7 +195,7 @@ let rec compile_pexpr vm slots vc ctx (e : Program.pexpr) :
       let g = Sexpr.apply_unop op in
       fun env -> g (fa env)
   | Program.Pselect (c, a, b) ->
-      let fc = compile_cond vm c
+      let fc = Loopenv.compile_cond vm c
       and fa = compile_pexpr vm slots vc ctx a
       and fb = compile_pexpr vm slots vc ctx b in
       fun env -> if fc env then fa env else fb env
@@ -332,6 +267,15 @@ let promotion_factor machine (enclosing : Program.loop list)
 (* Fast path: line-granular batched execution of innermost loops       *)
 (* ------------------------------------------------------------------ *)
 
+(* Hoisted base of one distinct access of an innermost statement group,
+   shared by its cache stream, its value loads/stores and its
+   accumulator spills. *)
+type pbase = {
+  pb_off : Loopenv.offset;
+  pb_stride : int;
+  mutable pb_base : int; (* element offset at x = 0, refreshed per run *)
+}
+
 (* A per-iteration access stream of an innermost statement group: one
    memory access per loop iteration at byte address [base + stride·4·x],
    with a memoized cache-residency handle for O(1) re-touches.  Streams
@@ -340,19 +284,10 @@ let promotion_factor machine (enclosing : Program.loop list)
    target). *)
 type stream = {
   str_slot : int;
-  str_off : int array -> int; (* element offset at x = 0 *)
+  str_pb : pbase; (* the access's hoisted element offset *)
   str_stride : int; (* elements per iteration: 0 or 1 *)
   mutable str_addr : int; (* byte address at the current iteration *)
-  mutable str_line : int; (* memoized resident line; -1 = invalid *)
-  mutable str_way : int; (* cache way slot holding str_line *)
-  mutable str_gen : int; (* Cache.generation at the last validation *)
-}
-
-(* Hoisted base of a pure load/store used by the value loop. *)
-type pbase = {
-  pb_off : int array -> int;
-  pb_stride : int;
-  mutable pb_base : int; (* element offset at x = 0, refreshed per run *)
+  str_cur : Cache.cursor; (* memoized residency of the stream's line *)
 }
 
 (* One statement under the innermost loop, compiled for batched
@@ -371,9 +306,9 @@ type fast_leaf = {
   mutable fl_tick : int; (* persists across runs, like the scalar tick *)
   mutable fl_spills : int; (* spills in the current run *)
   fl_acc_slot : int;
-  fl_acc_off : int array -> int;
-  fl_acc_stride : int; (* any affine stride; spills are full accesses *)
+  fl_acc : pbase; (* any affine stride; spills are full accesses *)
   fl_acc_cost : float;
+  fl_acc_cur : Cache.cursor;
   mutable fl_acc_base : int; (* byte address at x = 0, refreshed per run *)
 }
 
@@ -408,30 +343,27 @@ let rec loads_in_order = function
 (* Pure value evaluator: loads read buffers directly at hoisted affine
    offsets; no cache or counter effects.  Mirrors [compile_pexpr]'s
    evaluation structure exactly, so float results are bit-identical. *)
-let rec compile_pure vm slots ctx (bases : pbase list ref)
-    (strides : Program.access -> int) (e : Program.pexpr) : int -> float =
+let rec compile_pure vm ctx (pbase_of : Program.access -> pbase)
+    (e : Program.pexpr) : int -> float =
   match e with
   | Program.Pconst f -> fun _ -> f
   | Program.Pload a ->
-      let pb =
-        { pb_off = compile_offset vm slots a; pb_stride = strides a; pb_base = 0 }
-      in
-      bases := pb :: !bases;
+      let pb = pbase_of a in
       let buf = ctx.bufs.(a.Program.slot) in
       fun x -> buf.(pb.pb_base + (pb.pb_stride * x))
   | Program.Pbin (op, a, b) ->
-      let fa = compile_pure vm slots ctx bases strides a
-      and fb = compile_pure vm slots ctx bases strides b in
+      let fa = compile_pure vm ctx pbase_of a
+      and fb = compile_pure vm ctx pbase_of b in
       let g = Sexpr.apply_binop op in
       fun x -> g (fa x) (fb x)
   | Program.Pun (op, a) ->
-      let fa = compile_pure vm slots ctx bases strides a in
+      let fa = compile_pure vm ctx pbase_of a in
       let g = Sexpr.apply_unop op in
       fun x -> g (fa x)
   | Program.Pselect (c, a, b) ->
-      let fc = compile_cond vm c
-      and fa = compile_pure vm slots ctx bases strides a
-      and fb = compile_pure vm slots ctx bases strides b in
+      let fc = Loopenv.compile_cond vm c
+      and fa = compile_pure vm ctx pbase_of a
+      and fb = compile_pure vm ctx pbase_of b in
       fun x -> if fc ctx.env then fa x else fb x
 
 (* Bulk counter updates are products [delta * iterations].  They equal the
@@ -484,8 +416,20 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
     let stride_any a =
       match vec_stride slots a v with Some s -> s | None -> raise Fallback
     in
-    let vslot = var_slot vm l.Program.v in
+    let vslot = Loopenv.var_slot vm l.Program.v in
     let streams = ref [] and pbases = ref [] in
+    (* one hoisted base per distinct access, refreshed once per run *)
+    let pbase_of (a : Program.access) =
+      match List.assoc_opt a !pbases with
+      | Some pb -> pb
+      | None ->
+          let pb =
+            { pb_off = Loopenv.compile_offset vm slots a;
+              pb_stride = stride_any a; pb_base = 0 }
+          in
+          pbases := (a, pb) :: !pbases;
+          pb
+    in
     (* Whole-loop value runner from a per-iteration step; the loop
        variable's env slot tracks x for Pselect conditions. *)
     let generic_run (step : int -> unit) simn =
@@ -499,12 +443,10 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
       let s =
         {
           str_slot = a.Program.slot;
-          str_off = compile_offset vm slots a;
           str_stride = stride01 a;
+          str_pb = pbase_of a;
           str_addr = 0;
-          str_line = -1;
-          str_way = 0;
-          str_gen = -1;
+          str_cur = Cache.cursor ();
         }
       in
       streams := s :: !streams;
@@ -530,12 +472,8 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
             | None -> arith
             | Some _ -> arith /. float_of_int vc.lanes
           in
-          let fe = compile_pure vm slots ctx pbases stride_any e in
-          let spb =
-            { pb_off = compile_offset vm slots a; pb_stride = stride01 a;
-              pb_base = 0 }
-          in
-          pbases := spb :: !pbases;
+          let fe = compile_pure vm ctx pbase_of e in
+          let spb = pbase_of a in
           let buf = ctx.bufs.(a.Program.slot) in
           let step x = buf.(spb.pb_base + (spb.pb_stride * x)) <- fe x in
           let run =
@@ -560,9 +498,9 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
             fl_tick = 0;
             fl_spills = 0;
             fl_acc_slot = 0;
-            fl_acc_off = (fun _ -> 0);
-            fl_acc_stride = 0;
+            fl_acc = spb (* unused: no spills *);
             fl_acc_cost = 0.0;
+            fl_acc_cur = Cache.cursor ();
             fl_acc_base = 0;
           }
       | Program.Reduce (a, r, e) ->
@@ -582,12 +520,8 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
           in
           let acc_cost = access_inst_cost slots vc a in
           let k = promotion_factor machine enclosing a in
-          let astride = stride_any a in
-          let apb =
-            { pb_off = compile_offset vm slots a; pb_stride = astride;
-              pb_base = 0 }
-          in
-          pbases := apb :: !pbases;
+          let apb = pbase_of a in
+          let astride = apb.pb_stride in
           let buf = ctx.bufs.(a.Program.slot) in
           let step, run =
             match e with
@@ -598,14 +532,7 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
                    reduction lowers to: run it as a tight array loop, with
                    loop-invariant (stride-0) operands hoisted when they
                    cannot alias the accumulator *)
-                let pba =
-                  { pb_off = compile_offset vm slots la;
-                    pb_stride = stride_any la; pb_base = 0 }
-                and pbb =
-                  { pb_off = compile_offset vm slots lb;
-                    pb_stride = stride_any lb; pb_base = 0 }
-                in
-                pbases := pba :: pbb :: !pbases;
+                let pba = pbase_of la and pbb = pbase_of lb in
                 let ba = ctx.bufs.(la.Program.slot)
                 and bb = ctx.bufs.(lb.Program.slot) in
                 let sa = pba.pb_stride and sb = pbb.pb_stride in
@@ -666,7 +593,7 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
                 in
                 (step, run)
             | _ ->
-                let fe = compile_pure vm slots ctx pbases stride_any e in
+                let fe = compile_pure vm ctx pbase_of e in
                 let combine =
                   match r with
                   | Program.Rsum -> Float.add
@@ -691,9 +618,9 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
             fl_tick = 0;
             fl_spills = 0;
             fl_acc_slot = a.Program.slot;
-            fl_acc_off = compile_offset vm slots a;
-            fl_acc_stride = astride;
+            fl_acc = apb;
             fl_acc_cost = acc_cost;
+            fl_acc_cur = Cache.cursor ();
             fl_acc_base = 0;
           }
       | Program.For _ | Program.Block _ -> raise Fallback
@@ -705,21 +632,16 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
       {
         fp_streams = streams;
         fp_leaves = leaves;
-        fp_pbases = Array.of_list !pbases;
+        fp_pbases = Array.of_list (List.rev_map snd !pbases);
         fp_d_l1acc = d_l1acc;
       }
   with Fallback -> None
 
 (* Like [mem_access], but counting misses into int refs flushed in bulk. *)
-let fast_mem_access ctx mis1 mis2 addr =
-  if not (Cache.access ctx.l1 addr) then begin
+let fast_mem_access ctx cur mis1 mis2 addr =
+  if Cache.access_at ctx.l1 cur addr < 0 then begin
     incr mis1;
-    if not (Cache.access ctx.l2 addr) then incr mis2;
-    let lb = ctx.lb1 in
-    for k = 1 to ctx.prefetch_extra do
-      ignore (Cache.prefetch ctx.l1 (addr + (k * lb)) : bool);
-      ignore (Cache.prefetch ctx.l2 (addr + (k * lb)) : bool)
-    done
+    if l1_miss ctx addr then incr mis2
   end
 
 (* One execution of an innermost loop through the batching engine:
@@ -733,27 +655,27 @@ let make_fast_runner ctx (plan : fast_plan) vslot sim =
   and n_leaves = Array.length leaves
   and n_pbases = Array.length pbases in
   let l1 = ctx.l1 in
-  let lb = ctx.lb1 and shift = ctx.shift1 in
+  let lb = ctx.lb1 in
   let fsim = float_of_int sim in
   fun () ->
     ctx.es.fast_runs <- ctx.es.fast_runs + 1;
     let env = ctx.env in
     env.(vslot) <- 0;
     (* refresh hoisted bases at x = 0 *)
-    for i = 0 to n_streams - 1 do
-      let s = streams.(i) in
-      s.str_addr <- ctx.bases.(s.str_slot) + (s.str_off env * elem_bytes)
-    done;
     for i = 0 to n_pbases - 1 do
       let pb = pbases.(i) in
-      pb.pb_base <- pb.pb_off env
+      pb.pb_base <- Loopenv.eval pb.pb_off env
+    done;
+    for i = 0 to n_streams - 1 do
+      let s = streams.(i) in
+      s.str_addr <- ctx.bases.(s.str_slot) + (s.str_pb.pb_base * elem_bytes)
     done;
     for i = 0 to n_leaves - 1 do
       let fl = leaves.(i) in
       fl.fl_spills <- 0;
       if fl.fl_k > 0 then
         fl.fl_acc_base <-
-          ctx.bases.(fl.fl_acc_slot) + (fl.fl_acc_off env * elem_bytes)
+          ctx.bases.(fl.fl_acc_slot) + (fl.fl_acc.pb_base * elem_bytes)
     done;
     (* value pass: pure, independent of the cache model.  Single-leaf
        groups (the common case) run the leaf's compiled whole-loop
@@ -790,28 +712,11 @@ let make_fast_runner ctx (plan : fast_plan) vslot sim =
       done;
       let m = !m in
       (* Iteration !x, exact scalar access order: O(1) memoized touch when
-         no line was installed since the stream's last validation,
-         otherwise one real (possibly missing) access. *)
+         no line was installed since the stream's last access, otherwise
+         one real (possibly missing) access. *)
       for i = 0 to n_streams - 1 do
         let s = streams.(i) in
-        let addr = s.str_addr in
-        let line = addr lsr shift in
-        if s.str_line = line && s.str_gen = Cache.generation l1 then
-          Cache.touch_run l1 s.str_way 1
-        else begin
-          let hit, way = Cache.access_way l1 addr in
-          s.str_line <- line;
-          s.str_way <- way;
-          if not hit then begin
-            incr mis1;
-            if not (Cache.access ctx.l2 addr) then incr mis2;
-            for k = 1 to ctx.prefetch_extra do
-              ignore (Cache.prefetch l1 (addr + (k * lb)) : bool);
-              ignore (Cache.prefetch ctx.l2 (addr + (k * lb)) : bool)
-            done
-          end;
-          s.str_gen <- Cache.generation l1
-        end
+        fast_mem_access ctx s.str_cur mis1 mis2 s.str_addr
       done;
       (* Iterations !x+1 .. !x+m-1: no stream crosses a line and no spill
          fires, so if every stream's line survived the fronts above, all
@@ -822,40 +727,21 @@ let make_fast_runner ctx (plan : fast_plan) vslot sim =
          stream's line (more active streams than ways in one set): such
          spans replay element-wise, which is scalar by construction. *)
       if m > 1 then begin
-        let gen = Cache.generation l1 in
         let resident = ref true in
         for i = 0 to n_streams - 1 do
-          let s = streams.(i) in
-          if s.str_gen <> gen && Cache.way_line l1 s.str_way <> s.str_line
-          then resident := false
+          if not (Cache.resident l1 streams.(i).str_cur) then resident := false
         done;
         if !resident then
           for i = 0 to n_streams - 1 do
             let s = streams.(i) in
-            if s.str_gen = gen then Cache.touch_run l1 s.str_way (m - 1)
-            else begin
-              (* resident but installs happened since validation: re-probe
-                 once (also settles the prefetched bit), then bulk-touch *)
-              ignore (Cache.access_run l1 s.str_addr (m - 1) : bool * int);
-              s.str_gen <- gen
-            end
+            Cache.touch_at l1 s.str_cur s.str_addr (m - 1)
           done
         else
           for y = 1 to m - 1 do
             for i = 0 to n_streams - 1 do
               let s = streams.(i) in
-              let addr = s.str_addr + (s.str_stride * elem_bytes * y) in
-              let hit, way = Cache.access_way l1 addr in
-              s.str_way <- way;
-              if not hit then begin
-                incr mis1;
-                if not (Cache.access ctx.l2 addr) then incr mis2;
-                for k = 1 to ctx.prefetch_extra do
-                  ignore (Cache.prefetch l1 (addr + (k * lb)) : bool);
-                  ignore (Cache.prefetch ctx.l2 (addr + (k * lb)) : bool)
-                done
-              end;
-              s.str_gen <- Cache.generation l1
+              fast_mem_access ctx s.str_cur mis1 mis2
+                (s.str_addr + (s.str_stride * elem_bytes * y))
             done
           done
       end;
@@ -873,10 +759,10 @@ let make_fast_runner ctx (plan : fast_plan) vslot sim =
             fl.fl_spills <- fl.fl_spills + 1;
             let addr =
               fl.fl_acc_base
-              + (fl.fl_acc_stride * elem_bytes * (!x + m - 1))
+              + (fl.fl_acc.pb_stride * elem_bytes * (!x + m - 1))
             in
-            fast_mem_access ctx mis1 mis2 addr;
-            fast_mem_access ctx mis1 mis2 addr
+            fast_mem_access ctx fl.fl_acc_cur mis1 mis2 addr;
+            fast_mem_access ctx fl.fl_acc_cur mis1 mis2 addr
           end
         end
       done;
@@ -916,13 +802,13 @@ let rec all_leaves = function
 
 let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
   let machine = ctx.machine in
-  let vm = { tbl = Hashtbl.create 64; next = 0 } in
+  let vm = Loopenv.create () in
   let slots = p.Program.slots in
   let ann = annotate sample_ratio p.Program.body in
   (* enclosing: innermost-first loop list; vc: vectorization context *)
   let rec comp (enclosing : Program.loop list) (vc : vec_ctx) = function
     | Afor (l, sim, b) -> (
-        let slot = var_slot vm l.Program.v in
+        let slot = Loopenv.var_slot vm l.Program.v in
         let vc' =
           if l.Program.kind = Program.Vectorized then
             { vvar = Some l.Program.v; lanes = machine.Machine.lanes }
@@ -961,7 +847,7 @@ let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
         let fs = List.map (comp enclosing vc) lst in
         fun () -> List.iter (fun f -> f ()) fs
     | Aleaf (Program.Store (a, e)) ->
-        let off = compile_offset vm slots a in
+        let off = Loopenv.compile_offset vm slots a in
         let fe = compile_pexpr vm slots vc ctx e in
         let arith = float_of_int (pexpr_arith e) in
         let arith_scaled =
@@ -971,17 +857,18 @@ let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
         in
         let st_cost = access_inst_cost slots vc a in
         let slot = a.Program.slot in
+        let cur = Cache.cursor () in
         fun () ->
           let v = fe ctx.env in
-          let o = off ctx.env in
-          mem_access ctx (ctx.bases.(slot) + (o * elem_bytes));
+          let o = Loopenv.eval off ctx.env in
+          mem_access ctx cur (ctx.bases.(slot) + (o * elem_bytes));
           ctx.bufs.(slot).(o) <- v;
           ctx.c.stores <- ctx.c.stores +. st_cost;
           ctx.c.insts <- ctx.c.insts +. st_cost +. arith_scaled;
           ctx.c.flops <- ctx.c.flops +. arith
     | Aleaf (Program.For _ | Program.Block _) -> assert false
     | Aleaf (Program.Reduce (a, r, e)) ->
-        let off = compile_offset vm slots a in
+        let off = Loopenv.compile_offset vm slots a in
         let fe = compile_pexpr vm slots vc ctx e in
         let arith = float_of_int (pexpr_arith e + 1) in
         let arith_scaled =
@@ -993,6 +880,7 @@ let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
         let k = promotion_factor machine enclosing a in
         let tick = ref 0 in
         let slot = a.Program.slot in
+        let cur = Cache.cursor () in
         let combine =
           match r with
           | Program.Rsum -> Float.add
@@ -1000,7 +888,7 @@ let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
         in
         fun () ->
           let v = fe ctx.env in
-          let o = off ctx.env in
+          let o = Loopenv.eval off ctx.env in
           let buf = ctx.bufs.(slot) in
           buf.(o) <- combine buf.(o) v;
           ctx.c.insts <- ctx.c.insts +. arith_scaled;
@@ -1010,8 +898,8 @@ let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
             tick := 0;
             (* accumulator spill/refill once per K iterations *)
             let addr = ctx.bases.(slot) + (o * elem_bytes) in
-            mem_access ctx addr;
-            mem_access ctx addr;
+            mem_access ctx cur addr;
+            mem_access ctx cur addr;
             ctx.c.loads <- ctx.c.loads +. acc_cost;
             ctx.c.stores <- ctx.c.stores +. acc_cost;
             ctx.c.insts <- ctx.c.insts +. (2.0 *. acc_cost)
@@ -1046,10 +934,6 @@ let latency_of_counters machine ~(c : counters) ~(par : int) =
   in
   serial /. speedup
 
-let log2_exact n =
-  let rec go k = if 1 lsl k = n then k else go (k + 1) in
-  go 0
-
 (* Observability (DESIGN.md §11).  Everything here is gated on the
    metrics/trace enabled flags and sits strictly outside the compiled
    runner, so the simulation inner loops are untouched and the disabled
@@ -1073,6 +957,29 @@ let publish_run ctx ~(es0 : engine_stats) ~sampled =
   Alt_obs.Metrics.add m_scalar_groups (es.scalar_groups - es0.scalar_groups);
   Cache.publish_obs ~prefix:"sim.l1" ctx.l1;
   Cache.publish_obs ~prefix:"sim.l2" ctx.l2
+
+(* Cache models outlive simulations: each domain keeps one L1/L2 pair per
+   cache geometry and resets it when a run takes it, since allocating the
+   arrays of a large L2 per run dominated the major heap.  A reset cache is
+   indistinguishable from a fresh one (test/test_machine.ml).  Runs never
+   nest on a domain — nothing a run calls re-enters [run] or suspends it —
+   so one pair per geometry is enough. *)
+let cache_pairs : ((Cache.cfg * Cache.cfg) * (Cache.t * Cache.t)) list ref
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let take_caches (machine : Machine.t) =
+  let key = (machine.Machine.l1, machine.Machine.l2) in
+  let pairs = Domain.DLS.get cache_pairs in
+  match List.assoc_opt key !pairs with
+  | Some ((l1, l2) as p) ->
+      Cache.reset l1;
+      Cache.reset l2;
+      p
+  | None ->
+      let p = (Cache.create machine.Machine.l1, Cache.create machine.Machine.l2) in
+      pairs := (key, p) :: !pairs;
+      p
 
 let run ?(machine = Machine.intel_cpu) ?max_points ?fast ?engine
     (p : Program.t) ~(bufs : float array array) : result =
@@ -1108,17 +1015,17 @@ let run ?(machine = Machine.intel_cpu) ?max_points ?fast ?engine
   in
   let es = match engine with Some es -> es | None -> fresh_engine_stats () in
   let lb1 = machine.Machine.l1.Cache.line_bytes in
+  let l1, l2 = take_caches machine in
   let ctx =
     {
       env = [||];
       bufs;
       bases = [||];
-      l1 = Cache.create machine.Machine.l1;
-      l2 = Cache.create machine.Machine.l2;
+      l1;
+      l2;
       machine;
       prefetch_extra = machine.Machine.prefetch_extra;
       lb1;
-      shift1 = log2_exact lb1;
       c;
       es;
     }
@@ -1136,7 +1043,7 @@ let run ?(machine = Machine.intel_cpu) ?max_points ?fast ?engine
       let lb = machine.Machine.l1.Cache.line_bytes in
       cursor := !cursor + (Shape.cdiv bytes lb * lb) + lb)
     bufs;
-  ctx.env <- Array.make (max 1 vm.next) 0;
+  ctx.env <- Loopenv.alloc_env vm;
   ctx.bases <- bases;
   (* engine-stats snapshot for delta publication; [es] itself stands in
      when metrics are off so the disabled path allocates nothing *)

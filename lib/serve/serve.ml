@@ -212,11 +212,17 @@ let make_thunk t (s : session) () : Tuner.result =
   let shared = Store.view t.cfg.store ~ctx:(Workload.context_key s.spec) in
   let build ?resume () =
     let task = Workload.task_of_spec ~shared s.spec in
-    Tuner.tune_op ~seed:s.spec.Workload.seed ~pool:t.cfg.pool
-      ?checkpoint:(ckpt_path t s.skey) ?resume
-      ~on_round:(fun r -> Session.yield r)
-      ~system:(Workload.system_of_spec s.spec)
-      ~budget:s.spec.Workload.budget task
+    let r =
+      Tuner.tune_op ~seed:s.spec.Workload.seed ~pool:t.cfg.pool
+        ?checkpoint:(ckpt_path t s.skey) ?resume
+        ~on_round:(fun r -> Session.yield r)
+        ~system:(Workload.system_of_spec s.spec)
+        ~budget:s.spec.Workload.budget task
+    in
+    (* the session's measure.* counters join the registry, as the graph
+       tuner's and the scheduler's tasks do *)
+    Measure.publish_obs task;
+    r
   in
   match ckpt_path t s.skey with
   | None -> build ()

@@ -337,6 +337,23 @@ and of_atom = function
 
 let simplify ?(bounds = no_bounds) e = of_lin (to_lin bounds e)
 
+(* The normal form split into its affine part and the rest: the constant,
+   the [coeff * var] terms, and every other atom (div/mod/min/max or an
+   opaque product) as one expression scaled by its coefficient.  Access
+   compilers evaluate the affine part as a dot product over the loop
+   environment and keep closures only for the residue. *)
+let affine e =
+  let l = to_lin no_bounds e in
+  let vars, residue =
+    List.partition_map
+      (fun (a, c) ->
+        match a with
+        | Avar v -> Left (v, c)
+        | a -> Right (of_lin { terms = [ (a, c) ]; k = 0 }))
+      l.terms
+  in
+  (l.k, vars, residue)
+
 let equal ?(bounds = no_bounds) a b =
   compare_lin (to_lin bounds a) (to_lin bounds b) = 0
 

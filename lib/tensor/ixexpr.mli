@@ -56,6 +56,14 @@ val simplify : ?bounds:bounds -> t -> t
     interval analysis to discharge divisions and modulos; e.g.
     [(ho*ht + hi) / ht] simplifies to [ho] when [0 <= hi < ht]. *)
 
+val affine : t -> int * (Var.t * int) list * t list
+(** [affine e] reads the normal form of [e] as [(k, terms, residue)] with
+    [e = k + Σ c·v + Σ r] over [(v, c)] in [terms] and [r] in [residue]
+    under every environment: [terms] lists distinct variables with
+    nonzero coefficients, and each residue expression is one non-affine
+    atom (div/mod/min/max or a product of variables) already scaled by
+    its coefficient. *)
+
 val equal : ?bounds:bounds -> t -> t -> bool
 (** Structural equality of normal forms. *)
 

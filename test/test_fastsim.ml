@@ -21,6 +21,7 @@ module Templates = Alt_tuner.Templates
 module Loopspace = Alt_tuner.Loopspace
 module Measure = Alt_tuner.Measure
 module Tuner = Alt_tuner.Tuner
+module Workload = Alt_serve.Workload
 
 let machines = [ Machine.intel_cpu; Machine.nvidia_gpu; Machine.arm_cpu ]
 
@@ -58,7 +59,7 @@ let prop_access_run =
           for _ = 1 to n do
             ignore (Cache.access c1 addr : bool)
           done;
-          ignore (Cache.access_run c2 addr n : bool * int))
+          ignore (Cache.access_run c2 addr n : int))
         trace;
       same_state c1 c2 && stats_eq (Cache.stats c1) (Cache.stats c2))
 
@@ -73,7 +74,7 @@ let prop_touch_run =
         ignore (Cache.access c1 addr : bool);
         ignore (Cache.access c2 addr : bool)
       done;
-      (let _, way = Cache.access_way c2 addr in
+      (let way = Cache.slot_of (Cache.access_way c2 addr) in
        ignore (Cache.access c1 addr : bool);
        Cache.touch_run c2 way n;
        for _ = 1 to n do
@@ -139,8 +140,8 @@ let differential ?max_points machine op (choice : Propagate.choice) sched =
       let rs = Profiler.run ~machine ?max_points ~fast:false prog ~bufs:bs in
       results_equal rf rs && Array.for_all2 bufs_equal bf bs
 
-let prop_differential op nactions name =
-  QCheck2.Test.make ~count:25 ~name
+let prop_differential ?(count = 25) op nactions name =
+  QCheck2.Test.make ~count ~name
     QCheck2.Gen.(
       pair
         (array_size (return nactions) (float_bound_exclusive 1.0))
@@ -152,6 +153,20 @@ let prop_differential op nactions name =
       let space = Loopspace.of_layout op choice.Propagate.out_layout in
       let sched = Loopspace.decode space (Array.sub point 0 (Loopspace.dim space)) in
       List.for_all (fun m -> differential m op choice sched) machines)
+
+(* Every other operator kind the service accepts, at small shapes:
+   depthwise, grouped, dilated, transposed (negative input strides), 1-D
+   and 3-D accesses all go through the fast engine's base refresh. *)
+let prop_differential_kind kind =
+  let op =
+    Workload.op_of_spec
+      { Workload.default_op with kind; channels = 4; out_channels = 4;
+        spatial = 4 }
+  in
+  let tpl = Option.get (Templates.for_op op) in
+  prop_differential ~count:8 op
+    (Array.length tpl.Templates.knobs)
+    (kind ^ ": fast == scalar (3 machines)")
 
 (* the tuned-style shape the bench uses: fast path must both engage and
    agree (guards the ">= 5x on a vacuous loop" failure mode) *)
@@ -245,6 +260,9 @@ let () =
             prop_differential conv_op 6 "conv2d: fast == scalar (3 machines)";
             prop_differential gmm_op 3 "matmul: fast == scalar (3 machines)";
           ]
+        @ qsuite
+            (List.map prop_differential_kind
+               [ "dep"; "c1d"; "grp"; "t2d"; "dil"; "c3d" ])
         @ [
             Alcotest.test_case "fast engine engages" `Quick test_engagement;
             Alcotest.test_case "sampling rescales identically" `Quick

@@ -533,6 +533,160 @@ let test_layout_changes_misses () =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* ------------------------------------------------------------------ *)
+(* The shared access compiler against an independent oracle           *)
+(* ------------------------------------------------------------------ *)
+
+(* The simulator and the exec kernels both run on Loopenv, so their
+   differential suites cannot see a bug in it; [Ixexpr.eval] can. *)
+module Loopenv = Alt_ir.Loopenv
+
+let oracle_vars = Array.init 4 (fun i -> Var.fresh (Printf.sprintf "v%d" i))
+
+(* Random index trees over four variables: negative constants and
+   coefficients, products of variables, and div/mod (positive constant
+   divisors, as the lowering emits) and min/max for the closure path. *)
+let gen_ix : Ixexpr.t QCheck2.Gen.t =
+  QCheck2.Gen.(
+    sized_size (int_bound 12)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map (fun k -> Ixexpr.Const k) (int_range (-6) 6);
+                 map (fun i -> Ixexpr.Var oracle_vars.(i)) (int_bound 3);
+               ]
+           in
+           if n = 0 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (2, leaf);
+                 (3, map2 (fun a b -> Ixexpr.Add (a, b)) sub sub);
+                 (2, map2 (fun a b -> Ixexpr.Sub (a, b)) sub sub);
+                 (2, map2 (fun a b -> Ixexpr.Mul (a, b)) sub sub);
+                 (1, map2 (fun a d -> Ixexpr.Div (a, Ixexpr.Const d)) sub
+                       (int_range 1 5));
+                 (1, map2 (fun a d -> Ixexpr.Mod (a, Ixexpr.Const d)) sub
+                       (int_range 1 5));
+                 (1, map2 (fun a b -> Ixexpr.Min (a, b)) sub sub);
+                 (1, map2 (fun a b -> Ixexpr.Max (a, b)) sub sub);
+               ]))
+
+let gen_values = QCheck2.Gen.(array_size (return 4) (int_range (-20) 20))
+
+(* Compile with [f], then bind every oracle variable in a fresh env. *)
+let with_env compile values =
+  let vm = Loopenv.create () in
+  let compiled = compile vm in
+  let slots = Array.map (Loopenv.var_slot vm) oracle_vars in
+  let env = Loopenv.alloc_env vm in
+  Array.iteri (fun i s -> env.(s) <- values.(i)) slots;
+  (compiled, env)
+
+let lookup values v =
+  let rec find i =
+    if Var.equal oracle_vars.(i) v then values.(i) else find (i + 1)
+  in
+  find 0
+
+let access_of dims =
+  let shape = Array.of_list (List.map snd dims) in
+  let slot =
+    { Program.sname = "A"; layout = Layout.create shape; role = Program.Input }
+  in
+  ([| slot |], { Program.slot = 0; idx = Array.of_list (List.map fst dims) })
+
+let prop_offset_oracle =
+  QCheck2.Test.make ~count:500
+    ~name:"compiled offset == sum of Ixexpr.eval idx * stride"
+    ~print:(fun (dims, values) ->
+      Fmt.str "idx=[%s] shape=[%s] env=[%s]"
+        (String.concat "; " (List.map (fun (e, _) -> Ixexpr.to_string e) dims))
+        (String.concat "; " (List.map (fun (_, d) -> string_of_int d) dims))
+        (String.concat "; " (Array.to_list (Array.map string_of_int values))))
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 3) (pair gen_ix (int_range 1 6))) gen_values)
+    (fun (dims, values) ->
+      let slots, a = access_of dims in
+      let off, env =
+        with_env (fun vm -> Loopenv.compile_offset vm slots a) values
+      in
+      let strides = Shape.strides (Array.of_list (List.map snd dims)) in
+      let want = ref 0 in
+      Array.iteri
+        (fun i e -> want := !want + (Ixexpr.eval (lookup values) e * strides.(i)))
+        a.Program.idx;
+      Loopenv.eval off env = !want)
+
+let gen_cond : Sexpr.cond QCheck2.Gen.t =
+  QCheck2.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           let cmp =
+             map3
+               (fun op a b -> Sexpr.Cmp (op, a, b))
+               (oneofl Sexpr.[ Clt; Cle; Cgt; Cge; Ceq ])
+               gen_ix gen_ix
+           in
+           if n = 0 then cmp
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 (2, cmp);
+                 (1, map2 (fun a b -> Sexpr.And (a, b)) sub sub);
+                 (1, map2 (fun a b -> Sexpr.Or (a, b)) sub sub);
+               ]))
+
+let rec eval_cond values = function
+  | Sexpr.Cmp (op, a, b) -> (
+      let x = Ixexpr.eval (lookup values) a
+      and y = Ixexpr.eval (lookup values) b in
+      match op with
+      | Sexpr.Clt -> x < y
+      | Sexpr.Cle -> x <= y
+      | Sexpr.Cgt -> x > y
+      | Sexpr.Cge -> x >= y
+      | Sexpr.Ceq -> x = y)
+  | Sexpr.And (a, b) -> eval_cond values a && eval_cond values b
+  | Sexpr.Or (a, b) -> eval_cond values a || eval_cond values b
+
+let prop_cond_oracle =
+  QCheck2.Test.make ~count:500 ~name:"compiled condition == direct evaluation"
+    QCheck2.Gen.(pair gen_cond gen_values)
+    (fun (c, values) ->
+      let fc, env = with_env (fun vm -> Loopenv.compile_cond vm c) values in
+      fc env = eval_cond values c)
+
+(* A[2*i + j][k - 1] over an 8x5 layout is 10i + 5j + k - 1: a dot
+   product with no closure; a floor division keeps its residue. *)
+let test_affine_dot_product () =
+  let i = oracle_vars.(0) and j = oracle_vars.(1) and k = oracle_vars.(2) in
+  let ix = Ixexpr.(add (mul (const 2) (var i)) (var j)) in
+  let kx = Ixexpr.(sub (var k) (const 1)) in
+  let slots, a = access_of [ (ix, 8); (kx, 5) ] in
+  let vm = Loopenv.create () in
+  let off = Loopenv.compile_offset vm slots a in
+  Alcotest.(check bool) "no closure residue" true (Option.is_none off.Loopenv.resid);
+  Alcotest.(check int) "constant" (-1) off.Loopenv.k0;
+  let terms =
+    List.sort compare
+      (Array.to_list
+         (Array.map2 (fun s c -> (s, c)) off.Loopenv.slots off.Loopenv.coeffs))
+  in
+  let want =
+    List.sort compare
+      [ (Loopenv.var_slot vm i, 10); (Loopenv.var_slot vm j, 5);
+        (Loopenv.var_slot vm k, 1) ]
+  in
+  Alcotest.(check (list (pair int int))) "coefficients" want terms;
+  let slots, a = access_of [ (Ixexpr.(div (var i) (const 2)), 4) ] in
+  let off = Loopenv.compile_offset (Loopenv.create ()) slots a in
+  Alcotest.(check bool) "division keeps a residue" true
+    (Option.is_some off.Loopenv.resid)
+
 let () =
   Alcotest.run "alt_ir"
     [
@@ -578,6 +732,12 @@ let () =
           Alcotest.test_case "assign to unfolded layout" `Quick
             test_assign_to_unfolded_layout;
         ] );
+      ( "loopenv",
+        [
+          Alcotest.test_case "affine access is a dot product" `Quick
+            test_affine_dot_product;
+        ] );
+      qsuite "loopenv-props" [ prop_offset_oracle; prop_cond_oracle ];
       ( "profiler",
         [
           Alcotest.test_case "cache basics" `Quick test_cache_basic;

@@ -170,53 +170,21 @@ let test_fused_logical_profile_independent () =
 
 module Cache = Alt_machine.Cache
 
-(* The profiler's fast path memoizes a way handle per stream and only
-   revalidates it when [generation] moved (DESIGN.md §9).  This drives a
-   cache through that exact discipline — touch_run on an unchanged
-   generation, access_run re-probe when installs happened but the way
-   still holds the line, full access_run reinstall after a conflict
-   eviction — while a reference cache replays the equivalent plain
-   [access] sequence.  Tags, per-set recency order and all counters
-   must end identical; this is the state oracle behind the fast
-   engine's counter-exactness claim. *)
+(* The profiler reaches the L1 model through cursors (DESIGN.md §9): per
+   stream, one [access_at] for a span's first access, then, when the line
+   is still [resident] after the other streams' accesses, one [touch_at]
+   for the rest, else plain accesses through the cursor.  This drives a
+   cache through that exact discipline, with conflicting traffic and
+   prefetches in between, while a reference cache replays the equivalent
+   plain [access] sequence.  Tags, stamps and all counters must end
+   identical; this is the state oracle behind the fast engine's
+   counter-exactness claim. *)
 let test_bulk_state_oracle () =
   let cfg = { Cache.size_bytes = 1024; assoc = 2; line_bytes = 64 } in
   let sets = cfg.Cache.size_bytes / (cfg.Cache.assoc * cfg.Cache.line_bytes) in
   let fast = Cache.create cfg and elem = Cache.create cfg in
-  let line_of addr = addr / cfg.Cache.line_bytes in
-  (* memoized stream handle, exactly as the profiler keeps one *)
+  let cur = Cache.cursor () in
   let s_addr = ref 0 in
-  let s_way = ref (-1) and s_line = ref (-1) and s_gen = ref (-1) in
-  let revalidations = ref 0 and reinstalls = ref 0 and memo_hits = ref 0 in
-  let run_stream n =
-    let line = line_of !s_addr in
-    (if !s_way >= 0 && !s_line = line && !s_gen = Cache.generation fast then begin
-       (* no install since validation: guaranteed-hit bulk touch *)
-       incr memo_hits;
-       Cache.touch_run fast !s_way n
-     end
-     else if !s_way >= 0 && !s_line = line && Cache.way_line fast !s_way = line
-     then begin
-       (* generation moved but the way still holds our line: one real
-          probe revalidates, the rest is bulk *)
-       incr revalidations;
-       let hit, way = Cache.access_run fast !s_addr n in
-       Alcotest.(check bool) "revalidated line hits" true hit;
-       s_way := way;
-       s_gen := Cache.generation fast
-     end
-     else begin
-       (* cold or evicted (or the stream advanced): full re-probe *)
-       incr reinstalls;
-       let _hit, way = Cache.access_run fast !s_addr n in
-       s_way := way;
-       s_line := line;
-       s_gen := Cache.generation fast
-     end);
-    for _ = 1 to n do
-      ignore (Cache.access elem !s_addr : bool)
-    done
-  in
   let both_access addr =
     ignore (Cache.access fast addr : bool);
     ignore (Cache.access elem addr : bool)
@@ -226,31 +194,56 @@ let test_bulk_state_oracle () =
     ignore (Cache.prefetch elem addr : bool)
   in
   let st = Random.State.make [| 7 |] in
+  (* how the rest of each span ran, by the traffic before it *)
+  let quiet = ref 0 and after_installs = ref 0 and evicted = ref 0 in
   for _round = 1 to 400 do
-    run_stream (1 + Random.State.int st 4);
-    match Random.State.int st 5 with
+    let n = 1 + Random.State.int st 4 in
+    ignore (Cache.access_at fast cur !s_addr : int);
+    ignore (Cache.access elem !s_addr : bool);
+    let traffic = Random.State.int st 4 in
+    let conflict k =
+      for j = 1 to k do
+        both_access (!s_addr + (j * sets * cfg.Cache.line_bytes))
+      done
+    in
+    (match traffic with
     | 0 ->
         (* conflicting same-set traffic; k > assoc - 1 evicts our line *)
-        let k = 1 + Random.State.int st (cfg.Cache.assoc + 1) in
-        for j = 1 to k do
-          both_access (!s_addr + (j * sets * cfg.Cache.line_bytes))
-        done
+        conflict (1 + Random.State.int st (cfg.Cache.assoc + 1))
     | 1 ->
-        (* prefetch install elsewhere bumps the generation without
-           touching our set *)
+        (* a prefetch elsewhere installs a line without touching our set *)
         both_prefetch (!s_addr + cfg.Cache.line_bytes)
     | 2 ->
-        (* stream advances to the next line, as at a loop-row boundary *)
-        s_addr := (!s_addr + cfg.Cache.line_bytes)
-                  mod (4 * sets * cfg.Cache.line_bytes)
-    | _ -> ()
+        (* our line evicted by the last conflicting line, which then
+           becomes the set's LRU line; the prefetch brings ours back into
+           its old way, so the next demand access is a prefetch hit *)
+        conflict cfg.Cache.assoc;
+        conflict (cfg.Cache.assoc - 1);
+        both_prefetch !s_addr
+    | _ -> ());
+    if Cache.resident fast cur then begin
+      if traffic = 3 then incr quiet else incr after_installs;
+      Cache.touch_at fast cur !s_addr (n - 1)
+    end
+    else begin
+      incr evicted;
+      for _ = 2 to n do
+        ignore (Cache.access_at fast cur !s_addr : int)
+      done
+    end;
+    for _ = 2 to n do
+      ignore (Cache.access elem !s_addr : bool)
+    done;
+    (* the stream advances to the next line, as at a loop-row boundary *)
+    if Random.State.int st 4 = 0 then
+      s_addr := (!s_addr + cfg.Cache.line_bytes) mod (4 * sets * cfg.Cache.line_bytes)
   done;
-  (* every branch of the memoization discipline must actually fire *)
+  (* every branch of the discipline must actually fire *)
   Alcotest.(check bool)
-    (Fmt.str "all paths exercised (memo %d, revalidate %d, reinstall %d)"
-       !memo_hits !revalidations !reinstalls)
+    (Fmt.str "all paths exercised (quiet %d, after installs %d, evicted %d)"
+       !quiet !after_installs !evicted)
     true
-    (!memo_hits > 0 && !revalidations > 0 && !reinstalls > 0);
+    (!quiet > 0 && !after_installs > 0 && !evicted > 0);
   let fs = Cache.stats fast and es = Cache.stats elem in
   Alcotest.(check int) "accesses" es.Cache.accesses fs.Cache.accesses;
   Alcotest.(check int) "hits" es.Cache.hits fs.Cache.hits;
@@ -272,6 +265,80 @@ let test_bulk_state_oracle () =
   in
   Alcotest.(check bool) "per-set recency order identical" true
     (recency ftags fstamps = recency etags estamps)
+
+(* ------------------------------------------------------------------ *)
+(* Cache reuse across simulations                                     *)
+(* ------------------------------------------------------------------ *)
+
+let random_traffic c ~seed n =
+  let st = Random.State.make [| seed |] in
+  for _ = 1 to n do
+    let addr = Random.State.int st 8192 in
+    if Random.State.int st 4 = 0 then ignore (Cache.prefetch c addr : bool)
+    else ignore (Cache.access c addr : bool)
+  done
+
+let same_cache a b =
+  let sa = Cache.stats a and sb = Cache.stats b in
+  Cache.dump a = Cache.dump b
+  && sa.Cache.accesses = sb.Cache.accesses
+  && sa.Cache.hits = sb.Cache.hits
+  && sa.Cache.misses = sb.Cache.misses
+  && sa.Cache.prefetch_installs = sb.Cache.prefetch_installs
+  && sa.Cache.prefetch_hits = sb.Cache.prefetch_hits
+
+(* A reset cache is a fresh one: same tags, stamps and counters, and the
+   same behaviour on any later traffic. *)
+let test_reset_is_create () =
+  let cfg = { Cache.size_bytes = 1024; assoc = 4; line_bytes = 64 } in
+  let used = Cache.create cfg in
+  random_traffic used ~seed:3 500;
+  Cache.reset used;
+  let fresh = Cache.create cfg in
+  Alcotest.(check bool) "reset state = create state" true
+    (same_cache used fresh);
+  random_traffic used ~seed:4 500;
+  random_traffic fresh ~seed:4 500;
+  Alcotest.(check bool) "same behaviour afterwards" true
+    (same_cache used fresh)
+
+let conv_prog () =
+  let op =
+    Ops.c2d ~name:"c" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
+      ~kh:3 ~kw:3 ()
+  in
+  let s = Schedule.default ~rank:4 ~nred:3 in
+  ( op,
+    Lower.lower ~op
+      ~layouts:(fun n -> trivial (List.assoc n op.Opdef.inputs))
+      ~out_layout:(trivial op.Opdef.out_shape)
+      ~schedule:(Schedule.vectorize s) () )
+
+let simulate machine (op, prog) =
+  let inputs =
+    List.mapi
+      (fun i (n, shape) -> (n, Buffer.random ~seed:(i + 1) shape))
+      op.Opdef.inputs
+  in
+  let bufs = Runtime.alloc_bufs prog ~inputs in
+  let r = Profiler.run ~machine prog ~bufs in
+  (r, bufs)
+
+(* Profiler.run reuses one cache pair per geometry per domain.  A run on
+   a domain whose pairs earlier runs dirtied (another program on the same
+   profile, then another profile) must equal the same run on a freshly
+   spawned domain, outputs included. *)
+let test_reused_caches_leak_nothing () =
+  let gmm = gmm_prog ~vec:true () in
+  let conv = conv_prog () in
+  ignore (simulate Machine.intel_cpu gmm);
+  ignore (simulate Machine.arm_cpu gmm);
+  let r, bufs = simulate Machine.intel_cpu conv in
+  let r', bufs' =
+    Domain.join (Domain.spawn (fun () -> simulate Machine.intel_cpu conv))
+  in
+  Alcotest.(check bool) "result = fresh domain's" true (r = r');
+  Alcotest.(check bool) "outputs = fresh domain's" true (bufs = bufs')
 
 let () =
   Alcotest.run "alt_machine"
@@ -296,5 +363,8 @@ let () =
         [
           Alcotest.test_case "bulk interface state oracle" `Quick
             test_bulk_state_oracle;
+          Alcotest.test_case "reset = create" `Quick test_reset_is_create;
+          Alcotest.test_case "reused caches leak nothing" `Quick
+            test_reused_caches_leak_nothing;
         ] );
     ]

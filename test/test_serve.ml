@@ -613,6 +613,45 @@ let test_pipe_daemon_rejects_bad_stream () =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* a finished session publishes its task's measure.* counters to the
+   metrics registry: budget spent, simulations and lowerings stop
+   reading 0 for served work *)
+let test_session_publishes_measure_stats () =
+  let module Metrics = Alt_obs.Metrics in
+  let value name =
+    match Metrics.find name with
+    | Some { Metrics.value = Metrics.Counter v; _ } -> v
+    | _ -> 0
+  in
+  let was_enabled = Metrics.enabled () in
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_enabled then Metrics.disable ())
+    (fun () ->
+      let before name = value name in
+      let spent0 = before "measure.budget_spent"
+      and misses0 = before "measure.cache.misses"
+      and lowered0 = before "measure.lower.prog_misses" in
+      let s = spec () in
+      let engine = Serve.create (Serve.default_config ()) in
+      ignore (Serve.submit engine (tune ~id:"m" s));
+      let responses = drive engine in
+      ignore (ok_result (response_of responses "m"));
+      let solo =
+        Tuner.tune_op ~seed:s.Workload.seed
+          ~system:(Workload.system_of_spec s)
+          ~budget:s.Workload.budget (Workload.task_of_spec s)
+      in
+      Alcotest.(check int)
+        "budget spent published" solo.Tuner.spent
+        (value "measure.budget_spent" - spent0);
+      Alcotest.(check bool)
+        "simulations published" true
+        (value "measure.cache.misses" > misses0);
+      Alcotest.(check bool)
+        "lowerings published" true
+        (value "measure.lower.prog_misses" > lowered0))
+
 let () =
   Alcotest.run "serve"
     [
@@ -640,6 +679,8 @@ let () =
             test_result_sharing_within_context;
           Alcotest.test_case "quarantine shared within a context" `Quick
             test_quarantine_sharing_within_context;
+          Alcotest.test_case "sessions publish measure counters" `Quick
+            test_session_publishes_measure_stats;
         ] );
       qsuite "engine-props" [ prop_daemon_differential ];
       ( "recovery",
