@@ -20,8 +20,7 @@ fault-smoke:
 
 # fast-engine micro-benchmark: times Profiler.run under both engines,
 # re-checks the fast==scalar differential oracle, writes
-# BENCH_profiler.json (ALT_BENCH_SCALE=smoke|quick|full; ALT_FAST_SIM=0
-# to pin the scalar engine)
+# BENCH_profiler.json (ALT_BENCH_SCALE=smoke|quick|full)
 bench-profiler:
 	dune exec bench/bench_profiler.exe
 
@@ -30,8 +29,7 @@ bench-profiler-smoke:
 
 # search-side micro-benchmark: times GBDT fitting (per-node re-sort vs
 # presort-and-partition) and candidate ranking (per-sample vs batched
-# prediction), plus an old-vs-new tune_alt wall-clock comparison
-# (ALT_GBDT_REFERENCE=1 pins the seed fitter), writes BENCH_tuner.json
+# prediction), writes BENCH_tuner.json (ALT_BENCH_SCALE=smoke|quick|full)
 bench-tuner:
 	dune exec bench/bench_tuner.exe
 
@@ -72,8 +70,7 @@ exec-smoke:
 # Relation-algebra gate: the QCheck2 round-trip/differential suite for
 # the layout relation algebra (DESIGN.md §16) at a reduced chain count.
 # ALT_RELATION_COUNT scales every property (default 500 under
-# `dune runtest`, 60 here); ALT_LAYOUT_REFERENCE=1 at runtime pins the
-# kept-verbatim seed pack/unpack for A/B debugging.
+# `dune runtest`, 60 here).
 relation-smoke:
 	ALT_RELATION_COUNT=60 dune exec test/test_relation.exe
 

@@ -1,6 +1,6 @@
 (* End-to-end scheduler benchmark: the repo's first full-model perf
    trajectory.  The whole zoo is tuned twice under one global trial
-   budget — once with the legacy static per-task split, once with the
+   budget — once with the static per-task split, once with the
    gradient scheduler plus cross-task cost-model transfer (DESIGN.md
    §14) — and each model's tuned graph is executed for its end-to-end
    latency.  Per-model latency-vs-trials curves from the gradient run

@@ -1,15 +1,10 @@
 (* Search-side micro-benchmark: throughput of the tuner's learned-search
-   machinery before and after the exact-greedy GBDT rewrite.
-
-   Two levels:
-   - micro: [Gbdt.fit_reference] (per-node re-sorting, the seed fitter) vs
-     [Gbdt.fit] (presort once, partition down the tree), and per-sample
-     [Gbdt.predict] vs [Gbdt.predict_batch] over the flattened trees, on
-     feature vectors extracted from real lowered candidates of a conv2d
-     tuning space.  The combined fit+rank speedup is the headline number.
-   - e2e: one [Tuner.tune_alt] run with the seed search path pinned
-     (ALT_GBDT_REFERENCE=1, lowering/feature memo cache off) vs the
-     default path, same seed and budget, comparing wall-clock.
+   machinery before and after the exact-greedy GBDT rewrite —
+   [Gbdt.fit_reference] (per-node re-sorting, the seed fitter) vs
+   [Gbdt.fit] (presort once, partition down the tree), and per-sample
+   [Gbdt.predict] vs [Gbdt.predict_batch] over the flattened trees, on
+   feature vectors extracted from real lowered candidates of a conv2d
+   tuning space.  The combined fit+rank speedup is the headline number.
 
    Correctness oracles: predict_batch must agree bitwise with per-sample
    predict (any mismatch aborts), and the two fitters must produce
@@ -70,7 +65,7 @@ let feature_matrix machine ~n =
 
 (* Deterministic pseudo-latencies with the right shape (log-scale targets,
    correlated with the features): enough for timing and for the
-   fit/predict oracles; the e2e section below uses real measurements. *)
+   fit/predict oracles. *)
 let targets xs =
   let d = Array.length xs.(0) in
   let rng = Random.State.make [| 0xBEEF |] in
@@ -163,52 +158,7 @@ let combined_speedup (m : micro) =
   and new_t = (1.0 /. m.fit_new_per_s) +. (float_of_int n_cands /. m.rank_batch_cps) in
   old_t /. new_t
 
-type e2e = {
-  budget : int;
-  old_wall : float;
-  new_wall : float;
-  old_best : float;
-  new_best : float;
-  ranked_per_s : float; (* features_of calls per second, new path *)
-  feat_hits : int;
-  feat_misses : int;
-}
-
-let run_e2e machine : e2e =
-  let budget = pick ~smoke:16 ~quick:60 ~full:150 in
-  let op =
-    Ops.c2d ~name:"conv" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:8 ~o:16 ~h:8 ~w:8
-      ~kh:3 ~kw:3 ()
-  in
-  let tune task =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Tuner.tune_alt ~seed:7 ~joint_budget:(budget * 3 / 10)
-        ~loop_budget:(budget * 7 / 10) task
-    in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* seed search path: per-node-sorting fitter, no lowering/feature memo *)
-  Unix.putenv "ALT_GBDT_REFERENCE" "1";
-  let old_task = Measure.make_task ~machine ~memo:false op in
-  let old_r, old_wall = tune old_task in
-  Unix.putenv "ALT_GBDT_REFERENCE" "0";
-  let new_task = Measure.make_task ~machine op in
-  let new_r, new_wall = tune new_task in
-  let ls = Measure.lower_stats new_task in
-  {
-    budget;
-    old_wall;
-    new_wall;
-    old_best = old_r.Tuner.best_latency;
-    new_best = new_r.Tuner.best_latency;
-    ranked_per_s =
-      float_of_int (ls.Measure.feat_hits + ls.Measure.feat_misses) /. new_wall;
-    feat_hits = ls.Measure.feat_hits;
-    feat_misses = ls.Measure.feat_misses;
-  }
-
-let json_of machine (m : micro) (e : e2e) =
+let json_of machine (m : micro) =
   let b = Stdlib.Buffer.create 1024 in
   let add = Stdlib.Buffer.add_string b in
   add "{\n";
@@ -233,17 +183,6 @@ let json_of machine (m : micro) (e : e2e) =
   add (Fmt.str "    \"rank_batch_cutoff\": %d,\n" Gbdt.batch_cutoff);
   add "    \"fitters_identical_tiefree\": true,\n";
   add (Fmt.str "    \"fitters_identical_tied_features\": %b\n" m.fitters_identical);
-  add "  },\n";
-  add "  \"e2e\": {\n";
-  add (Fmt.str "    \"budget\": %d,\n" e.budget);
-  add (Fmt.str "    \"old_wall_s\": %.3f,\n" e.old_wall);
-  add (Fmt.str "    \"new_wall_s\": %.3f,\n" e.new_wall);
-  add (Fmt.str "    \"wall_speedup\": %.3f,\n" (e.old_wall /. e.new_wall));
-  add (Fmt.str "    \"old_best_latency_ms\": %.6f,\n" e.old_best);
-  add (Fmt.str "    \"new_best_latency_ms\": %.6f,\n" e.new_best);
-  add (Fmt.str "    \"candidates_ranked_per_s\": %.1f,\n" e.ranked_per_s);
-  add (Fmt.str "    \"feature_cache_hits\": %d,\n" e.feat_hits);
-  add (Fmt.str "    \"feature_cache_misses\": %d\n" e.feat_misses);
   add "  }\n";
   add "}\n";
   Stdlib.Buffer.contents b
@@ -261,11 +200,5 @@ let () =
     (m.rank_batch_cps /. m.rank_sample_cps);
   Fmt.pr "fit+rank combined speedup   : %.2fx (fitters identical on this data: %b)@."
     (combined_speedup m) m.fitters_identical;
-  let e = run_e2e machine in
-  Fmt.pr "tune_alt (budget %d)        : old %.2fs   new %.2fs  %5.2fx   best %.4f / %.4f ms@."
-    e.budget e.old_wall e.new_wall (e.old_wall /. e.new_wall) e.old_best
-    e.new_best;
-  Fmt.pr "ranking throughput          : %.1f candidates/s (feature cache %d hits / %d misses)@."
-    e.ranked_per_s e.feat_hits e.feat_misses;
-  let json = json_of machine m e in
+  let json = json_of machine m in
   Bench_util.write_bench "BENCH_tuner.json" json

@@ -80,14 +80,13 @@ let result_of_wall ~(machine : Machine.t) (p : Program.t)
 
 (* Run a program end to end on logical inputs; returns the logical contents
    of every non-input slot plus the profiler result. *)
-let run_logical ?(machine = Machine.intel_cpu) ?max_points ?fast
-    ?(backend = Sim) (p : Program.t)
-    ~(inputs : (string * float array) list) :
+let run_logical ?(machine = Machine.intel_cpu) ?max_points ?(backend = Sim)
+    (p : Program.t) ~(inputs : (string * float array) list) :
     (string * float array) list * Profiler.result =
   let bufs = alloc_bufs p ~inputs in
   let r =
     match backend with
-    | Sim -> Profiler.run ~machine ?max_points ?fast p ~bufs
+    | Sim -> Profiler.run ~machine ?max_points p ~bufs
     | Exec cfg ->
         let w = Alt_exec.Exec.measure ~cfg p ~bufs in
         result_of_wall ~machine p w

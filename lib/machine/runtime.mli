@@ -34,11 +34,11 @@ val result_of_wall :
     so caches, checkpoints and tuners consume it unchanged. *)
 
 val run_logical :
-  ?machine:Machine.t -> ?max_points:int -> ?fast:bool -> ?backend:backend ->
+  ?machine:Machine.t -> ?max_points:int -> ?backend:backend ->
   Program.t ->
   inputs:(string * float array) list ->
   (string * float array) list * Profiler.result
 (** Run end-to-end on logical inputs; returns the logical contents of every
-    non-input slot plus the profile.  [fast] and [max_points] are passed to
+    non-input slot plus the profile.  [max_points] is passed to
     {!Profiler.run} and ignored by the [Exec] backend (which always runs
     the full program). *)

@@ -5,7 +5,7 @@
 
    Scheduling model.  Each admitted tune request is a session keyed by
    its spec's canonical digest (duplicate submissions attach to the
-   running session).  Sessions run as effect fibers (Session) that yield
+   running session).  Sessions run as tuner fibers (Tuner.Step) that yield
    after every measurement round; [step] pops the next session off a
    round-robin queue, advances it by one round, and either re-queues it,
    completes it, or aborts it on deadline.  At most [max_active]
@@ -64,7 +64,8 @@ let default_config ?(jobs = 1) ?(max_active = 4) ?(max_queue = 8)
     default_deadline_rounds;
   }
 
-type sstate = Unstarted | Paused of Session.paused
+exception Interrupted
+exception Deadline_exceeded
 
 type session = {
   skey : string;
@@ -72,7 +73,7 @@ type session = {
   mutable ids : string list; (* request ids awaiting this session *)
   deadline : int option; (* rounds granted in this daemon run *)
   mutable stepped : int; (* rounds taken in this daemon run *)
-  mutable state : sstate;
+  fiber : Tuner.Step.t; (* not started until first stepped *)
 }
 
 type t = {
@@ -204,39 +205,43 @@ let contains_sub s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* The tuning thunk a session fiber runs.  Resume is attempted first; a
-   corrupt or version/fingerprint-mismatched checkpoint is parked as
-   [.bad] and the session restarts fresh — robustness over a stale
-   journal must never wedge recovery. *)
-let make_thunk t (s : session) () : Tuner.result =
-  let shared = Store.view t.cfg.store ~ctx:(Workload.context_key s.spec) in
-  let build ?resume () =
-    let task = Workload.task_of_spec ~shared s.spec in
-    let r =
-      Tuner.tune_op ~seed:s.spec.Workload.seed ~pool:t.cfg.pool
-        ?checkpoint:(ckpt_path t s.skey) ?resume
-        ~on_round:(fun r -> Session.yield r)
-        ~system:(Workload.system_of_spec s.spec)
-        ~budget:s.spec.Workload.budget task
+(* A session: its tuning run as a fiber, suspended at every round's
+   (already checkpointed) end.  Resume is attempted first; a corrupt or
+   version/fingerprint-mismatched checkpoint is parked as [.bad] and the
+   session restarts fresh — robustness over a stale journal must never
+   wedge recovery. *)
+let new_session t ~skey ~(spec : Workload.tune_spec) ~ids ~deadline : session
+    =
+  let run ~stop ~on_progress =
+    let shared = Store.view t.cfg.store ~ctx:(Workload.context_key spec) in
+    let build ?resume () =
+      let task = Workload.task_of_spec ~shared spec in
+      let r =
+        Tuner.tune_op ~seed:spec.Workload.seed ~pool:t.cfg.pool
+          ?checkpoint:(ckpt_path t skey) ?resume ~stop ~on_progress
+          ~system:(Workload.system_of_spec spec)
+          ~budget:spec.Workload.budget task
+      in
+      (* the session's measure.* counters join the registry, as the
+         scheduler's tasks do *)
+      Measure.publish_obs task;
+      r
     in
-    (* the session's measure.* counters join the registry, as the graph
-       tuner's and the scheduler's tasks do *)
-    Measure.publish_obs task;
-    r
+    match ckpt_path t skey with
+    | None -> build ()
+    | Some path -> (
+        try build ~resume:path ()
+        with (Failure msg | Invalid_argument msg)
+             when contains_sub msg "checkpoint" ->
+          Log.warn (fun m ->
+              m "session %s: unusable checkpoint (%s); restarting fresh" skey
+                msg);
+          (try Sys.rename path (path ^ ".bad") with Sys_error _ -> ());
+          (* the file is gone now, so resuming from the same path is a
+             fresh start that re-creates the journal *)
+          build ~resume:path ())
   in
-  match ckpt_path t s.skey with
-  | None -> build ()
-  | Some path -> (
-      try build ~resume:path ()
-      with (Failure msg | Invalid_argument msg)
-           when contains_sub msg "checkpoint" ->
-        Log.warn (fun m ->
-            m "session %s: unusable checkpoint (%s); restarting fresh" s.skey
-              msg);
-        (try Sys.rename path (path ^ ".bad") with Sys_error _ -> ());
-        (* the file is gone now, so resuming from the same path is a
-           fresh start that re-creates the journal *)
-        build ~resume:path ())
+  { skey; spec; ids; deadline; stepped = 0; fiber = Tuner.Step.start run }
 
 let promote t =
   while Queue.length t.active < t.cfg.max_active
@@ -266,9 +271,7 @@ let admit t ~id ~(spec : Workload.tune_spec) ~deadline_rounds :
         | Some _ as d -> d
         | None -> t.cfg.default_deadline_rounds
       in
-      let s =
-        { skey; spec; ids = [ id ]; deadline; stepped = 0; state = Unstarted }
-      in
+      let s = new_session t ~skey ~spec ~ids:[ id ] ~deadline in
       if Queue.length t.active < t.cfg.max_active then begin
         Hashtbl.replace t.sessions skey s;
         Queue.push s t.active;
@@ -402,13 +405,8 @@ let step t : (string * Json.t) list =
   if Queue.is_empty t.active then []
   else begin
     let s = Queue.pop t.active in
-    let stepped =
-      match s.state with
-      | Unstarted -> Session.start (make_thunk t s)
-      | Paused p -> p.resume ()
-    in
-    match stepped with
-    | Session.Yielded (_, p) -> (
+    match Tuner.Step.step s.fiber with
+    | Tuner.Step.Running _ -> (
         t.rounds_stepped <- t.rounds_stepped + 1;
         s.stepped <- s.stepped + 1;
         match s.deadline with
@@ -416,11 +414,10 @@ let step t : (string * Json.t) list =
             (* deadline: abort at the (already checkpointed) yield
                point; the checkpoint survives, so resubmission resumes
                instead of starting over *)
-            let aborted = p.abort Session.Deadline_exceeded in
             finish_session t s;
             remove_file (req_path t s.skey);
-            match aborted with
-            | Session.Raised Session.Deadline_exceeded ->
+            match Tuner.Step.abort s.fiber Deadline_exceeded with
+            | exception Deadline_exceeded ->
                 respond_each s
                   (status_response s.skey "deadline"
                      ~extra:
@@ -428,32 +425,31 @@ let step t : (string * Json.t) list =
                          ("rounds", Json.Int s.stepped);
                          ("resumable", Json.Bool true);
                        ])
-            | Session.Raised e ->
+            | exception e ->
                 t.errored <- t.errored + 1;
                 respond_each s (fun id ->
                     Proto.error_response ~id ~reason:(Printexc.to_string e))
-            | Session.Finished r ->
+            | Tuner.Step.Done r ->
                 (* the abort landed after the tuner's last round: the
                    run is complete, report it as such *)
                 t.completed <- t.completed + 1;
                 remove_file (ckpt_path t s.skey);
                 respond_each s (ok_response s.skey (json_of_tuner_result r))
-            | Session.Yielded _ ->
+            | Tuner.Step.Running _ ->
                 t.errored <- t.errored + 1;
                 respond_each s (fun id ->
                     Proto.error_response ~id
                       ~reason:"session yielded through an abort"))
         | _ ->
-            s.state <- Paused p;
             Queue.push s t.active;
             [])
-    | Session.Finished r ->
+    | Tuner.Step.Done r ->
         t.completed <- t.completed + 1;
         finish_session t s;
         remove_file (req_path t s.skey);
         remove_file (ckpt_path t s.skey);
         respond_each s (ok_response s.skey (json_of_tuner_result r))
-    | Session.Raised e ->
+    | exception e ->
         (* a genuine failure: answer every attached id with the error
            and drop the request journal so recovery does not crash-loop;
            the checkpoint is kept for post-mortem resume *)
@@ -474,16 +470,14 @@ let step t : (string * Json.t) list =
 let shutdown t : (string * Json.t) list =
   let out = ref [] in
   let close (s : session) =
-    (match s.state with
-    | Paused p -> (
-        match p.abort Session.Interrupted with
-        | Session.Raised Session.Interrupted -> ()
-        | Session.Raised e ->
-            Log.warn (fun m ->
-                m "session %s raised during shutdown: %s" s.skey
-                  (Printexc.to_string e))
-        | Session.Finished _ | Session.Yielded _ -> ())
-    | Unstarted -> ());
+    (* an unstarted fiber fails without running, so only started sessions
+       run their finalizers here *)
+    (match Tuner.Step.abort s.fiber Interrupted with
+    | _ | (exception Interrupted) -> ()
+    | exception e ->
+        Log.warn (fun m ->
+            m "session %s raised during shutdown: %s" s.skey
+              (Printexc.to_string e)));
     out :=
       !out
       @ respond_each s
@@ -561,16 +555,7 @@ let recover t : int =
               let skey = Workload.session_key spec in
               if not (Hashtbl.mem t.sessions skey) then begin
                 let ids = if ids = [] then [ "recovered" ] else ids in
-                let s =
-                  {
-                    skey;
-                    spec;
-                    ids;
-                    deadline;
-                    stepped = 0;
-                    state = Unstarted;
-                  }
-                in
+                let s = new_session t ~skey ~spec ~ids ~deadline in
                 Hashtbl.replace t.sessions skey s;
                 if Queue.length t.active < t.cfg.max_active then
                   Queue.push s t.active

@@ -4,10 +4,10 @@
 
     IO-free — the daemon (or a test) drives it through {!submit} and
     {!step} and ships the returned [(request id, response JSON)] pairs
-    over whatever transport it owns.  Because sessions are effect
-    fibers interleaved round-robin on one domain, the whole schedule is
-    a pure function of the submission order: each session's result is
-    byte-identical to a solo [tune-op] run of the same spec. *)
+    over whatever transport it owns.  Because sessions are tuner fibers
+    ({!Tuner.Step}) interleaved round-robin on one domain, the whole
+    schedule is a pure function of the submission order: each session's
+    result is byte-identical to a solo [tune-op] run of the same spec. *)
 
 module Tuner = Alt_tuner.Tuner
 module Pool = Alt_parallel.Pool
@@ -44,6 +44,14 @@ val create : config -> t
 (** Creates the journal directory if missing.  Raises
     [Invalid_argument] on a non-positive [max_active] or negative
     [max_queue]. *)
+
+exception Interrupted
+(** Injected by {!shutdown} into every started session ({!Tuner.Step.abort}):
+    the session stops at its last checkpoint and is resumable from the
+    journal. *)
+
+exception Deadline_exceeded
+(** Injected when a session exhausts its per-request round deadline. *)
 
 val submit : t -> Proto.request -> (string * Json.t) list
 (** Feed one request in.  [Compile]/[Stats]/[Shutdown] are answered

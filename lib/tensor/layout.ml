@@ -25,8 +25,7 @@
 
    The seed implementations of the concrete maps are kept verbatim in
    {!Reference} as the differential oracle (test/test_relation.ml proves
-   byte-identity); [ALT_LAYOUT_REFERENCE=1] routes production entry points
-   back through them, same escape-hatch pattern as [ALT_GBDT_REFERENCE].
+   byte-identity).
 
    Physical buffers are always row-major over the physical shape.
 
@@ -451,8 +450,7 @@ let logical_of_physical ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
 
 (* The seed implementations, verbatim: per-primitive backward/forward
    walks over the primitive list.  They are the differential oracle the
-   QCheck2 suite pins the relation path against, and the
-   [ALT_LAYOUT_REFERENCE=1] escape hatch at runtime. *)
+   QCheck2 suite pins the relation path against. *)
 module Reference = struct
   let physical_shape t = List.fold_left shape_step t.logical t.prims
 
@@ -620,74 +618,55 @@ module Reference = struct
     fun lidx -> Shape.offset_of_index phys (fwd lidx)
 end
 
-let m_fallback = Alt_obs.Metrics.counter "layout.relation.fallback"
-
-let reference_mode () =
-  match Sys.getenv_opt "ALT_LAYOUT_REFERENCE" with
-  | Some ("1" | "true" | "yes") ->
-      Alt_obs.Metrics.incr m_fallback;
-      true
-  | _ -> false
-
 let pack t (src : float array) : float array =
-  if reference_mode () then Reference.pack t src
-  else begin
-    if Array.length src <> Shape.num_elements t.logical then
-      err "pack: source size %d <> logical elements %d" (Array.length src)
-        (Shape.num_elements t.logical);
-    let d = derived t in
-    let phys = d.phys in
-    let dst = Array.make (Shape.num_elements phys) 0.0 in
-    let back = Relation.compile_bwd d.rel in
-    let lstrides = Shape.strides t.logical in
-    for off = 0 to Array.length dst - 1 do
-      let pidx = Shape.index_of_offset phys off in
-      match back pidx with
-      | None -> () (* zero fill (padding / overrun) *)
-      | Some lidx ->
-          let loff = ref 0 in
-          Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-          dst.(off) <- src.(!loff)
-    done;
-    dst
-  end
+  if Array.length src <> Shape.num_elements t.logical then
+    err "pack: source size %d <> logical elements %d" (Array.length src)
+      (Shape.num_elements t.logical);
+  let d = derived t in
+  let phys = d.phys in
+  let dst = Array.make (Shape.num_elements phys) 0.0 in
+  let back = Relation.compile_bwd d.rel in
+  let lstrides = Shape.strides t.logical in
+  for off = 0 to Array.length dst - 1 do
+    let pidx = Shape.index_of_offset phys off in
+    match back pidx with
+    | None -> () (* zero fill (padding / overrun) *)
+    | Some lidx ->
+        let loff = ref 0 in
+        Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
+        dst.(off) <- src.(!loff)
+  done;
+  dst
 
 let unpack t (src : float array) : float array =
-  if reference_mode () then Reference.unpack t src
-  else begin
-    let d = derived t in
-    let phys = d.phys in
-    if Array.length src <> Shape.num_elements phys then
-      err "unpack: source size %d <> physical elements %d" (Array.length src)
-        (Shape.num_elements phys);
-    let dst = Array.make (Shape.num_elements t.logical) 0.0 in
-    let back = Relation.compile_bwd d.rel in
-    let lstrides = Shape.strides t.logical in
-    for off = 0 to Array.length src - 1 do
-      let pidx = Shape.index_of_offset phys off in
-      match back pidx with
-      | None -> ()
-      | Some lidx ->
-          let loff = ref 0 in
-          Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-          dst.(!loff) <- src.(off)
-    done;
-    dst
-  end
+  let d = derived t in
+  let phys = d.phys in
+  if Array.length src <> Shape.num_elements phys then
+    err "unpack: source size %d <> physical elements %d" (Array.length src)
+      (Shape.num_elements phys);
+  let dst = Array.make (Shape.num_elements t.logical) 0.0 in
+  let back = Relation.compile_bwd d.rel in
+  let lstrides = Shape.strides t.logical in
+  for off = 0 to Array.length src - 1 do
+    let pidx = Shape.index_of_offset phys off in
+    match back pidx with
+    | None -> ()
+    | Some lidx ->
+        let loff = ref 0 in
+        Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
+        dst.(!loff) <- src.(off)
+  done;
+  dst
 
 let eval_fwd t : int array -> int array =
   if List.exists (function Unfold _ -> true | _ -> false) t.prims then
     err "eval_fwd: layout has unfold (one-to-many mapping)";
-  if reference_mode () then Reference.eval_fwd t
-  else Relation.compile_fwd (relation t)
+  Relation.compile_fwd (relation t)
 
 let phys_index t =
-  if reference_mode () then Reference.phys_index t
-  else begin
-    let fwd = eval_fwd t in
-    let phys = physical_shape t in
-    fun lidx -> Shape.offset_of_index phys (fwd lidx)
-  end
+  let fwd = eval_fwd t in
+  let phys = physical_shape t in
+  fun lidx -> Shape.offset_of_index phys (fwd lidx)
 
 let num_physical_elements t = Shape.num_elements (physical_shape t)
 

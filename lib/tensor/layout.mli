@@ -11,8 +11,7 @@
     Concrete index semantics are carried by a canonical {!Relation}
     (DESIGN.md §16), derived incrementally as primitives are applied;
     the seed per-primitive implementations survive verbatim in
-    {!Reference} as the differential oracle, selectable at runtime with
-    [ALT_LAYOUT_REFERENCE=1]. *)
+    {!Reference} as the differential oracle. *)
 
 exception Layout_error of string
 
@@ -137,9 +136,7 @@ val replay : Shape.t -> t -> t
 (** The seed implementations of the concrete maps, kept verbatim as the
     differential oracle: the QCheck2 suite in test/test_relation.ml pins
     the relation-backed [pack]/[unpack]/[eval_fwd]/[phys_index] above
-    byte-identical to these.  Setting [ALT_LAYOUT_REFERENCE=1] routes
-    the production entry points through this module at runtime (counted
-    by the [layout.relation.fallback] metric). *)
+    byte-identical to these. *)
 module Reference : sig
   val physical_shape : t -> Shape.t
   val pack : t -> float array -> float array

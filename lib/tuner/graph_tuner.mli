@@ -1,6 +1,7 @@
 (** End-to-end graph tuning (Sections 6 and 7.2): per-complex-operator
-    tuning in topological order with task deduplication and budget
-    splitting, then propagation (Algorithm 1), compilation and execution. *)
+    tuning with task deduplication and budget allocation by the task
+    {!Scheduler}, then propagation (Algorithm 1), compilation and
+    execution. *)
 
 module Schedule = Alt_ir.Schedule
 module Machine = Alt_machine.Machine
@@ -31,28 +32,25 @@ type tuned_graph = {
 
 val tune_graph :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
-  ?faults:Alt_faults.Fault.t -> ?retries:int -> ?fast:bool -> ?memo:bool ->
+  ?faults:Alt_faults.Fault.t -> ?retries:int ->
   ?backend:Alt_machine.Runtime.backend ->
   ?warm_start:bool -> ?scheduler:Scheduler.policy ->
   system:gsystem -> machine:Machine.t -> budget:int ->
   Graph.t -> tuned_graph
-(** [jobs] bounds the domains used for concurrent measurements per tuning
-    task; results are identical for every value (see {!Tuner}).  [faults]
-    and [retries] configure each per-task measurement pipeline (see
-    {!Measure}).  [fast] selects the profiler's fast engine per task
-    (default: the [ALT_FAST_SIM] knob) and [memo] the per-task
-    lowering/feature memo cache (default on); trajectories are identical
-    either way.  [backend] selects the measuring device per task (see
-    {!Measure.make_task}).  [warm_start] keeps each task's cost model
-    across batches
-    (off by default; changes trajectories — see {!Tuner.tune_alt}).
-    [scheduler] routes the tuning through {!Scheduler.tune_models} with
-    the given policy instead of the legacy sequential fixed-split loop
-    (the default, whose trajectories are untouched). *)
+(** {!tune_models} on the one graph with policy [scheduler] (default
+    [Static]: the unique tasks are tuned one after another in
+    topological first-seen order, each on a fixed [max 8 (budget /
+    tasks)] slice of the budget).  [jobs] bounds the domains used for
+    concurrent measurements; results are identical for every value (see
+    {!Tuner}).  [faults] and [retries] configure each per-task
+    measurement pipeline (see {!Measure}), [backend] the measuring
+    device (see {!Measure.make_task}).  [warm_start] keeps each task's
+    cost model across batches (off by default; changes trajectories —
+    see {!Tuner.tune_alt}). *)
 
 val tune_models :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
-  ?faults:Alt_faults.Fault.t -> ?retries:int -> ?fast:bool -> ?memo:bool ->
+  ?faults:Alt_faults.Fault.t -> ?retries:int ->
   ?backend:Alt_machine.Runtime.backend -> ?warm_start:bool ->
   ?transfer:bool -> ?epsilon_period:int -> ?slope_window:int ->
   ?policy:Scheduler.policy ->

@@ -114,7 +114,6 @@ type task = {
   fused : Opdef.t list;
   machine : Machine.t;
   max_points : int;
-  fast : bool; (* line-granular fast simulation (counter-identical) *)
   backend : Runtime.backend; (* which device measures candidates *)
   feeds : (string * float array) list; (* logical data for all inputs *)
   bufcache : buf_cache;
@@ -127,7 +126,6 @@ type task = {
   watchdog_points : int option; (* hard cap on a candidate's points *)
   quarantine : (string, string) Hashtbl.t; (* digest -> failure reason *)
   fstats : fault_stats;
-  memo : bool; (* (choice, schedule)-keyed lowering/feature memo cache *)
   lcache : (string, Program.t option) Hashtbl.t;
       (* candidate digest -> lowered program (or None: illegal) *)
   fcache : (string, float array) Hashtbl.t;
@@ -153,7 +151,6 @@ let task_inputs (op : Opdef.t) (fused : Opdef.t list) =
 
 let make_task ?(fused = []) ?(max_points = 40_000) ?(seed = 11)
     ?(faults = Fault.none) ?(retries = 2) ?watchdog_points
-    ?(fast = Profiler.fast_sim_enabled ()) ?(memo = true)
     ?(backend = Runtime.Sim) ?shared ~machine op =
   if retries < 0 then invalid_arg "Measure.make_task: retries must be >= 0";
   let feeds =
@@ -166,7 +163,6 @@ let make_task ?(fused = []) ?(max_points = 40_000) ?(seed = 11)
     fused;
     machine;
     max_points;
-    fast;
     backend;
     feeds;
     bufcache =
@@ -186,7 +182,6 @@ let make_task ?(fused = []) ?(max_points = 40_000) ?(seed = 11)
     fstats =
       { faulted = 0; retried = 0; recovered = 0; quarantined = 0;
         backoff_ms = 0.0 };
-    memo;
     lcache = Hashtbl.create 256;
     fcache = Hashtbl.create 256;
     lstats = { prog_hits = 0; prog_misses = 0; feat_hits = 0; feat_misses = 0 };
@@ -241,42 +236,36 @@ let lower_candidate (t : task) (choice : Propagate.choice)
    profiler and the feature extractor read only program structure. *)
 let program_of (t : task) (choice : Propagate.choice) (schedule : Schedule.t) :
     Program.t option =
-  if not t.memo then lower_candidate t choice schedule
-  else begin
-    let key = memo_key choice schedule in
-    match Hashtbl.find_opt t.lcache key with
-    | Some p ->
-        t.lstats.prog_hits <- t.lstats.prog_hits + 1;
-        p
-    | None ->
-        let p = lower_candidate t choice schedule in
-        t.lstats.prog_misses <- t.lstats.prog_misses + 1;
-        Hashtbl.add t.lcache key p;
-        p
-  end
+  let key = memo_key choice schedule in
+  match Hashtbl.find_opt t.lcache key with
+  | Some p ->
+      t.lstats.prog_hits <- t.lstats.prog_hits + 1;
+      p
+  | None ->
+      let p = lower_candidate t choice schedule in
+      t.lstats.prog_misses <- t.lstats.prog_misses + 1;
+      Hashtbl.add t.lcache key p;
+      p
 
 (* Memoized cost-model features of a candidate, shared between the
    ranking pass and the measurement pass; None iff it does not lower.
-   [feat_misses] counts actual [Features.extract] calls, so with the memo
-   on it equals the number of distinct featurized candidates. *)
+   [feat_misses] counts actual [Features.extract] calls, so it equals the
+   number of distinct featurized candidates. *)
 let features_of (t : task) (choice : Propagate.choice)
     (schedule : Schedule.t) : float array option =
-  if not t.memo then
-    Option.map (Features.extract t.machine) (lower_candidate t choice schedule)
-  else
-    let key = memo_key choice schedule in
-    match Hashtbl.find_opt t.fcache key with
-    | Some f ->
-        t.lstats.feat_hits <- t.lstats.feat_hits + 1;
-        Some f
-    | None -> (
-        match program_of t choice schedule with
-        | None -> None
-        | Some p ->
-            let f = Features.extract t.machine p in
-            t.lstats.feat_misses <- t.lstats.feat_misses + 1;
-            Hashtbl.add t.fcache key f;
-            Some f)
+  let key = memo_key choice schedule in
+  match Hashtbl.find_opt t.fcache key with
+  | Some f ->
+      t.lstats.feat_hits <- t.lstats.feat_hits + 1;
+      Some f
+  | None -> (
+      match program_of t choice schedule with
+      | None -> None
+      | Some p ->
+          let f = Features.extract t.machine p in
+          t.lstats.feat_misses <- t.lstats.feat_misses + 1;
+          Hashtbl.add t.fcache key f;
+          Some f)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical program serialization (cache keys)                       *)
@@ -546,8 +535,7 @@ let simulate (t : task) (prog : Program.t) : Profiler.result =
     (fun () ->
       match t.backend with
       | Runtime.Sim ->
-          Profiler.run ~machine:t.machine ~max_points:t.max_points
-            ~fast:t.fast prog ~bufs
+          Profiler.run ~machine:t.machine ~max_points:t.max_points prog ~bufs
       | Runtime.Exec cfg ->
           let w = Alt_exec.Exec.measure ~cfg prog ~bufs in
           Runtime.result_of_wall ~machine:t.machine prog w)

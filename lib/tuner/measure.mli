@@ -26,9 +26,9 @@ type lower_stats = {
       (** feature vectors served from the memo cache *)
   mutable feat_misses : int;  (** actual [Features.extract] invocations *)
 }
-(** Counters of the lowering/feature memo cache (DESIGN.md §10): with the
-    memo on, each candidate is lowered and featurized at most once per
-    task, shared between the tuner's ranking and measurement passes. *)
+(** Counters of the lowering/feature memo cache (DESIGN.md §10): each
+    candidate is lowered and featurized at most once per task, shared
+    between the tuner's ranking and measurement passes. *)
 
 type fault_stats = {
   mutable faulted : int;
@@ -75,8 +75,8 @@ type shared_store = {
     must be thread-safe when tasks on different domains share one store;
     correctness requires all sharing tasks to agree on everything in
     {!fingerprint} except [seed]/[tag] — the store is keyed by
-    measurement context in [lib/serve].  Like [fast]/[memo], [shared] is
-    deliberately excluded from {!fingerprint}. *)
+    measurement context in [lib/serve].  [shared] is deliberately
+    excluded from {!fingerprint}. *)
 
 type buf_stats = { mutable buf_hits : int; mutable buf_misses : int }
 (** Counters of the physical-buffer reuse cache in the measurement path:
@@ -97,10 +97,6 @@ type task = {
       (** elementwise chain co-tuned with the operator (end-to-end flow) *)
   machine : Machine.t;
   max_points : int; (** per-measurement simulation budget *)
-  fast : bool;
-      (** use the profiler's line-granular fast engine; counters are
-          identical either way, so [fast] is deliberately excluded from
-          {!fingerprint} — checkpoints are interchangeable across it *)
   backend : Runtime.backend;
       (** which device measures candidates: the cache simulator
           ({!Runtime.Sim}, default) or compiled macro-kernels timed for
@@ -119,10 +115,6 @@ type task = {
           report {!Timeout} without simulating ([None] = no cap) *)
   quarantine : (string, string) Hashtbl.t; (** digest -> reason; internal *)
   fstats : fault_stats;
-  memo : bool;
-      (** memoize lowering and feature extraction per (choice, schedule);
-          trajectory-neutral, so — like [fast] — deliberately excluded
-          from {!fingerprint} *)
   lcache : (string, Program.t option) Hashtbl.t;
       (** candidate digest -> lowered program; internal *)
   fcache : (string, float array) Hashtbl.t;
@@ -135,19 +127,14 @@ type task = {
 
 val make_task :
   ?fused:Opdef.t list -> ?max_points:int -> ?seed:int -> ?faults:Fault.t ->
-  ?retries:int -> ?watchdog_points:int -> ?fast:bool -> ?memo:bool ->
-  ?backend:Runtime.backend -> ?shared:shared_store ->
-  machine:Machine.t -> Opdef.t -> task
+  ?retries:int -> ?watchdog_points:int -> ?backend:Runtime.backend ->
+  ?shared:shared_store -> machine:Machine.t -> Opdef.t -> task
 (** [retries] defaults to 2.  With the default [faults] ({!Fault.none})
     and no [watchdog_points], the measurement pipeline is byte-identical
-    to a fault-free build.  [fast] defaults to
-    {!Profiler.fast_sim_enabled} (the [ALT_FAST_SIM] knob).  [memo]
-    (default true) enables the per-task lowering/feature memo cache —
-    results are identical either way, only repeated work changes.
-    [backend] (default {!Runtime.Sim}) selects the measuring device;
-    fault injection, retries, the watchdog and quarantine apply
-    identically to either backend — they wrap the measurement, not the
-    simulator. *)
+    to a fault-free build.  [backend] (default {!Runtime.Sim}) selects
+    the measuring device; fault injection, retries, the watchdog and
+    quarantine apply identically to either backend — they wrap the
+    measurement, not the simulator. *)
 
 val cache_stats : task -> cache_stats
 val fault_stats : task -> fault_stats
@@ -158,14 +145,14 @@ val buf_stats : task -> buf_stats
 (** Hit/miss counters of the buffer-reuse cache (see {!buf_stats}). *)
 
 val lower_cache_sizes : task -> int * int
-(** [(lowered entries, feature entries)] currently memoized — with the
-    memo on, [feat_misses = snd (lower_cache_sizes t)] (each distinct
-    candidate is featurized exactly once). *)
+(** [(lowered entries, feature entries)] currently memoized —
+    [feat_misses = snd (lower_cache_sizes t)] (each distinct candidate is
+    featurized exactly once). *)
 
 val program_of : task -> Propagate.choice -> Schedule.t -> Program.t option
 (** Lower a candidate; [None] when the combination is illegal (costs no
     budget, like real tuners filtering invalid configs).  Served from the
-    per-task memo cache when [memo] is on. *)
+    per-task memo cache after the first lowering of the candidate. *)
 
 val features_of : task -> Propagate.choice -> Schedule.t -> float array option
 (** Cost-model feature vector of a candidate ([None] iff it does not

@@ -7,7 +7,7 @@
 
    - Static: run the fibers to completion in first-seen order, each capped
      at its static per-task share — the paper's fixed budget split, and
-     byte-identical to Graph_tuner's sequential per-task loop;
+     the policy behind Graph_tuner.tune_graph;
    - Roundrobin: step the least-recently-picked unfinished fiber;
    - Gradient: Ansor-style expected-gain allocation.  A task's weight is
      its zoo latency share (occurrence count x best-so-far latency) times
@@ -15,6 +15,11 @@
      [epsilon_period]-th pick instead goes to the least-recently-picked
      task, so every task keeps a round-robin heartbeat (starvation
      freedom) and a plateaued estimate can still be revised.
+
+   A fiber builds its Measure.task when it is first stepped and publishes
+   the task's measure.* counters when its tuner returns, so only the tasks
+   of started, unfinished fibers are alive at once; the scheduler itself
+   reads spent trials from each fiber's progress snapshots and result.
 
    Every scheduling input — spent trials, rounds, best latencies — is a
    deterministic function of the simulated measurements, and no RNG is
@@ -56,8 +61,8 @@ type make_tuner =
   Tuner.result
 (* Builds and runs one task's tuner.  [share] is the task's static slice
    of the global budget (the phase split — e.g. ALT's joint stage — is
-   derived from it, so Static reproduces the legacy per-task split
-   exactly); [total] caps the fiber's own budget and exceeds [share]
+   derived from it, so Static is exactly the fixed per-task split);
+   [total] caps the fiber's own budget and exceeds [share]
    under Gradient/Roundrobin so the scheduler may keep feeding a
    well-improving task past its share. *)
 
@@ -87,10 +92,10 @@ type report = {
 (* Per-fiber scheduling state. *)
 type tstate = {
   entry : Taskset.entry;
-  task : Measure.task;
   fiber : Tuner.Step.t;
   occ : int; (* total occurrences across the zoo, >= 1 *)
   transferred : bool ref;
+  mutable spent : int; (* trials charged, as of the fiber's last step *)
   mutable steps : int; (* scheduler steps taken on this fiber *)
   mutable last_pick : int; (* global pick counter at last pick; 0 = never *)
   mutable best : float; (* best-so-far latency, ms *)
@@ -145,7 +150,6 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
     Array.of_list
       (List.map
          (fun (e : Taskset.entry) ->
-           let task = make_task e in
            let transferred = ref false in
            let tx =
              if not transfer_on then None
@@ -165,15 +169,20 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
            in
            let fiber =
              Tuner.Step.start (fun ~stop ~on_progress ->
-                 make_tuner ~pool ~share ~total ~transfer:tx ~stop
-                   ~on_progress task)
+                 let task = make_task e in
+                 let r =
+                   make_tuner ~pool ~share ~total ~transfer:tx ~stop
+                     ~on_progress task
+                 in
+                 Measure.publish_obs task;
+                 r)
            in
            {
              entry = e;
-             task;
              fiber;
              occ = max 1 (Taskset.occurrences_total e);
              transferred;
+             spent = 0;
              steps = 0;
              last_pick = 0;
              best = Float.infinity;
@@ -196,9 +205,7 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
       models
   in
   let curves = Array.map (fun _ -> ref []) models in
-  let total_spent () =
-    Array.fold_left (fun a ts -> a + ts.task.Measure.spent) 0 states
-  in
+  let total_spent () = Array.fold_left (fun a ts -> a + ts.spent) 0 states in
   let record_curves () =
     let spent = total_spent () in
     Array.iteri
@@ -266,8 +273,9 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
                 argmax zoo_share run)
   in
   (* a backstop against tasks whose rounds cannot charge budget (nothing
-     lowerable): the legacy sequential loop would spin exactly the same
-     way, but the global loop here is easy to bound deterministically *)
+     lowerable): under Static such a task spins inside its tuner exactly
+     as a direct tuner call would, but the global loop of the other
+     policies is easy to bound deterministically *)
   let pick_cap = (budget * 8) + (n * 16) + 64 in
   let continue () =
     runnable () <> []
@@ -286,9 +294,12 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
     ts.steps <- ts.steps + 1;
     if Alt_obs.Metrics.enabled () then Alt_obs.Metrics.incr m_picks;
     (match Tuner.Step.step ts.fiber with
-    | Tuner.Step.Done r -> ts.best <- r.Tuner.best_latency
+    | Tuner.Step.Done r ->
+        ts.spent <- r.Tuner.spent;
+        ts.best <- r.Tuner.best_latency
     | Tuner.Step.Running p ->
         if Alt_obs.Metrics.enabled () then Alt_obs.Metrics.incr m_rounds;
+        ts.spent <- p.Tuner.spent;
         ts.best <- p.Tuner.best_latency;
         ts.hist <-
           List.filteri
@@ -301,7 +312,7 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
             ("pick", Alt_obs.Json.Int !picks);
             ("task", Alt_obs.Json.Int i);
             ("signature", Alt_obs.Json.String ts.entry.Taskset.signature);
-            ("spent", Alt_obs.Json.Int ts.task.Measure.spent);
+            ("spent", Alt_obs.Json.Int ts.spent);
             ("best_latency_ms", Alt_obs.Json.Float ts.best);
           ];
     record_curves ()
@@ -310,8 +321,14 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
     Alt_obs.Metrics.add_raw m_eps_picks !eps_picks;
   (* wind down: flip every fiber's stop probe and run its finalization —
      no further measurement rounds, best-so-far results all around *)
-  let results = Array.map (fun ts -> Tuner.Step.finish ts.fiber) states in
-  Array.iter (fun ts -> Measure.publish_obs ts.task) states;
+  let results =
+    Array.map
+      (fun ts ->
+        let r = Tuner.Step.finish ts.fiber in
+        ts.spent <- r.Tuner.spent;
+        r)
+      states
+  in
   record_curves ();
   let tasks =
     List.init n (fun i ->
@@ -320,7 +337,7 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
         {
           signature = ts.entry.Taskset.signature;
           occurrences = ts.entry.Taskset.occurrences;
-          trials = ts.task.Measure.spent;
+          trials = ts.spent;
           rounds = (Tuner.Step.progress ts.fiber).Tuner.rounds;
           best_latency = r.Tuner.best_latency;
           transferred = !(ts.transferred);

@@ -7,8 +7,9 @@
     round.  Under [Gradient], picks maximize expected end-to-end gain
     (zoo latency share x recent improvement slope) with an
     ε-round-robin heartbeat for starvation freedom; [Roundrobin] always
-    steps the least-recently-picked task; [Static] reproduces the
-    legacy fixed per-task budget split byte-for-byte.
+    steps the least-recently-picked task; [Static] runs the tasks one
+    after another on the fixed per-task budget split, which is how
+    {!Graph_tuner.tune_graph} tunes a model.
 
     No RNG is drawn and every scheduling input is a deterministic
     function of the simulated measurements, so trajectories are
@@ -34,8 +35,8 @@ type make_tuner =
 (** Builds and runs one task's tuner ({!Graph_tuner} supplies the
     per-system factory).  [share] is the task's static slice of the
     global budget — phase splits (e.g. ALT's joint stage) must be
-    derived from it so that [Static] reproduces the legacy per-task
-    split exactly; [total] caps the fiber's own budget and exceeds
+    derived from it so that [Static] is exactly the fixed per-task
+    split; [total] caps the fiber's own budget and exceeds
     [share] under [Gradient]/[Roundrobin] so the scheduler may feed a
     well-improving task past its share. *)
 
@@ -82,4 +83,7 @@ val tune_models :
     the improvement slope is estimated over the last [slope_window]
     (default 5) of the task's own rounds.  One shared measurement pool
     drives all fibers ([pool] wins over [jobs]); trajectories are
-    byte-identical for every pool size. *)
+    byte-identical for every pool size.  Each fiber calls [make_task]
+    when it is first stepped and {!Measure.publish_obs} on its task when
+    its tuner returns; the scheduler keeps no reference to a task, so a
+    finished fiber's task is garbage. *)

@@ -135,15 +135,19 @@ val tune_op :
   ?transfer:transfer ->
   system:system -> budget:int -> Measure.task -> result
 
-(** Resumable stepping over any tuning entry point — the scheduler's
-    suspension primitive, the same effect-fiber shape as
-    [lib/serve/session.ml].  [start f] wraps the tuner thunk [f] (which
-    receives the [stop] probe and the [on_progress] hook to pass through);
-    each [step] runs exactly one measurement round and pauses, returning
-    the round's {!progress}; [finish] flips the stop probe and drives the
-    fiber through the tuner's normal finalization, returning its
-    best-so-far {!result}.  Stepping a fiber to completion yields the
-    byte-identical [result] of calling the entry point directly. *)
+(** Resumable stepping over any tuning entry point — the suspension
+    primitive of the scheduler and of the serve engine's sessions.
+    [start f] wraps the tuner thunk [f] (which receives the [stop] probe
+    and the [on_progress] hook to pass through); each [step] runs exactly
+    one measurement round and pauses, returning the round's {!progress};
+    [finish] flips the stop probe and drives the fiber through the
+    tuner's normal finalization, returning its best-so-far {!result};
+    [abort] injects an exception at the suspension point instead.
+    Stepping a fiber to completion yields the byte-identical [result] of
+    calling the entry point directly.  An exception escaping the tuner
+    (from a [step], or injected by [abort]) propagates to the caller and
+    leaves the fiber failed: every later [step], [abort] or [finish]
+    re-raises that same exception. *)
 module Step : sig
   type status = Running of progress | Done of result
 
@@ -154,6 +158,14 @@ module Step : sig
 
   val step : t -> status
   (** Run one more measurement round (or the final wind-down). *)
+
+  val abort : t -> exn -> status
+  (** [abort t e] raises [e] inside a paused fiber at its suspension
+      point, running the tuner's [Fun.protect] finalizers.  The exception
+      normally escapes the tuner and is re-raised here; a tuner that
+      handles it yields [Running] or [Done] like {!step}.  A finished
+      fiber returns [Done] with its result; a fiber that was never
+      stepped fails with [e] without running. *)
 
   val finish : t -> result
   (** Stop cooperatively: no further rounds are measured; the fiber's own

@@ -3,9 +3,13 @@
    and the tuner-side lowering/feature memo cache. *)
 
 module Ops = Alt_graph.Ops
+module Propagate = Alt_graph.Propagate
 module Machine = Alt_machine.Machine
 module Measure = Alt_tuner.Measure
+module Templates = Alt_tuner.Templates
+module Loopspace = Alt_tuner.Loopspace
 module Tuner = Alt_tuner.Tuner
+module Features = Alt_costmodel.Features
 module Gbdt = Alt_costmodel.Gbdt
 
 (* Deterministic continuous data: sampled from (0,1) so feature columns
@@ -110,18 +114,18 @@ let small_c2d () =
   Ops.c2d ~name:"c2d" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
     ~kh:3 ~kw:3 ()
 
-let tune ~memo ?(warm_start = false) () =
-  let task = Measure.make_task ~machine:Machine.intel_cpu ~memo (small_c2d ()) in
+let tune ?(warm_start = false) () =
+  let task = Measure.make_task ~machine:Machine.intel_cpu (small_c2d ()) in
   let r =
     Tuner.tune_alt ~seed:3 ~warm_start ~joint_budget:8 ~loop_budget:16 task
   in
   (task, r)
 
-(* With the cache on, Features.extract runs at most once per distinct
-   (choice, schedule): the miss counter equals the number of cached
-   feature vectors, and the ranking passes actually hit. *)
+(* Features.extract runs at most once per distinct (choice, schedule):
+   the miss counter equals the number of cached feature vectors, and the
+   ranking passes actually hit. *)
 let test_feature_cache_single_extract () =
-  let task, _ = tune ~memo:true () in
+  let task, _ = tune () in
   let ls = Measure.lower_stats task in
   let _, feat_cached = Measure.lower_cache_sizes task in
   Alcotest.(check int) "one extract per distinct candidate" feat_cached
@@ -129,26 +133,75 @@ let test_feature_cache_single_extract () =
   Alcotest.(check bool) "ranking hits the cache" true (ls.Measure.feat_hits > 0);
   Alcotest.(check bool) "lowering hits too" true (ls.Measure.prog_hits > 0)
 
-(* The memo cache must not change the trajectory. *)
+(* The memo cache must not change the trajectory.  A hit serves the
+   program lowered for the candidate's first occurrence, whose loop
+   variables carry older ids; it must be indistinguishable from lowering
+   the candidate afresh on a new task — the same canonical
+   [Measure.program_key] (the measurement cache key and everything the
+   simulator reads) and the same cost-model features.  Candidates are
+   drawn the way the tuner draws them (template knobs and loop-space
+   points) and re-decoded into new values on every pass, so the second
+   and third passes are all hits. *)
 let test_memo_trajectory_neutral () =
-  let task_on, r_on = tune ~memo:true () in
-  let _, r_off = tune ~memo:false () in
-  Alcotest.(check (float 0.0)) "best latency" r_off.Tuner.best_latency
-    r_on.Tuner.best_latency;
-  Alcotest.(check int) "spent" r_off.Tuner.spent r_on.Tuner.spent;
-  Alcotest.(check bool) "history" true
-    (List.equal
-       (fun (a, b) (c, d) -> a = c && Float.equal b d)
-       r_off.Tuner.history r_on.Tuner.history);
-  (* memo off leaves the counters untouched *)
-  let ls = Measure.lower_stats task_on in
-  Alcotest.(check bool) "stats populated when on" true
-    (ls.Measure.feat_misses > 0)
+  let op = small_c2d () and machine = Machine.intel_cpu in
+  let tpl = Option.get (Templates.for_op op) in
+  let rng = Random.State.make [| 17 |] in
+  let draws =
+    List.concat_map
+      (fun _ ->
+        let knobs =
+          Array.map (fun _ -> Random.State.float rng 1.0) tpl.Templates.knobs
+        in
+        let layout = (tpl.Templates.decode knobs).Propagate.out_layout in
+        let space = Loopspace.of_layout op layout in
+        Loopspace.heuristic_point space
+        :: List.init 3 (fun _ -> Loopspace.random_point ~rng space)
+        |> List.map (fun pt -> (knobs, pt)))
+      (List.init 6 Fun.id)
+  in
+  let decode (knobs, pt) =
+    let choice = tpl.Templates.decode knobs in
+    let space = Loopspace.of_layout op choice.Propagate.out_layout in
+    (choice, Loopspace.decode space pt)
+  in
+  let task = Measure.make_task ~machine op in
+  let prog_hits () = (Measure.lower_stats task).Measure.prog_hits in
+  let hits = ref 0 and lowered = ref 0 in
+  let pass () =
+    List.iter
+      (fun d ->
+        let choice, sched = decode d in
+        let before = prog_hits () in
+        let memo = Measure.program_of task choice sched in
+        if prog_hits () > before then begin
+          incr hits;
+          let fresh =
+            Measure.program_of (Measure.make_task ~machine op) choice sched
+          in
+          match (memo, fresh) with
+          | Some p, Some q ->
+              incr lowered;
+              Alcotest.(check string)
+                "program key" (Measure.program_key q) (Measure.program_key p);
+              Alcotest.(check (array (float 0.0)))
+                "features" (Features.extract machine q)
+                (Option.get (Measure.features_of task choice sched))
+          | None, None -> ()
+          | _ -> Alcotest.fail "a memo hit disagrees on legality"
+        end)
+      draws
+  in
+  pass ();
+  Alcotest.(check int) "first pass misses" 0 !hits;
+  pass ();
+  pass ();
+  Alcotest.(check int) "later passes hit" (2 * List.length draws) !hits;
+  Alcotest.(check bool) "hits cover lowered programs" true (!lowered > 0)
 
 (* Warm start completes and yields a finite result (its trajectory is
    allowed to differ — that is why it is off by default). *)
 let test_warm_start_runs () =
-  let _, r = tune ~memo:true ~warm_start:true () in
+  let _, r = tune ~warm_start:true () in
   Alcotest.(check bool) "finite best" true
     (Float.is_finite r.Tuner.best_latency)
 

@@ -5,8 +5,7 @@
    differential: random layout choices and random loop-space points are
    run through both engines on all three machine profiles and every
    counter is compared with [=] (no tolerance).  The Cache bulk entry
-   points are additionally checked at the state level ([Cache.dump]),
-   and a tuning run is replayed end-to-end under both engines. *)
+   points are additionally checked at the state level ([Cache.dump]). *)
 
 
 module Opdef = Alt_ir.Opdef
@@ -20,7 +19,6 @@ module Runtime = Alt_machine.Runtime
 module Templates = Alt_tuner.Templates
 module Loopspace = Alt_tuner.Loopspace
 module Measure = Alt_tuner.Measure
-module Tuner = Alt_tuner.Tuner
 module Workload = Alt_serve.Workload
 
 let machines = [ Machine.intel_cpu; Machine.nvidia_gpu; Machine.arm_cpu ]
@@ -221,31 +219,6 @@ let test_sampling () =
     rf.Profiler.scale;
   Alcotest.(check bool) "sampled counters equal" true (results_equal rf rs)
 
-(* ------------------------------------------------------------------ *)
-(* End-to-end: the tuner's trajectory is engine-independent            *)
-(* ------------------------------------------------------------------ *)
-
-let test_tune_alt_invariant () =
-  let op =
-    Ops.c2d ~name:"c" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
-      ~kh:3 ~kw:3 ()
-  in
-  let tune fast =
-    let task = Measure.make_task ~machine:Machine.intel_cpu ~fast op in
-    Tuner.tune_op ~system:Tuner.Alt ~budget:24 task
-  in
-  let rf = tune true and rs = tune false in
-  Alcotest.(check (float 0.0))
-    "best latency identical" rs.Tuner.best_latency rf.Tuner.best_latency;
-  Alcotest.(check bool)
-    "best choice identical" true (rf.Tuner.best_choice = rs.Tuner.best_choice);
-  Alcotest.(check bool)
-    "best schedule identical" true
-    (rf.Tuner.best_schedule = rs.Tuner.best_schedule);
-  Alcotest.(check bool)
-    "history identical" true (rf.Tuner.history = rs.Tuner.history);
-  Alcotest.(check int) "spent identical" rs.Tuner.spent rf.Tuner.spent
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -268,9 +241,4 @@ let () =
             Alcotest.test_case "sampling rescales identically" `Quick
               test_sampling;
           ] );
-      ( "end-to-end",
-        [
-          Alcotest.test_case "ALT tuning trajectory engine-invariant" `Quick
-            test_tune_alt_invariant;
-        ] );
     ]

@@ -9,8 +9,7 @@
    - canonicalization is idempotent,
    - the relation-backed [Layout.pack]/[unpack]/[eval_fwd]/[phys_index]
      are byte-identical to the kept-verbatim seed implementations in
-     [Layout.Reference] (the differential oracle, runtime-selectable
-     with ALT_LAYOUT_REFERENCE=1),
+     [Layout.Reference] (the differential oracle),
    - strides/extents/conversion-cost read off the relation agree with
      the physical shape,
 
@@ -444,31 +443,7 @@ let test_compose_metrics () =
   check_int "compose ticked" 1 (count "layout.relation.compose");
   Alcotest.(check bool) "simplify ticked" true
     (count "layout.relation.simplify" >= 1);
-  Alt_obs.Metrics.reset ();
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "1";
-  let l = Layout.of_prims [| 4 |] [ Layout.Split { dim = 0; factors = [ 2; 2 ] } ] in
-  let (_ : float array) = Layout.pack l [| 1.; 2.; 3.; 4. |] in
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "0";
-  Alcotest.(check bool) "fallback ticked" true
-    (count "layout.relation.fallback" >= 1);
   Alt_obs.Metrics.disable ()
-
-let test_reference_escape_hatch () =
-  (* ALT_LAYOUT_REFERENCE=1 routes pack through the seed path; outputs
-     must be identical either way *)
-  let l =
-    Layout.of_prims [| 4; 6 |]
-      [
-        Layout.Split { dim = 1; factors = [ 2; 3 ] };
-        Layout.Pad { dim = 0; lo = 1; hi = 0 };
-      ]
-  in
-  let src = Array.init 24 (fun i -> float_of_int (i + 1)) in
-  let fast = Layout.pack l src in
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "1";
-  let slow = Layout.pack l src in
-  Unix.putenv "ALT_LAYOUT_REFERENCE" "0";
-  Alcotest.(check bool) "byte-identical" true (fast = slow)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -499,10 +474,8 @@ let () =
         [
           Alcotest.test_case "validation count linear" `Quick
             test_incremental_validation_count;
-          Alcotest.test_case "compose/simplify/fallback metrics" `Quick
+          Alcotest.test_case "compose/simplify metrics" `Quick
             test_compose_metrics;
-          Alcotest.test_case "reference escape hatch" `Quick
-            test_reference_escape_hatch;
         ] );
       qsuite "roundtrip-props"
         [

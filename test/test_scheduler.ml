@@ -1,14 +1,17 @@
 (* Differential tests for the gradient task scheduler (DESIGN.md §14):
-   jobs-count invariance of whole-zoo trajectories, Static-policy
-   equivalence with the legacy sequential graph tuner, Tuner.Step fiber
-   equivalence with direct tuner calls, and the headline perf property —
-   gradient scheduling with cost-model transfer beats (or matches) the
-   static split on end-to-end latency at equal budget. *)
+   jobs-count invariance of whole-zoo trajectories, equivalence of
+   [Graph_tuner.tune_graph] (the Static policy) with a sequential
+   per-task loop kept here as the oracle, task lifetime and metric
+   publication under the scheduler, Tuner.Step fiber equivalence with
+   direct tuner calls and its abort semantics, and the headline perf
+   property — gradient scheduling with cost-model transfer beats (or
+   matches) the static split on end-to-end latency at equal budget. *)
 
 module Graph = Alt_graph.Graph
 module Ops = Alt_graph.Ops
 module Machine = Alt_machine.Machine
 module Measure = Alt_tuner.Measure
+module Templates = Alt_tuner.Templates
 module Tuner = Alt_tuner.Tuner
 module Taskset = Alt_tuner.Taskset
 module Scheduler = Alt_tuner.Scheduler
@@ -120,33 +123,157 @@ let test_jobs_invariance policy () =
   let r4, _ = tune ~jobs:4 ~policy ~budget (zoo ()) in
   check_reports_equal (Scheduler.policy_name policy) r1 r4
 
-(* --- Static through the scheduler == the legacy sequential loop --- *)
+(* --- tune_graph (Static through the scheduler) == the sequential loop --- *)
 
-let test_static_equals_legacy () =
-  let budget = 64 in
-  let legacy =
+let machine = Machine.intel_cpu
+
+(* The oracle for "Static == sequential split": unique tasks in
+   first-seen order, each tuned by a direct call (no fiber, its own pool)
+   on a fixed [max 8 (budget / tasks)] slice, with each system's tuner
+   spelled out independently of Graph_tuner's factory. *)
+let sequential_tune_graph ~system ~budget g =
+  let entries = Taskset.of_graph g in
+  let per_task = max 8 (budget / max 1 (List.length entries)) in
+  let results =
+    List.map
+      (fun (e : Taskset.entry) ->
+        let op = e.Taskset.node.Graph.op in
+        let fused =
+          match system with
+          | Graph_tuner.Galt_wp -> [] (* adjacent propagation: no fusion *)
+          | _ -> List.map (fun (c : Graph.node) -> c.Graph.op) e.Taskset.chain
+        in
+        let task = Measure.make_task ~fused ~max_points:2_000 ~machine op in
+        let blocked =
+          [ Templates.blocked_choice op ~block:(2 * machine.Machine.lanes) ]
+        in
+        let r =
+          match system with
+          | Graph_tuner.Gvendor ->
+              Tuner.tune_op ~system:Tuner.Vendor ~budget:per_task task
+          | Graph_tuner.Gautotvm ->
+              Tuner.tune_loop_only ~explorer:Tuner.Restricted ~budget:per_task
+                ~layouts:blocked task
+          | Graph_tuner.Gansor ->
+              Tuner.tune_loop_only ~explorer:Tuner.Guided ~budget:per_task
+                ~layouts:blocked task
+          | Graph_tuner.Galt_ol ->
+              Tuner.tune_loop_only ~explorer:Tuner.Guided ~budget:per_task
+                ~layouts:[ Templates.channels_last_choice op ]
+                task
+          | Graph_tuner.Galt | Graph_tuner.Galt_wp ->
+              Tuner.tune_alt ~joint_budget:(per_task * 4 / 10)
+                ~loop_budget:(per_task * 6 / 10) task
+        in
+        (e.Taskset.signature, r))
+      entries
+  in
+  Graph_tuner.assemble ~system ~results g
+
+let test_static_equals_sequential () =
+  let budget = 48 in
+  List.iter
+    (fun system ->
+      List.iter
+        (fun (mname, model) ->
+          let what = Graph_tuner.gsystem_name system ^ "/" ^ mname in
+          let oracle = sequential_tune_graph ~system ~budget (model ()) in
+          let tuned =
+            Graph_tuner.tune_graph ~max_points:2_000 ~system ~machine ~budget
+              (model ())
+          in
+          Alcotest.(check int)
+            (what ^ ": tasks") oracle.Graph_tuner.tasks_tuned
+            tuned.Graph_tuner.tasks_tuned;
+          Alcotest.(check int)
+            (what ^ ": measurements") oracle.Graph_tuner.measurements
+            tuned.Graph_tuner.measurements;
+          List.iter2
+            (fun (sa, (ra : Tuner.result)) (sb, (rb : Tuner.result)) ->
+              Alcotest.(check string) (what ^ ": task signature") sa sb;
+              Alcotest.(check (float 0.0))
+                (what ^ ": task best latency") ra.Tuner.best_latency
+                rb.Tuner.best_latency;
+              Alcotest.(check int)
+                (what ^ ": task spent") ra.Tuner.spent rb.Tuner.spent;
+              if ra.Tuner.history <> rb.Tuner.history then
+                Alcotest.failf "%s: task %s: history differs" what sa)
+            oracle.Graph_tuner.per_task tuned.Graph_tuner.per_task;
+          if
+            oracle.Graph_tuner.schedules <> tuned.Graph_tuner.schedules
+            || oracle.Graph_tuner.choices <> tuned.Graph_tuner.choices
+          then Alcotest.failf "%s: assembled choices differ" what)
+        [ ("convnet", conv_model); ("mlp", mlp_model) ])
+    Graph_tuner.[ Gvendor; Gautotvm; Gansor; Galt; Galt_ol; Galt_wp ]
+
+(* --- task lifetime and metric publication --- *)
+
+let loop_only_tuner : Scheduler.make_tuner =
+ fun ~pool ~share ~total:_ ~transfer:_ ~stop ~on_progress task ->
+  Tuner.tune_loop_only ~pool ~stop ~on_progress ~explorer:Tuner.Guided
+    ~budget:share
+    ~layouts:[ Templates.trivial_choice task.Measure.op ]
+    task
+
+(* Under Static a fiber builds its task when first stepped, and nothing
+   keeps a finished fiber's task: when task k+1 is built, a full major
+   GC has collected every task before it.  A scheduler that built all
+   tasks up front, or kept them in its per-fiber state, would fail. *)
+let test_static_releases_tasks () =
+  let graphs = zoo () in
+  let n = List.length (Taskset.of_graphs graphs) in
+  let built = Weak.create n and count = ref 0 and alive = ref [] in
+  let make_task (e : Taskset.entry) =
+    Gc.full_major ();
+    for k = 0 to !count - 1 do
+      if Weak.check built k then alive := (!count, k) :: !alive
+    done;
+    let task =
+      Measure.make_task ~max_points:2_000 ~machine e.Taskset.node.Graph.op
+    in
+    Weak.set built !count (Some task);
+    incr count;
+    task
+  in
+  let report =
+    Scheduler.tune_models ~policy:Scheduler.Static ~make_task
+      ~make_tuner:loop_only_tuner ~budget:48 graphs
+  in
+  Alcotest.(check int) "every task built once" n !count;
+  Alcotest.(check int) "every task reported" n
+    (List.length report.Scheduler.tasks);
+  List.iter
+    (fun (k1, k) ->
+      Alcotest.failf "task %d still alive when task %d was built" k k1)
+    (List.rev !alive)
+
+let budget_spent () =
+  Alt_obs.Metrics.counter_value (Alt_obs.Metrics.counter "measure.budget_spent")
+
+(* Every fiber publishes its task's measure.* counters exactly once, when
+   its tuner returns — including fibers wound down by [finish] — so the
+   registry's spent-trial delta equals the trials the run reports. *)
+let test_tune_graph_publishes_once () =
+  let before = budget_spent () in
+  let tg =
     Graph_tuner.tune_graph ~max_points:2_000 ~system:Graph_tuner.Galt
-      ~machine:Machine.intel_cpu ~budget (conv_model ())
+      ~machine ~budget:48 (mlp_model ())
   in
-  let via_sched =
-    Graph_tuner.tune_graph ~max_points:2_000 ~scheduler:Scheduler.Static
-      ~system:Graph_tuner.Galt ~machine:Machine.intel_cpu ~budget
-      (conv_model ())
-  in
+  Alcotest.(check bool) "measured" true (tg.Graph_tuner.measurements > 0);
   Alcotest.(check int)
-    "tasks" legacy.Graph_tuner.tasks_tuned via_sched.Graph_tuner.tasks_tuned;
+    "budget_spent delta" tg.Graph_tuner.measurements (budget_spent () - before)
+
+let test_gradient_publishes_once () =
+  let before = budget_spent () in
+  let report, _ = tune ~policy:Scheduler.Gradient ~budget:48 (zoo ()) in
+  Alcotest.(check bool) "measured" true (report.Scheduler.spent > 0);
   Alcotest.(check int)
-    "measurements" legacy.Graph_tuner.measurements
-    via_sched.Graph_tuner.measurements;
-  List.iter2
-    (fun (sa, (ra : Tuner.result)) (sb, (rb : Tuner.result)) ->
-      Alcotest.(check string) "task signature" sa sb;
-      Alcotest.(check (float 0.0))
-        "task best latency" ra.Tuner.best_latency rb.Tuner.best_latency;
-      Alcotest.(check int) "task spent" ra.Tuner.spent rb.Tuner.spent;
-      if ra.Tuner.history <> rb.Tuner.history then
-        Alcotest.failf "task %s: history differs" sa)
-    legacy.Graph_tuner.per_task via_sched.Graph_tuner.per_task
+    "budget_spent delta" report.Scheduler.spent (budget_spent () - before);
+  Alcotest.(check int)
+    "report = sum of task trials" report.Scheduler.spent
+    (List.fold_left
+       (fun a (t : Scheduler.task_report) -> a + t.Scheduler.trials)
+       0 report.Scheduler.tasks)
 
 (* --- Tuner.Step: stepping to completion == calling the tuner directly --- *)
 
@@ -200,6 +327,73 @@ let test_step_early_finish () =
   Alcotest.(check bool)
     "progress tracks result" true
     (p.Tuner.best_latency >= r.Tuner.best_latency)
+
+(* --- Tuner.Step.abort --- *)
+
+exception Boom
+
+(* A fiber whose tuner runs under a finalizer counting its runs. *)
+let guarded_fiber finalized =
+  Tuner.Step.start (fun ~stop ~on_progress ->
+      Fun.protect
+        ~finally:(fun () -> incr finalized)
+        (fun () ->
+          Tuner.tune_alt ~seed:0 ~stop ~on_progress ~joint_budget:12
+            ~loop_budget:20 (step_task ())))
+
+let abort_raises fiber e =
+  match Tuner.Step.abort fiber e with
+  | _ -> Alcotest.fail "abort returned instead of raising"
+  | exception e' -> e'
+
+let test_abort_at_yield () =
+  let finalized = ref 0 in
+  let fiber = guarded_fiber finalized in
+  (match Tuner.Step.step fiber with
+  | Tuner.Step.Running _ -> ()
+  | Tuner.Step.Done _ -> Alcotest.fail "finished after one round");
+  Alcotest.(check int) "paused fiber not finalized" 0 !finalized;
+  Alcotest.(check bool) "abort surfaces the injected exception" true
+    (abort_raises fiber Boom == Boom);
+  Alcotest.(check int) "finalizer ran once" 1 !finalized;
+  Alcotest.(check bool) "aborted fiber is not finished" false
+    (Tuner.Step.finished fiber)
+
+let test_abort_finished () =
+  let finalized = ref 0 in
+  let fiber = guarded_fiber finalized in
+  let r = Tuner.Step.finish fiber in
+  Alcotest.(check int) "finalizer ran once" 1 !finalized;
+  match Tuner.Step.abort fiber Boom with
+  | Tuner.Step.Done r' ->
+      Alcotest.(check (float 0.0))
+        "same result" r.Tuner.best_latency r'.Tuner.best_latency;
+      Alcotest.(check int) "same spent" r.Tuner.spent r'.Tuner.spent;
+      Alcotest.(check int) "no second finalization" 1 !finalized
+  | Tuner.Step.Running _ -> Alcotest.fail "finished fiber resumed"
+
+(* Pinned: a fiber that an abort ended stays failed — stepping, aborting
+   or finishing it again re-raises the exception that ended it, and runs
+   nothing.  A fiber aborted before its first step never runs at all. *)
+let test_step_after_abort () =
+  let finalized = ref 0 in
+  let fiber = guarded_fiber finalized in
+  ignore (Tuner.Step.step fiber : Tuner.Step.status);
+  ignore (abort_raises fiber Boom : exn);
+  Alcotest.check_raises "step re-raises" Boom (fun () ->
+      ignore (Tuner.Step.step fiber : Tuner.Step.status));
+  Alcotest.(check bool) "abort re-raises the first exception" true
+    (abort_raises fiber Not_found == Boom);
+  Alcotest.check_raises "finish re-raises" Boom (fun () ->
+      ignore (Tuner.Step.finish fiber : Tuner.result));
+  Alcotest.(check int) "finalized once" 1 !finalized;
+  let unstarted_runs = ref 0 in
+  let unstarted = guarded_fiber unstarted_runs in
+  Alcotest.(check bool) "unstarted abort raises" true
+    (abort_raises unstarted Boom == Boom);
+  Alcotest.check_raises "unstarted step re-raises" Boom (fun () ->
+      ignore (Tuner.Step.step unstarted : Tuner.Step.status));
+  Alcotest.(check int) "unstarted fiber never ran" 0 !unstarted_runs
 
 (* --- the perf property: gradient + transfer >= static at equal budget --- *)
 
@@ -273,7 +467,16 @@ let () =
       ( "static",
         [
           Alcotest.test_case "scheduler static == legacy loop" `Quick
-            test_static_equals_legacy;
+            test_static_equals_sequential;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "static releases finished tasks" `Quick
+            test_static_releases_tasks;
+          Alcotest.test_case "tune_graph publishes each task once" `Quick
+            test_tune_graph_publishes_once;
+          Alcotest.test_case "gradient publishes each task once" `Quick
+            test_gradient_publishes_once;
         ] );
       ( "step",
         [
@@ -281,6 +484,12 @@ let () =
             test_step_equals_direct;
           Alcotest.test_case "early finish is valid" `Quick
             test_step_early_finish;
+          Alcotest.test_case "abort at a yield runs finalizers" `Quick
+            test_abort_at_yield;
+          Alcotest.test_case "abort a finished fiber" `Quick
+            test_abort_finished;
+          Alcotest.test_case "step after abort re-raises" `Quick
+            test_step_after_abort;
         ] );
       ( "perf",
         [
