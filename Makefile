@@ -28,8 +28,9 @@ bench-profiler-smoke:
 	ALT_BENCH_SCALE=smoke dune exec bench/bench_profiler.exe
 
 # search-side micro-benchmark: times GBDT fitting (per-node re-sort vs
-# presort-and-partition) and candidate ranking (per-sample vs batched
-# prediction), writes BENCH_tuner.json (ALT_BENCH_SCALE=smoke|quick|full)
+# the presorted per-fit workspace) at 32 and 256 samples, asserts both
+# fitters agree on tie-free data, writes BENCH_tuner.json
+# (ALT_BENCH_SCALE=smoke|quick|full)
 bench-tuner:
 	dune exec bench/bench_tuner.exe
 

@@ -8,16 +8,19 @@
 
    Two fitters produce the same trees:
 
-   - [fit] is the exact-greedy fitter (XGBoost's "exact" tree method):
-     every feature column is argsorted {e once per fit}, and each node
-     receives its samples as per-feature index partitions that stay sorted
-     all the way down the tree (a stable partition by split membership).
-     Total sort cost is O(d n log n) per fit instead of
-     O(trees x nodes x d x n log n).
+   - [fit] is the exact-greedy fitter (XGBoost's "exact" tree method) over
+     one workspace per fit: every feature that varies over the samples is
+     copied column-major and argsorted {e once per fit}, and a node is a
+     range [\[lo, hi)] of per-feature index columns that stay sorted all
+     the way down the tree (a stable in-place partition by split
+     membership).  Total sort cost is O(d n log n) per fit instead of
+     O(trees x nodes x d x n log n); squared residuals are computed once
+     per tree, each node's SSE once, a column equal at both ends of a
+     node's range is skipped, and a node allocates nothing but its result.
 
    - [fit_reference] is the seed implementation (a fresh per-node
-     per-feature [Array.sort]), kept verbatim as the differential oracle
-     for tests and benchmarks.
+     per-feature [Array.sort]), kept as the differential oracle for tests
+     and benchmarks.
 
    Both enumerate split candidates in the same order with the same
    floating-point expressions, so on tie-free feature columns the trees
@@ -32,22 +35,7 @@ type tree =
   | Leaf of float
   | Node of { feat : int; thresh : float; left : tree; right : tree }
 
-(* A tree flattened to arrays for allocation-free batched prediction:
-   node [i] is a leaf iff [ffeat.(i) < 0], in which case [fthresh.(i)] is
-   the leaf value; otherwise go to [fleft.(i)] / [fright.(i)]. *)
-type flat = {
-  ffeat : int array;
-  fthresh : float array;
-  fleft : int array;
-  fright : int array;
-}
-
-type t = {
-  base : float;
-  trees : tree list;
-  shrinkage : float;
-  flats : flat array; (* trees, flattened, in boosting order *)
-}
+type t = { base : float; trees : tree list; shrinkage : float }
 
 type params = {
   max_depth : int;
@@ -70,217 +58,203 @@ let predict t x =
     (fun acc tree -> acc +. (t.shrinkage *. predict_tree tree x))
     t.base t.trees
 
-(* ------------------------------------------------------------------ *)
-(* Flattened trees and batched prediction                             *)
-(* ------------------------------------------------------------------ *)
-
-let rec tree_size = function
-  | Leaf _ -> 1
-  | Node { left; right; _ } -> 1 + tree_size left + tree_size right
-
-let flatten (tree : tree) : flat =
-  let n = tree_size tree in
-  let ffeat = Array.make n (-1) in
-  let fthresh = Array.make n 0.0 in
-  let fleft = Array.make n 0 in
-  let fright = Array.make n 0 in
-  let next = ref 0 in
-  let rec go t =
-    let i = !next in
-    incr next;
-    (match t with
-    | Leaf v -> fthresh.(i) <- v
-    | Node { feat; thresh; left; right } ->
-        ffeat.(i) <- feat;
-        fthresh.(i) <- thresh;
-        fleft.(i) <- go left;
-        fright.(i) <- go right);
-    i
-  in
-  ignore (go tree : int);
-  { ffeat; fthresh; fleft; fright }
-
-(* Below this batch size the tree-major walk loses to plain per-sample
-   prediction: its per-tree setup (loading the four flat arrays, restarting
-   the candidate loop) is amortized over too few candidates, while the
-   pointer-chasing recursive walk fits small batches entirely in L1 —
-   BENCH_tuner.json's rank_speedup was 0.83 at 32 candidates before the
-   cutoff.  48 is the measured crossover on the reference box; both paths
-   are bit-equal, so the cutoff is a pure throughput knob. *)
-let batch_cutoff = 48
-
-(* Tree-major: each flat's arrays stay in cache across the whole batch.
-   Per candidate the accumulation order and expressions mirror [predict]
-   exactly (base, then [acc +. shrinkage *. tree] in boosting order), so
-   the two are bit-equal on every input — the tuner's ranking pass may
-   use either.  Batches under [batch_cutoff] take the per-sample path. *)
-let predict_batch t (xs : float array array) : float array =
-  let n = Array.length xs in
-  if n < batch_cutoff then Array.map (predict t) xs
+(* Mean and SSE of [a] over the samples [idx.(lo) .. idx.(hi - 1)], summed
+   in that order (the order fixes the rounding).  Squares are [** 2.0],
+   here and in [boost], never [x *. x]: libm's [pow (x, 2.)] is not
+   always the correctly rounded product (on glibc 2.36 it differs in the
+   last bit for about 0.09 % of doubles in (-1, 1)), and the fitters'
+   trees are pinned bit for bit. *)
+let mean_range (a : float array) (idx : int array) lo hi =
+  if hi <= lo then 0.0
   else begin
-  let out = Array.make n t.base in
-  let shrinkage = t.shrinkage in
-  Array.iter
-    (fun f ->
-      let ffeat = f.ffeat and fthresh = f.fthresh in
-      let fleft = f.fleft and fright = f.fright in
-      for c = 0 to n - 1 do
-        let x = xs.(c) in
-        let i = ref 0 in
-        while ffeat.(!i) >= 0 do
-          i := if x.(ffeat.(!i)) <= fthresh.(!i) then fleft.(!i) else fright.(!i)
-        done;
-        out.(c) <- out.(c) +. (shrinkage *. fthresh.(!i))
-      done)
-    t.flats;
-  out
+    let s = ref 0.0 in
+    for k = lo to hi - 1 do
+      s := !s +. a.(idx.(k))
+    done;
+    !s /. float_of_int (hi - lo)
   end
 
-let mean a idx =
-  if Array.length idx = 0 then 0.0
-  else
-    Array.fold_left (fun s i -> s +. a.(i)) 0.0 idx
-    /. float_of_int (Array.length idx)
+let sse_range (a : float array) (idx : int array) lo hi ~mean =
+  let s = ref 0.0 in
+  for k = lo to hi - 1 do
+    s := !s +. ((a.(idx.(k)) -. mean) ** 2.0)
+  done;
+  !s
 
-let sse a idx =
-  let m = mean a idx in
-  Array.fold_left (fun s i -> s +. ((a.(i) -. m) ** 2.0)) 0.0 idx
+let mean a idx = mean_range a idx 0 (Array.length idx)
+let sse a idx = sse_range a idx 0 (Array.length idx) ~mean:(mean a idx)
 
 (* ------------------------------------------------------------------ *)
-(* Exact-greedy fitter (presort once per fit)                         *)
+(* Exact-greedy fitter over a per-fit workspace                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Best (feature, threshold) split of a node given [cols]: for each
-   feature, the node's sample indices sorted by that feature (threaded
-   down from the per-fit presort, never re-sorted).  [idx] is the node's
-   samples in the reference fitter's visitation order, used only for the
-   order-sensitive [parent_sse] float sum.  Returns the winning
-   [(gain, feat, thresh, i)] with [i] the left-child size in the sorted
-   column — the split candidates, their enumeration order and every
-   floating-point expression are those of the reference fitter. *)
-let best_split_sorted (xs : float array array) (ys : float array)
-    ~(cols : int array array) ~(idx : int array) ~min_samples =
-  let nfeat = Array.length cols in
-  let best = ref None in
-  let parent_sse = sse ys idx in
-  for f = 0 to nfeat - 1 do
-    let sorted = cols.(f) in
-    let n = Array.length sorted in
-    (* prefix sums for O(n) split evaluation *)
-    let psum = Array.make (n + 1) 0.0 and psq = Array.make (n + 1) 0.0 in
-    for i = 0 to n - 1 do
-      psum.(i + 1) <- psum.(i) +. ys.(sorted.(i));
-      psq.(i + 1) <- psq.(i) +. (ys.(sorted.(i)) ** 2.0)
-    done;
-    for i = min_samples to n - min_samples do
-      if xs.(sorted.(i - 1)).(f) < xs.(sorted.(i)).(f) then begin
-        let ln = float_of_int i and rn = float_of_int (n - i) in
-        let lsum = psum.(i) and rsum = psum.(n) -. psum.(i) in
-        let lsq = psq.(i) and rsq = psq.(n) -. psq.(i) in
-        let lsse = lsq -. (lsum *. lsum /. ln) in
-        let rsse = rsq -. (rsum *. rsum /. rn) in
-        let gain = parent_sse -. (lsse +. rsse) in
-        let thresh = (xs.(sorted.(i - 1)).(f) +. xs.(sorted.(i)).(f)) /. 2.0 in
-        match !best with
-        | Some (g, _, _, _) when g >= gain -> ()
-        | _ -> best := Some (gain, f, thresh, i)
-      end
-    done
-  done;
-  !best
+(* Everything a fit needs beyond its result, allocated once.  Only the
+   features that vary over the fit's samples get a column — a constant
+   feature holds no split candidate anywhere — and [feats] maps columns
+   back to features in ascending order, so columns are scanned in the
+   reference fitter's feature order.  A node is a range [\[lo, hi)] that
+   holds the same samples in every column of [cols]; each column lists
+   them in ascending order of its feature, with ties in the order of the
+   presort's [Array.sort] — the order the reference fitter's root sort
+   produces. *)
+type workspace = {
+  feats : int array; (* feats.(c): the feature of column c, ascending *)
+  xcol : float array array; (* xcol.(c).(s): feature feats.(c) of sample s *)
+  presorted : int array array; (* per column, all samples, ascending *)
+  cols : int array array; (* a copy of [presorted], partitioned per node *)
+  root : int array; (* 0 .. n-1: the root's summation order *)
+  scratch : int array; (* right halves while a column is partitioned *)
+  mark : Bytes.t; (* '\001' for the left child's samples while partitioning *)
+  psum : float array; (* psum.(k): sum of the node's first k residuals *)
+  psq : float array; (* the same over [sq] *)
+  sq : float array; (* sq.(s) = residual.(s) ** 2.0, once per tree *)
+}
 
-(* Stable partition of every sorted column by left-child membership.
-   Membership is decided by {e rank} in the split feature's column (the
-   first [i] entries), not by comparing against the threshold — midpoint
-   thresholds can round onto a boundary value, and rank is what the
-   reference fitter's [Array.sub] uses.  [mark] is a per-fit scratch
-   array; marks are cleared before returning. *)
-let partition_cols (cols : int array array) ~(feat : int) ~(i : int)
-    ~(mark : bool array) =
-  let sf = cols.(feat) in
-  let n = Array.length sf in
-  for k = 0 to i - 1 do
-    mark.(sf.(k)) <- true
-  done;
-  let split col =
-    let l = Array.make i 0 and r = Array.make (n - i) 0 in
-    let li = ref 0 and ri = ref 0 in
-    Array.iter
-      (fun s ->
-        if mark.(s) then begin
-          l.(!li) <- s;
-          incr li
-        end
-        else begin
-          r.(!ri) <- s;
-          incr ri
-        end)
-      col;
-    (l, r)
-  in
-  let lcols = Array.make (Array.length cols) [||] in
-  let rcols = Array.make (Array.length cols) [||] in
-  Array.iteri
-    (fun f col ->
-      let l, r = split col in
-      lcols.(f) <- l;
-      rcols.(f) <- r)
-    cols;
-  for k = 0 to i - 1 do
-    mark.(sf.(k)) <- false
-  done;
-  (lcols, rcols)
-
-let rec fit_tree_sorted xs ys ~idx ~cols ~depth ~params ~mark =
-  if
-    depth >= params.max_depth
-    || Array.length idx < 2 * params.min_samples
-    || sse ys idx < 1e-10
-  then Leaf (mean ys idx)
-  else
-    match
-      best_split_sorted xs ys ~cols ~idx ~min_samples:params.min_samples
-    with
-    | None -> Leaf (mean ys idx)
-    | Some (gain, feat, thresh, i) ->
-        if gain <= 1e-12 || i = 0 || i = Array.length idx then
-          Leaf (mean ys idx)
-        else begin
-          let lcols, rcols = partition_cols cols ~feat ~i ~mark in
-          (* the reference fitter hands children their samples in the
-             split feature's sorted order ([Array.sub sorted 0 i]) — the
-             partitioned column is exactly that array *)
-          Node
-            {
-              feat;
-              thresh;
-              left =
-                fit_tree_sorted xs ys ~idx:lcols.(feat) ~cols:lcols
-                  ~depth:(depth + 1) ~params ~mark;
-              right =
-                fit_tree_sorted xs ys ~idx:rcols.(feat) ~cols:rcols
-                  ~depth:(depth + 1) ~params ~mark;
-            }
-        end
-
-(* Argsort every feature column once; shared by all trees of a fit (the
-   sort key is x, which boosting never changes). The comparator and the
-   input permutation match the reference fitter's root-node sort, so the
-   presorted columns are bit-compatible with it. *)
-let presort (xs : float array array) ~n ~nfeat =
-  Array.init nfeat (fun f ->
-      let a = Array.init n (fun i -> i) in
-      Array.sort (fun i j -> Float.compare xs.(i).(f) xs.(j).(f)) a;
-      a)
-
-(* Boost [n_new] trees onto [residual] (mutated in place), reusing the
-   per-fit presorted columns. *)
-let boost xs residual ~cols ~mark ~params ~shrinkage ~n_new =
-  let trees = ref [] in
+(* The comparator and the input permutation match the reference fitter's
+   root-node sort, so the presorted columns are bit-compatible with it. *)
+let workspace (xs : float array array) =
   let n = Array.length xs in
-  let idx = Array.init n (fun i -> i) in
+  let feats =
+    List.init (Array.length xs.(0)) Fun.id
+    |> List.filter (fun f ->
+           Array.exists (fun x -> not (Float.equal x.(f) xs.(0).(f))) xs)
+    |> Array.of_list
+  in
+  let xcol = Array.map (fun f -> Array.init n (fun s -> xs.(s).(f))) feats in
+  let presorted =
+    Array.map
+      (fun x ->
+        let a = Array.init n Fun.id in
+        Array.sort (fun i j -> Float.compare x.(i) x.(j)) a;
+        a)
+      xcol
+  in
+  {
+    feats;
+    xcol;
+    presorted;
+    cols = Array.map Array.copy presorted;
+    root = Array.init n Fun.id;
+    scratch = Array.make n 0;
+    mark = Bytes.make n '\000';
+    psum = Array.make (n + 1) 0.0;
+    psq = Array.make (n + 1) 0.0;
+    sq = Array.make n 0.0;
+  }
+
+(* Best (column, threshold) split of the node [\[lo, hi)] whose SSE is
+   [parent_sse].  Returns [(gain, c, thresh, i)] with [i] the left
+   child's size.  The candidates, their enumeration order, the tie rule
+   and every floating-point expression are the reference fitter's:
+   [best_gain] starts at nan, so the first candidate always wins, exactly
+   like the reference's empty [best]. *)
+let best_split_sorted ws (ys : float array) ~lo ~hi ~parent_sse ~min_samples =
+  let n = hi - lo in
+  let psum = ws.psum and psq = ws.psq and sq = ws.sq in
+  let best_gain = ref Float.nan and best_thresh = ref 0.0 in
+  let best_col = ref (-1) and best_i = ref 0 in
+  for c = 0 to Array.length ws.cols - 1 do
+    let col = ws.cols.(c) and x = ws.xcol.(c) in
+    (* a column equal at both ends of the node holds no candidate *)
+    if not (Float.equal x.(col.(lo)) x.(col.(hi - 1))) then begin
+      for k = 0 to n - 1 do
+        let s = col.(lo + k) in
+        psum.(k + 1) <- psum.(k) +. ys.(s);
+        psq.(k + 1) <- psq.(k) +. sq.(s)
+      done;
+      for i = min_samples to n - min_samples do
+        let xl = x.(col.(lo + i - 1)) and xr = x.(col.(lo + i)) in
+        if xl < xr then begin
+          let ln = float_of_int i and rn = float_of_int (n - i) in
+          let lsum = psum.(i) and rsum = psum.(n) -. psum.(i) in
+          let lsq = psq.(i) and rsq = psq.(n) -. psq.(i) in
+          let lsse = lsq -. (lsum *. lsum /. ln) in
+          let rsse = rsq -. (rsum *. rsum /. rn) in
+          let gain = parent_sse -. (lsse +. rsse) in
+          if not (!best_gain >= gain) then begin
+            best_gain := gain;
+            best_col := c;
+            best_thresh := (xl +. xr) /. 2.0;
+            best_i := i
+          end
+        end
+      done
+    end
+  done;
+  if !best_col < 0 then None
+  else Some (!best_gain, !best_col, !best_thresh, !best_i)
+
+(* Stable in-place partition of the node [\[lo, hi)] in every column:
+   the left child's samples move to [\[lo, mid)], the rest to [\[mid, hi)],
+   each keeping its order.  Membership is decided by {e rank} in the split
+   column (its first [mid - lo] entries), not by comparing against the
+   threshold — midpoint thresholds can round onto a boundary value, and
+   rank is what the reference fitter's [Array.sub] uses. *)
+let partition ws ~lo ~hi ~split ~mid =
+  let mark = ws.mark and scratch = ws.scratch in
+  let split_col = ws.cols.(split) in
+  for k = lo to mid - 1 do
+    Bytes.set mark split_col.(k) '\001'
+  done;
+  for c = 0 to Array.length ws.cols - 1 do
+    let col = ws.cols.(c) in
+    (* the split column is already partitioned *)
+    if c <> split then begin
+      let l = ref lo and r = ref 0 in
+      for k = lo to hi - 1 do
+        let s = col.(k) in
+        if Bytes.get mark s = '\001' then begin
+          col.(!l) <- s;
+          incr l
+        end
+        else begin
+          scratch.(!r) <- s;
+          incr r
+        end
+      done;
+      Array.blit scratch 0 col mid (hi - mid)
+    end
+  done;
+  for k = lo to mid - 1 do
+    Bytes.set mark split_col.(k) '\000'
+  done
+
+(* Grow the subtree of the node [\[lo, hi)].  [idx.(lo) .. idx.(hi - 1)]
+   are its samples in the reference fitter's visitation order — the
+   identity at the root, then the split column (the reference hands
+   children [Array.sub sorted]) — which fixes the rounding of its mean and
+   SSE.  [idx]'s range is only read before this node partitions it. *)
+let rec grow ws ys ~idx ~lo ~hi ~depth ~params =
+  let n = hi - lo in
+  let m = mean_range ys idx lo hi in
+  if depth >= params.max_depth || n < 2 * params.min_samples then Leaf m
+  else begin
+    let parent_sse = sse_range ys idx lo hi ~mean:m in
+    if parent_sse < 1e-10 then Leaf m
+    else
+      match
+        best_split_sorted ws ys ~lo ~hi ~parent_sse
+          ~min_samples:params.min_samples
+      with
+      | Some (gain, c, thresh, i) when not (gain <= 1e-12) ->
+          let mid = lo + i in
+          partition ws ~lo ~hi ~split:c ~mid;
+          let col = ws.cols.(c) in
+          let depth = depth + 1 in
+          let left = grow ws ys ~idx:col ~lo ~hi:mid ~depth ~params in
+          let right = grow ws ys ~idx:col ~lo:mid ~hi ~depth ~params in
+          Node { feat = ws.feats.(c); thresh; left; right }
+      | _ -> Leaf m
+  end
+
+(* Boost [n_new] trees onto [residual] (mutated in place). *)
+let boost ws xs residual ~params ~shrinkage ~n_new =
+  let n = Array.length xs in
+  let trees = ref [] in
   for _ = 1 to n_new do
-    let tree = fit_tree_sorted xs residual ~idx ~cols ~depth:0 ~params ~mark in
+    Array.iteri (fun s r -> ws.sq.(s) <- r ** 2.0) residual;
+    Array.iteri (fun c sorted -> Array.blit sorted 0 ws.cols.(c) 0 n) ws.presorted;
+    let tree = grow ws residual ~idx:ws.root ~lo:0 ~hi:n ~depth:0 ~params in
     trees := tree :: !trees;
     Array.iteri
       (fun i _ ->
@@ -293,24 +267,16 @@ let boost xs residual ~cols ~mark ~params ~shrinkage ~n_new =
 let fit ?(params = default_params) (xs : float array array) (ys : float array)
     : t =
   if Array.length xs = 0 then
-    { base = 0.0; trees = []; shrinkage = params.learning_rate; flats = [||] }
+    { base = 0.0; trees = []; shrinkage = params.learning_rate }
   else begin
-    let n = Array.length xs in
-    let nfeat = Array.length xs.(0) in
-    let base = mean ys (Array.init n (fun i -> i)) in
+    let ws = workspace xs in
+    let base = mean ys ws.root in
     let residual = Array.map (fun y -> y -. base) ys in
-    let cols = presort xs ~n ~nfeat in
-    let mark = Array.make n false in
     let trees =
-      boost xs residual ~cols ~mark ~params ~shrinkage:params.learning_rate
+      boost ws xs residual ~params ~shrinkage:params.learning_rate
         ~n_new:params.n_trees
     in
-    {
-      base;
-      trees;
-      shrinkage = params.learning_rate;
-      flats = Array.of_list (List.map flatten trees);
-    }
+    { base; trees; shrinkage = params.learning_rate }
   end
 
 (* Warm start: keep the existing ensemble (base, shrinkage, trees) and
@@ -330,20 +296,13 @@ let refit ?(params = default_params) ?extra_trees (t : t)
   in
   if Array.length xs = 0 || n_new = 0 then t
   else begin
-    let n = Array.length xs in
-    let nfeat = Array.length xs.(0) in
-    let residual = Array.init n (fun i -> ys.(i) -. predict t xs.(i)) in
-    let cols = presort xs ~n ~nfeat in
-    let mark = Array.make n false in
+    let residual = Array.mapi (fun i x -> ys.(i) -. predict t x) xs in
     let trees =
-      boost xs residual ~cols ~mark ~params ~shrinkage:t.shrinkage ~n_new
+      boost (workspace xs) xs residual ~params ~shrinkage:t.shrinkage ~n_new
     in
-    {
-      t with
-      trees = t.trees @ trees;
-      flats = Array.append t.flats (Array.of_list (List.map flatten trees));
-    }
+    { t with trees = t.trees @ trees }
   end
+
 
 (* ------------------------------------------------------------------ *)
 (* Reference fitter (the seed implementation, kept as the oracle)     *)
@@ -408,7 +367,7 @@ let rec fit_tree xs ys idx ~depth ~params =
 let fit_reference ?(params = default_params) (xs : float array array)
     (ys : float array) : t =
   if Array.length xs = 0 then
-    { base = 0.0; trees = []; shrinkage = params.learning_rate; flats = [||] }
+    { base = 0.0; trees = []; shrinkage = params.learning_rate }
   else begin
     let n = Array.length xs in
     let base = mean ys (Array.init n (fun i -> i)) in
@@ -424,13 +383,7 @@ let fit_reference ?(params = default_params) (xs : float array array)
             residual.(i) -. (params.learning_rate *. predict_tree tree xs.(i)))
         residual
     done;
-    let trees = List.rev !trees in
-    {
-      base;
-      trees;
-      shrinkage = params.learning_rate;
-      flats = Array.of_list (List.map flatten trees);
-    }
+    { base; trees = List.rev !trees; shrinkage = params.learning_rate }
   end
 
 (* ------------------------------------------------------------------ *)

@@ -196,11 +196,14 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
           let run =
             match e with
             | Program.Pconst cst ->
-                (* tile-init loops: one fill instead of n closure calls;
-                   stride 0 degenerates to one (idempotent) write *)
+                (* tile-init loops: no closure call per element *)
                 fun n ->
-                  if spb.pb_stride = 1 then Array.fill buf spb.pb_base n cst
-                  else buf.(spb.pb_base) <- cst
+                  let base = spb.pb_base and stride = spb.pb_stride in
+                  if stride = 1 then Array.fill buf base n cst
+                  else
+                    for x = 0 to n - 1 do
+                      buf.(base + (stride * x)) <- cst
+                    done
             | _ -> generic_run step
           in
           { ml_step = step; ml_run = run }

@@ -125,10 +125,8 @@ let cm_fit cm =
     if obs then cm.fit_ms <- cm.fit_ms +. (Alt_obs.Trace.now_ms () -. t0)
   end
 
-let cm_predict_batch cm (xs : float array array) : float array =
-  match cm.model with
-  | Some m -> Gbdt.predict_batch m xs
-  | None -> Array.make (Array.length xs) 0.0
+let cm_predict cm (x : float array) : float =
+  match cm.model with Some m -> Gbdt.predict m x | None -> 0.0
 
 (* ------------------------------------------------------------------ *)
 (* Tuning state and history                                           *)
@@ -419,22 +417,16 @@ let loop_round st (choice : Propagate.choice) ~(explorer : loop_explorer)
         | Some cm ->
             cm_fit cm;
             (* featurize through the task's memo cache (shared with the
-               measurement pass below), then rank the whole batch in one
-               predict_batch walk over the flattened trees *)
-            let featured =
+               measurement pass below) and rank by predicted latency *)
+            let scored =
               List.filter_map
                 (fun v ->
                   let sched = Loopspace.decode space v in
                   match Measure.features_of st.task choice sched with
                   | None -> None
-                  | Some f -> Some (f, v))
+                  | Some f -> Some (cm_predict cm f, v))
                 cands
             in
-            let preds =
-              cm_predict_batch cm
-                (Array.of_list (List.map fst featured))
-            in
-            let scored = List.mapi (fun i (_, v) -> (preds.(i), v)) featured in
             let sorted =
               List.map snd
                 (List.sort (fun (a, _) (b, _) -> Float.compare a b) scored)

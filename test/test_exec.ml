@@ -187,6 +187,87 @@ let test_fused_output_layout () =
     machines
 
 (* ------------------------------------------------------------------ *)
+(* Tile-init stores at any stride                                     *)
+(* ------------------------------------------------------------------ *)
+
+let pool_op =
+  Ops.maxpool2d ~name:"p" ~inp:"X" ~out:"Y" ~n:1 ~c:8 ~h:4 ~w:4 ~k:3 ()
+
+let nhwc_choice =
+  {
+    Propagate.out_layout =
+      Layout.reorder (trivial pool_op.Opdef.out_shape) [| 0; 2; 3; 1 |];
+    in_layouts = [];
+  }
+
+(* A reduce_outer schedule initializes each output tile in a loop of its
+   own; when a split spatial dim is not physically innermost, that loop's
+   constant store strides through the tile.  With every input negative,
+   every window's max is negative, so a tile element the init loop
+   skipped (still 0, never -inf) shows in the output. *)
+let test_pool_tile_init () =
+  let task = Measure.make_task ~machine:Machine.intel_cpu pool_op in
+  let inputs =
+    List.map
+      (fun (name, a) -> (name, Array.map (fun v -> -.Float.abs v -. 0.5) a))
+      task.Measure.feeds
+  in
+  List.iter
+    (fun (th, tw, tc) ->
+      let sched =
+        Schedule.default ~rank:4 ~nred:2
+        |> Schedule.split ~dim:1 ~inner:th
+        |> Schedule.split ~dim:2 ~inner:tw
+        |> Schedule.split ~dim:3 ~inner:tc
+        |> fun s -> Schedule.reorder_reduce_outer s true
+      in
+      let prog = Option.get (Measure.program_of task nhwc_choice sched) in
+      Alcotest.(check bool)
+        (Fmt.str "tiles h%d w%d c%d: exec == interpreter" th tw tc)
+        true
+        (prog_differential Machine.intel_cpu prog ~inputs))
+    [ (2, 1, 8); (1, 2, 8); (2, 2, 8); (4, 4, 8); (2, 1, 1); (1, 4, 2);
+      (4, 1, 4); (2, 2, 2) ]
+
+(* Every lowered program initializes what it reduces into, so running its
+   kernel twice without [reset_non_inputs] must leave the buffers of one
+   interpreter run — for Sum and Max reductions alike, on seeded
+   loop-space candidates. *)
+let test_rerun_idempotent () =
+  let rowmax_op =
+    Ops.rowmax ~name:"m" ~inp:"X" ~out:"Y" ~lead:[| 6; 8 |] ~n:12 ()
+  in
+  let rng = Random.State.make [| 2026 |] in
+  List.iter
+    (fun (op, (choice : Propagate.choice)) ->
+      let task = Measure.make_task ~machine:Machine.intel_cpu op in
+      let space = Loopspace.of_layout op choice.Propagate.out_layout in
+      for _ = 1 to 8 do
+        let sched = Loopspace.decode space (Loopspace.random_point ~rng space) in
+        match Measure.program_of task choice sched with
+        | None -> ()
+        | Some prog ->
+            let inputs = task.Measure.feeds in
+            let be = Runtime.alloc_bufs prog ~inputs
+            and bs = Runtime.alloc_bufs prog ~inputs in
+            let k = Kernel.compile prog ~bufs:be in
+            k.Kernel.run ();
+            k.Kernel.run ();
+            let _ = Profiler.run ~fast:false prog ~bufs:bs in
+            Alcotest.(check bool)
+              (Fmt.str "%s %a: two runs == one interpreter run"
+                 op.Opdef.name Schedule.pp sched)
+              true
+              (Array.for_all2 bufs_equal be bs)
+      done)
+    [
+      (conv_op, Templates.channels_last_choice conv_op);
+      (gmm_op, Templates.trivial_choice gmm_op);
+      (pool_op, nhwc_choice);
+      (rowmax_op, Templates.trivial_choice rowmax_op);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Engine coverage                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -846,6 +927,10 @@ let () =
               test_padded_fused;
             Alcotest.test_case "fused output layout" `Quick
               test_fused_output_layout;
+            Alcotest.test_case "strided tile init (maxpool, negative)" `Quick
+              test_pool_tile_init;
+            Alcotest.test_case "two runs == one interpreter run" `Quick
+              test_rerun_idempotent;
           ] );
       ( "engine",
         [
