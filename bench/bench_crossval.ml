@@ -91,8 +91,9 @@ let json_of_rows rows =
     String.concat ", "
       (Array.to_list (Array.map (fun x -> Fmt.str "%.6f" x) a))
   in
-  add "{\n  \"bench\": \"crossval\",\n  \"scale\": %S,\n  \"workloads\": [\n"
-    scale_name;
+  add "{\n  \"bench\": \"crossval\",\n  \"scale\": %S,\n  %s,\n" scale_name
+    (Bench_util.provenance_json ());
+  add "  \"workloads\": [\n";
   List.iteri
     (fun i r ->
       add

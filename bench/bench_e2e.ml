@@ -100,7 +100,8 @@ let json_of_runs (static : run) (gradient : run) ~speedup =
       (String.concat ", "
          (List.map (fun (t, l) -> Fmt.str "[%d, %.6f]" t l) pts))
   in
-  add "{\n  \"bench\": \"e2e\",\n  \"scale\": %S,\n" Bench_util.scale_name;
+  add "{\n  \"bench\": \"e2e\",\n  \"scale\": %S,\n  %s,\n" Bench_util.scale_name
+    (Bench_util.provenance_json ());
   add "  \"budget\": %d,\n  \"share\": %d,\n  \"tasks\": %d,\n"
     gradient.report.Scheduler.budget gradient.report.Scheduler.share
     (List.length gradient.report.Scheduler.tasks);

@@ -34,7 +34,7 @@ let pick = Bench_util.pick
 
 let domain_counts = [| 1; 2; 4 |]
 let max_domains = domain_counts.(Array.length domain_counts - 1)
-let cores = Domain.recommended_domain_count ()
+let cores = Bench_util.cores
 
 (* The rank re-check measures at the parallelism the box can actually
    deliver: oversubscribed domains on a small box add scheduling jitter
@@ -178,8 +178,8 @@ let json_of rows ~macro_speedup ~speedup_gate ~rank_gate =
     String.concat ", "
       (Array.to_list (Array.map (fun x -> Fmt.str "%.6f" x) a))
   in
-  add "{\n  \"bench\": \"exec\",\n  \"scale\": %S,\n  \"cores\": %d,\n"
-    scale_name cores;
+  add "{\n  \"bench\": \"exec\",\n  \"scale\": %S,\n  %s,\n" scale_name
+    (Bench_util.provenance_json ());
   add "  \"domains\": [%s],\n"
     (String.concat ", "
        (Array.to_list (Array.map string_of_int domain_counts)));

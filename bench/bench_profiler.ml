@@ -170,6 +170,7 @@ let json_of_rows machine rows =
   add "{\n";
   add (Fmt.str "  \"scale\": %S,\n" scale_name);
   add (Fmt.str "  \"machine\": %S,\n" machine.Machine.name);
+  add (Fmt.str "  %s,\n" (Bench_util.provenance_json ()));
   add "  \"workloads\": [\n";
   List.iteri
     (fun i r ->

@@ -31,7 +31,7 @@ let pick = Bench_util.pick
 let n_traffic = 32
 let n_train = pick ~smoke:64 ~quick:256 ~full:1024
 let min_time = pick ~smoke:0.02 ~quick:0.3 ~full:1.0
-let cores = Domain.recommended_domain_count ()
+let cores = Bench_util.cores
 
 (* Time [f] for at least [min_time] seconds; returns runs/second. *)
 let throughput f =
@@ -133,7 +133,7 @@ let json_of machine ~feature_dim rates =
   add "{\n";
   add (Fmt.str "  \"scale\": %S,\n" scale_name);
   add (Fmt.str "  \"machine\": %S,\n" machine.Machine.name);
-  add (Fmt.str "  \"cores\": %d,\n" cores);
+  add (Fmt.str "  %s,\n" (Bench_util.provenance_json ()));
   add "  \"microbench\": {\n";
   add (Fmt.str "    \"feature_dim\": %d,\n" feature_dim);
   add "    \"fitters_identical_tiefree\": true,\n";

@@ -23,6 +23,28 @@ let scale_name =
 let pick ~smoke ~quick ~full =
   match scale with Smoke -> smoke | Quick -> quick | Full -> full
 
+let cores = Domain.recommended_domain_count ()
+
+(* The checkout the numbers were measured on, as [git describe --always
+   --dirty] prints it: a "-dirty" suffix means uncommitted changes on
+   top of that commit.  "unknown" outside a git checkout. *)
+let commit =
+  lazy
+    (try
+       let ic =
+         Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+       in
+       let line = try input_line ic with End_of_file -> "" in
+       match Unix.close_process_in ic with
+       | Unix.WEXITED 0 when line <> "" -> line
+       | _ -> "unknown"
+     with Unix.Unix_error _ | Sys_error _ -> "unknown")
+
+(* The ["cores"] and ["commit"] members every [BENCH_*.json] carries,
+   without a trailing comma. *)
+let provenance_json () =
+  Fmt.str "\"cores\": %d, \"commit\": %S" cores (Lazy.force commit)
+
 (* Write a bench's [BENCH_*.json]: the committed file at the repository
    root for quick and full runs, and a copy under _build/ for smoke runs
    (the gates [make check] runs), so a gate never overwrites committed

@@ -6,7 +6,10 @@
    this module keeps the value half of the simulator's fast engine with
    the cache model cut away: hoisted affine bases, one per distinct
    access, and the multiply-accumulate specialization — executing for
-   wall-clock time instead of feeding a simulator.  Every combine
+   wall-clock time instead of feeding a simulator.  Each leaf group runs
+   with the perfect chain of loops above it whose variables every access
+   is affine in: the bases are evaluated once per chain entry and
+   strength-reduced across the chain (DESIGN.md §12).  Every combine
    function, evaluation order and accumulation chain matches the scalar
    interpreter operation for operation, so kernel outputs are
    bit-identical to a simulator run of the same program, which is what
@@ -91,8 +94,9 @@ let rec compile_plain vm slots ctx (e : Program.pexpr) : int array -> float =
       and fb = compile_plain vm slots ctx b in
       fun env -> if fc env then fa env else fb env
 
-(* Hoisted affine base of one distinct access: refreshed once per
-   innermost-loop execution, advanced by [pb_stride * x] inside. *)
+(* Hoisted affine base of one distinct access: evaluated once per chain
+   entry, moved by the chain's outer levels, and advanced by
+   [pb_stride * x] inside the innermost loop. *)
 type pbase = {
   pb_off : Loopenv.offset;
   pb_stride : int;
@@ -157,12 +161,6 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
     in
     let stmts = flatten b in
     if stmts = [] then raise Fallback;
-    let v = l.Program.v in
-    let stride_any a =
-      match Loopenv.affine_stride slots a v with
-      | Some s -> s
-      | None -> raise Fallback
-    in
     let vslot = Loopenv.var_slot vm l.Program.v in
     let pbases = ref [] in
     (* one hoisted base per distinct access *)
@@ -170,9 +168,11 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
       match List.assoc_opt a !pbases with
       | Some pb -> pb
       | None ->
+          let off = Loopenv.compile_offset vm slots a in
           let pb =
-            { pb_off = Loopenv.compile_offset vm slots a;
-              pb_stride = stride_any a; pb_base = 0 }
+            match Loopenv.slot_stride off vslot with
+            | Some s -> { pb_off = off; pb_stride = s; pb_base = 0 }
+            | None -> raise Fallback
           in
           pbases := (a, pb) :: !pbases;
           pb
@@ -332,67 +332,159 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
         mp_leaves = leaves }
   with Fallback -> None
 
-(* One execution of a macro group: refresh hoisted bases at x = 0, then
-   run leaves.  Multi-leaf blocks interleave per iteration, since a later
-   leaf may read what an earlier one wrote at the same iteration. *)
-let make_macro_runner ctx st (plan : macro_plan) vslot n =
+(* ------------------------------------------------------------------ *)
+(* Chain runner                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One loop of a perfect chain above a macro group's innermost loop: its
+   environment slot, its extent, and the hoisted bases that move with its
+   variable, each with its element stride. *)
+type level = {
+  lv_slot : int;
+  lv_extent : int;
+  lv_pbases : pbase array;
+  lv_strides : int array;
+}
+
+(* The chain level of loop [l], or [None] when some access of the plan
+   reaches [l]'s variable through a non-affine atom. *)
+let level_of vm (plan : macro_plan) (l : Program.loop) : level option =
+  let slot = Loopenv.var_slot vm l.Program.v in
+  let moving = ref [] in
+  let affine =
+    Array.for_all
+      (fun pb ->
+        match Loopenv.slot_stride pb.pb_off slot with
+        | None -> false
+        | Some 0 -> true
+        | Some s ->
+            moving := (pb, s) :: !moving;
+            true)
+      plan.mp_pbases
+  in
+  if not affine then None
+  else
+    let moving = Array.of_list (List.rev !moving) in
+    Some
+      { lv_slot = slot;
+        lv_extent = l.Program.extent;
+        lv_pbases = Array.map fst moving;
+        lv_strides = Array.map snd moving }
+
+(* The runner of a macro group's chain: [levels] outermost first above
+   the innermost loop [vslot] of [n] iterations.  On each entry every
+   hoisted base is evaluated once, with all chain variables at 0; each
+   level then advances the bases that move with it after every
+   iteration and rewinds them when its loop ends, so the innermost loop
+   always starts from the bases a fresh evaluation would give.  Chain
+   variables are still written to the environment, because select
+   conditions read them.  Multi-leaf blocks interleave per iteration,
+   since a later leaf may read what an earlier one wrote at the same
+   iteration. *)
+let make_chain_runner ctx st (plan : macro_plan) (levels : level array) vslot
+    n =
   let pbases = plan.mp_pbases and leaves = plan.mp_leaves in
   let n_pbases = Array.length pbases and n_leaves = Array.length leaves in
-  fun () ->
-    st.macro_runs <- st.macro_runs + 1;
-    let env = ctx.env in
-    env.(vslot) <- 0;
-    for i = 0 to n_pbases - 1 do
-      let pb = pbases.(i) in
-      pb.pb_base <- Loopenv.eval pb.pb_off env
-    done;
-    if n_leaves = 1 then leaves.(0).ml_run n
-    else
+  let innermost =
+    if n_leaves = 1 then
+      let run = leaves.(0).ml_run in
+      fun () -> run n
+    else fun () ->
+      let env = ctx.env in
       for x = 0 to n - 1 do
         env.(vslot) <- x;
         for i = 0 to n_leaves - 1 do
           leaves.(i).ml_step x
         done
       done
+  in
+  let wrap lv inner =
+    let slot = lv.lv_slot and ext = lv.lv_extent in
+    let lpbases = lv.lv_pbases and strides = lv.lv_strides in
+    let nb = Array.length lpbases in
+    fun () ->
+      let env = ctx.env in
+      for x = 0 to ext - 1 do
+        env.(slot) <- x;
+        inner ();
+        for i = 0 to nb - 1 do
+          let pb = lpbases.(i) in
+          pb.pb_base <- pb.pb_base + strides.(i)
+        done
+      done;
+      for i = 0 to nb - 1 do
+        let pb = lpbases.(i) in
+        pb.pb_base <- pb.pb_base - (ext * strides.(i))
+      done
+  in
+  let body = Array.fold_right wrap levels innermost in
+  let runs = Array.fold_left (fun r lv -> r * lv.lv_extent) 1 levels in
+  fun () ->
+    st.macro_runs <- st.macro_runs + runs;
+    let env = ctx.env in
+    env.(vslot) <- 0;
+    Array.iter (fun lv -> env.(lv.lv_slot) <- 0) levels;
+    for i = 0 to n_pbases - 1 do
+      let pb = pbases.(i) in
+      pb.pb_base <- Loopenv.eval pb.pb_off env
+    done;
+    body ()
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation and entry point                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The perfect chain of loops from a statement down: the loops innermost
+   first, and the body of the innermost one. *)
+let rec perfect_chain acc = function
+  | Program.For (l, b) -> perfect_chain (l :: acc) b
+  | b -> (acc, b)
+
 let compile_stmts ctx st vm (slots : Program.slot array)
     (body : Program.stmt) =
+  let loop (l : Program.loop) (fb : unit -> unit) =
+    let vslot = Loopenv.var_slot vm l.Program.v and n = l.Program.extent in
+    fun () ->
+      let env = ctx.env in
+      for x = 0 to n - 1 do
+        env.(vslot) <- x;
+        fb ()
+      done
+  in
   let rec comp (s : Program.stmt) : unit -> unit =
     match s with
-    | Program.For (l, b) -> (
-        let vslot = Loopenv.var_slot vm l.Program.v in
-        let n = l.Program.extent in
-        let plan =
-          if all_leaves b then macro_plan_of vm slots ctx l b else None
-        in
-        match plan with
-        | Some plan ->
-            st.macro_groups <- st.macro_groups + 1;
-            make_macro_runner ctx st plan vslot n
-        | None ->
-            if all_leaves b then begin
-              st.generic_groups <- st.generic_groups + 1;
-              let fb = comp b in
-              fun () ->
-                st.generic_runs <- st.generic_runs + 1;
-                let env = ctx.env in
-                for x = 0 to n - 1 do
-                  env.(vslot) <- x;
-                  fb ()
-                done
-            end
-            else
-              let fb = comp b in
-              fun () ->
-                let env = ctx.env in
-                for x = 0 to n - 1 do
-                  env.(vslot) <- x;
-                  fb ()
-                done)
+    | Program.For _ -> (
+        match perfect_chain [] s with
+        | l :: outer, b when all_leaves b ->
+            (* a leaf group: the macro plan is compiled once, and the
+               longest run of enclosing loops every access is affine in
+               joins its chain *)
+            let group, rest =
+              match macro_plan_of vm slots ctx l b with
+              | Some plan ->
+                  st.macro_groups <- st.macro_groups + 1;
+                  let rec climb levels = function
+                    | o :: os as rest -> (
+                        match level_of vm plan o with
+                        | Some lv -> climb (lv :: levels) os
+                        | None -> (levels, rest))
+                    | [] -> (levels, [])
+                  in
+                  let levels, rest = climb [] outer in
+                  let vslot = Loopenv.var_slot vm l.Program.v in
+                  ( make_chain_runner ctx st plan (Array.of_list levels) vslot
+                      l.Program.extent,
+                    rest )
+              | None ->
+                  st.generic_groups <- st.generic_groups + 1;
+                  let fl = loop l (comp b) in
+                  ( (fun () ->
+                      st.generic_runs <- st.generic_runs + 1;
+                      fl ()),
+                    outer )
+            in
+            List.fold_left (fun f o -> loop o f) group rest
+        | loops, b -> List.fold_left (fun f o -> loop o f) (comp b) loops)
     | Program.Block lst ->
         let fs = List.map comp lst in
         fun () -> List.iter (fun f -> f ()) fs

@@ -11,6 +11,15 @@
     a register, innermost iterations unrolled).  Everything else falls
     back to a generic compiled interpretation of the same nest.
 
+    A macro-kernel runs with its chain: the longest run of loops directly
+    enclosing it, each the only statement of the next one out, whose
+    variables every access of the group is affine in.  The chain runner
+    evaluates each hoisted base once per chain entry, then moves it by
+    precomputed per-loop strides, rewinding after each loop ends; it
+    still writes every chain variable to the loop environment for the
+    select conditions that read it.  A chain visits the same points in
+    the same order as the loops it replaces.
+
     The value semantics mirror the scalar interpreter in
     [lib/machine/profiler.ml] operation for operation — same combine
     functions, same evaluation order, same accumulation chains — so
@@ -61,10 +70,11 @@ val compile : ?domains:int -> Program.t -> bufs:float array array -> t
     [Runtime.alloc_bufs]; lengths are validated).  [?domains] (default
     [1]) > 1 engages the parallel driver when legal — outputs are
     bit-identical either way.  The returned closure may be invoked
-    repeatedly; note that [Reduce] statements accumulate into whatever
-    the output buffers hold, so re-running without resetting non-input
-    buffers computes a different (larger) result.  Raises
-    [Invalid_argument] if [domains < 1]. *)
+    repeatedly.  Lowered programs initialize every element they reduce
+    into, so a re-run computes the same result from any buffer state;
+    only a hand-built nest without an init store accumulates into what
+    the output buffers hold, and then needs {!reset_non_inputs} between
+    runs.  Raises [Invalid_argument] if [domains < 1]. *)
 
 val reset_non_inputs : t -> unit
 (** Zero every non-[Input] buffer, restoring the post-[alloc_bufs]

@@ -68,12 +68,14 @@ type offset = {
   slots : int array;
   coeffs : int array;
   resid : (int array -> int) option;
+  resid_slots : int array;
 }
 
 (* [Σᵢ exprsᵢ·scalesᵢ]: affine terms merged per slot (zero sums dropped),
    residues summed into one closure tree. *)
 let compile_sum vm (exprs : Ixexpr.t array) (scales : int array) : offset =
   let k0 = ref 0 and terms = ref [] and resid = ref [] in
+  let resid_slots = ref [] in
   Array.iteri
     (fun i e ->
       let s = scales.(i) in
@@ -85,7 +87,16 @@ let compile_sum vm (exprs : Ixexpr.t array) (scales : int array) : offset =
           let prev = Option.value ~default:0 (List.assoc_opt j !terms) in
           terms := (j, prev + (c * s)) :: List.remove_assoc j !terms)
         vars;
-      List.iter (fun r -> resid := Ixexpr.mul (Ixexpr.const s) r :: !resid) rs)
+      List.iter
+        (fun r ->
+          Var.Set.iter
+            (fun v ->
+              let j = var_slot vm v in
+              if not (List.mem j !resid_slots) then
+                resid_slots := j :: !resid_slots)
+            (Ixexpr.vars r);
+          resid := Ixexpr.mul (Ixexpr.const s) r :: !resid)
+        rs)
     exprs;
   let terms = List.filter (fun (_, c) -> c <> 0) !terms in
   {
@@ -96,6 +107,7 @@ let compile_sum vm (exprs : Ixexpr.t array) (scales : int array) : offset =
       (match !resid with
       | [] -> None
       | rs -> Some (compile_ix vm (Ixexpr.sum rs)));
+    resid_slots = Array.of_list !resid_slots;
   }
 
 let eval o env =
@@ -105,6 +117,14 @@ let eval o env =
     acc := !acc + (coeffs.(j) * env.(slots.(j)))
   done;
   match o.resid with None -> !acc | Some f -> !acc + f env
+
+let slot_stride o j =
+  if Array.mem j o.resid_slots then None
+  else begin
+    let s = ref 0 in
+    Array.iteri (fun i sj -> if sj = j then s := o.coeffs.(i)) o.slots;
+    Some !s
+  end
 
 let compile_index vm e = compile_sum vm [| e |] [| 1 |]
 

@@ -30,9 +30,16 @@ type offset = private {
   slots : int array;  (** distinct slots, nonzero coefficients *)
   coeffs : int array;
   resid : (int array -> int) option;  (** [None] iff fully affine *)
+  resid_slots : int array;  (** the slots [resid] reads *)
 }
 
 val eval : offset -> int array -> int
+
+val slot_stride : offset -> int -> int option
+(** Change of the offset per unit step of the variable in the given slot;
+    [None] when the residue reads it.  For a compiled access this is
+    {!affine_stride} of the slot's variable, without renormalizing the
+    index expressions. *)
 
 val compile_offset : t -> Program.slot array -> Program.access -> offset
 (** The element offset [Σᵢ idxᵢ·strideᵢ] of an access into its slot's

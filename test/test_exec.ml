@@ -5,10 +5,12 @@
    interpreter's combine functions and accumulation chains exactly, so
    every buffer is compared with [=] — no epsilon.  The suite drives
    random (layout, schedule) candidates from the tuning templates
-   through both devices on all three machine profiles, plus directed
-   candidates covering every layout primitive (split / reorder / fuse /
-   unfold / pad), fused conv+relu chains, and the generic fallback for
-   non-affine bodies.  The rank-correlation regression at the end is the
+   through both devices on all three machine profiles, the other loop
+   shapes the tuner emits from NaN-poisoned buffers (compared bit for
+   bit), plus directed candidates covering every layout primitive
+   (split / reorder / fuse / unfold / pad), fused conv+relu chains, the
+   chain runner's obligations, and the generic fallback for non-affine
+   bodies.  The rank-correlation regression at the end is the
    paper's cross-validation claim in miniature: simulator latency must
    rank a seeded candidate set like real execution does (tolerance-
    gated: wall clocks on loaded CI boxes can be arbitrarily noisy, so
@@ -75,6 +77,110 @@ let prop_differential op nactions name =
         Loopspace.decode space (Array.sub point 0 (Loopspace.dim space))
       in
       List.for_all (fun m -> differential m op choice sched) machines)
+
+(* ------------------------------------------------------------------ *)
+(* NaN-poisoned differential over every loop shape                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every element, NaN included, compared by its bits. *)
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Inputs packed from [inputs], every other buffer NaN. *)
+let poisoned_bufs prog ~inputs =
+  let bufs = Runtime.alloc_bufs prog ~inputs in
+  Array.iteri
+    (fun i (s : Program.slot) ->
+      if s.Program.role <> Program.Input then
+        Array.fill bufs.(i) 0 (Array.length bufs.(i)) Float.nan)
+    prog.Program.slots;
+  bufs
+
+(* The kernel runs twice and the interpreter once, both from NaN-poisoned
+   buffers, and every buffer must then match bit for bit: an element the
+   kernel skips stays NaN, and one it doubles (or accumulates across the
+   two runs) differs from the single interpreter run.  Returns the
+   kernel for its stats. *)
+let poisoned_differential ?(domains = 1) prog ~inputs =
+  let be = poisoned_bufs prog ~inputs and bs = poisoned_bufs prog ~inputs in
+  let k = Kernel.compile ~domains prog ~bufs:be in
+  k.Kernel.run ();
+  k.Kernel.run ();
+  let _ = Profiler.run ~fast:false prog ~bufs:bs in
+  (k, Array.for_all2 bits_equal be bs)
+
+let negate_inputs =
+  List.map (fun (name, a) ->
+      (name, Array.map (fun v -> -.Float.abs v -. 0.5) a))
+
+(* One small op of every loop shape the tuner emits besides c2d and gmm:
+   the other conv kinds, batched matmul, the pools and the row
+   reductions, Max and Sum alike. *)
+let shape_ops =
+  let lead = [| 6; 8 |] in
+  [
+    Ops.dep ~name:"dep" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~c:8 ~h:6 ~w:6 ~kh:3
+      ~kw:3 ();
+    Ops.grp ~name:"grp" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:8 ~o:8 ~h:6 ~w:6
+      ~kh:3 ~kw:3 ~groups:2 ();
+    Ops.dil ~name:"dil" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
+      ~kh:3 ~kw:3 ();
+    Ops.c1d ~name:"c1d" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~w:12 ~kw:3
+      ();
+    Ops.c3d ~name:"c3d" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:4 ~d:2 ~h:4
+      ~w:4 ~kd:3 ~kh:3 ~kw:3 ();
+    Ops.t2d ~name:"t2d" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
+      ~kh:3 ~kw:3 ();
+    Ops.bmm ~name:"bmm" ~a:"A" ~b:"B" ~out:"Y" ~batch:2 ~m:6 ~k:8 ~n:8 ();
+    Ops.maxpool2d ~name:"maxpool2d" ~inp:"X" ~out:"Y" ~n:1 ~c:8 ~h:4 ~w:4
+      ~k:3 ();
+    Ops.global_avgpool ~name:"global_avgpool" ~inp:"X" ~out:"Y" ~n:1 ~c:8
+      ~h:4 ~w:4 ();
+    Ops.rowmax ~name:"rowmax" ~inp:"X" ~out:"Y" ~lead ~n:12 ();
+    Ops.rowsum ~name:"rowsum" ~inp:"X" ~out:"Y" ~lead ~n:12 ();
+    Ops.rowvar ~name:"rowvar" ~inp:"X" ~mean:"M" ~out:"Y" ~lead ~n:12 ();
+  ]
+
+(* Layouts from the op's tuning template (the layout zoo for ops without
+   one), schedules from its loop space, inputs optionally all negative. *)
+let prop_poisoned (op : Opdef.t) =
+  let tpl = Templates.for_op op in
+  let zoo = Array.of_list (Templates.layout_zoo op) in
+  let nactions =
+    match tpl with Some t -> Array.length t.Templates.knobs | None -> 0
+  in
+  let task = Measure.make_task ~machine:Machine.intel_cpu op in
+  let candidate (actions, z, point, _) =
+    let choice =
+      match tpl with Some t -> t.Templates.decode actions | None -> zoo.(z)
+    in
+    let space = Loopspace.of_layout op choice.Propagate.out_layout in
+    (choice, Loopspace.decode space (Array.sub point 0 (Loopspace.dim space)))
+  in
+  QCheck2.Test.make ~count:10
+    ~name:(op.Opdef.name ^ ": two NaN-poisoned runs == interpreter")
+    ~print:(fun ((_, _, _, negative) as c) ->
+      let choice, sched = candidate c in
+      Fmt.str "out=%a sched=%a negative=%b" Layout.pp
+        choice.Propagate.out_layout Schedule.pp sched negative)
+    QCheck2.Gen.(
+      quad
+        (array_size (return nactions) (float_bound_exclusive 1.0))
+        (int_bound (Array.length zoo - 1))
+        (array_size (return 32) (float_bound_exclusive 1.0))
+        bool)
+    (fun ((_, _, _, negative) as c) ->
+      let choice, sched = candidate c in
+      match Measure.program_of task choice sched with
+      | None -> true
+      | Some prog ->
+          let feeds = task.Measure.feeds in
+          let inputs = if negative then negate_inputs feeds else feeds in
+          snd (poisoned_differential prog ~inputs))
 
 (* ------------------------------------------------------------------ *)
 (* Directed candidates: every layout primitive                        *)
@@ -207,11 +313,7 @@ let nhwc_choice =
    skipped (still 0, never -inf) shows in the output. *)
 let test_pool_tile_init () =
   let task = Measure.make_task ~machine:Machine.intel_cpu pool_op in
-  let inputs =
-    List.map
-      (fun (name, a) -> (name, Array.map (fun v -> -.Float.abs v -. 0.5) a))
-      task.Measure.feeds
-  in
+  let inputs = negate_inputs task.Measure.feeds in
   List.iter
     (fun (th, tw, tc) ->
       let sched =
@@ -308,6 +410,119 @@ let test_generic_fallback () =
     (k.Kernel.stats.Kernel.generic_groups > 0);
   let _ = Profiler.run ~fast:false prog ~bufs:bs in
   Alcotest.(check bool) "outputs equal" true (Array.for_all2 bufs_equal be bs)
+
+(* ------------------------------------------------------------------ *)
+(* Chain runner: perfect loop chains over strength-reduced bases      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each nest below puts one of the chain runner's obligations on the
+   line (DESIGN.md §12); [parallel] marks its leading loops parallel for
+   the 4-domain variants. *)
+
+(* (a) A reduce_outer conv with a fused relu: the tile's init, update and
+   epilogue loops are siblings over the same inner-band variables, each
+   its own leaf group with its own plan. *)
+let chain_shared_vars ~parallel =
+  let relu =
+    Ops.relu ~name:"r" ~inp:"Y" ~out:"Z" ~shape:conv_op.Opdef.out_shape ()
+  in
+  let task =
+    Measure.make_task ~fused:[ relu ] ~machine:Machine.intel_cpu conv_op
+  in
+  let sched =
+    Schedule.default ~rank:4 ~nred:3
+    |> Schedule.split ~dim:1 ~inner:2
+    |> Schedule.split ~dim:2 ~inner:3
+    |> Schedule.split ~dim:3 ~inner:4
+    |> fun s ->
+    Schedule.parallel (Schedule.reorder_reduce_outer s true) parallel
+  in
+  let choice = Templates.channels_last_choice conv_op in
+  (Option.get (Measure.program_of task choice sched), task.Measure.feeds)
+
+(* (b) A conversion out of a split layout: the outer loop reaches the
+   source only through div/mod, so the chain must start below it. *)
+let chain_below_divmod ~parallel =
+  let shape = [| 8; 6; 4 |] in
+  let src = Layout.split (trivial shape) ~dim:0 ~factors:[ 2; 4 ] in
+  let prog = Lower.conversion ~src ~dst:(trivial shape) () in
+  let prog =
+    match prog.Program.body with
+    | Program.For (l, b) when parallel > 0 ->
+        let l = { l with Program.kind = Program.Parallel } in
+        { prog with Program.body = Program.For (l, b) }
+    | _ -> prog
+  in
+  (prog, [ ("convert.src", Buffer.random ~seed:7 shape) ])
+
+(* (c) Zero padding: the select's condition reads the padded dims, which
+   are outer chain variables. *)
+let chain_select ~parallel =
+  let op =
+    Ops.pad2d ~name:"p" ~inp:"X" ~out:"Y" ~n:1 ~c:4 ~h:6 ~w:6 ~pad:1 ()
+  in
+  let task = Measure.make_task ~machine:Machine.intel_cpu op in
+  let sched =
+    Schedule.parallel
+      (Schedule.split (Schedule.default ~rank:4 ~nred:0) ~dim:2 ~inner:4)
+      parallel
+  in
+  ( Option.get (Measure.program_of task (Templates.trivial_choice op) sched),
+    task.Measure.feeds )
+
+(* (d) A scale with a fused relu stored through a transposed layout: two
+   leaves at the chain's innermost level, the second reading what the
+   first just wrote. *)
+let chain_multi_leaf ~parallel =
+  let shape = [| 4; 6; 8 |] in
+  let op = Ops.scale ~name:"s" ~inp:"X" ~out:"Y" ~shape ~factor:(-1.5) () in
+  let relu = Ops.relu ~name:"r" ~inp:"Y" ~out:"Z" ~shape () in
+  let task = Measure.make_task ~fused:[ relu ] ~machine:Machine.intel_cpu op in
+  let choice =
+    { (Templates.trivial_choice op) with
+      Propagate.out_layout = Layout.reorder (trivial shape) [| 2; 0; 1 |] }
+  in
+  let sched =
+    Schedule.parallel
+      (Schedule.split (Schedule.default ~rank:3 ~nred:0) ~dim:1 ~inner:2)
+      parallel
+  in
+  (Option.get (Measure.program_of task choice sched), task.Measure.feeds)
+
+(* Kernel == interpreter bit for bit from NaN-poisoned buffers, with
+   every leaf group on the macro path (and, at 4 domains, run in
+   parallel chunks). *)
+let check_chain ~domains label (prog, inputs) =
+  let k, same = poisoned_differential ~domains prog ~inputs in
+  let st = k.Kernel.stats in
+  Alcotest.(check bool) (label ^ ": kernel == interpreter, bitwise") true same;
+  Alcotest.(check bool) (label ^ ": macro path engaged") true
+    (st.Kernel.macro_groups > 0 && st.Kernel.macro_runs > 0);
+  Alcotest.(check int) (label ^ ": no generic group") 0
+    st.Kernel.generic_groups;
+  if domains > 1 then begin
+    Alcotest.(check int) (label ^ ": no parallel fallback") 0
+      st.Kernel.par_fallbacks;
+    Alcotest.(check bool) (label ^ ": chunks dispatched") true
+      (st.Kernel.par_chunks > 0)
+  end
+
+let chain_case ?(domains = 1) label nest =
+  let parallel = if domains > 1 then 2 else 0 in
+  Alcotest.test_case label `Quick (fun () ->
+      check_chain ~domains label (nest ~parallel))
+
+let chain_cases =
+  [
+    chain_case "(a) sibling loops share variables" chain_shared_vars;
+    chain_case "(b) chain starts below a div/mod loop" chain_below_divmod;
+    chain_case "(c) select reads an outer chain variable" chain_select;
+    chain_case "(d) multi-leaf innermost level" chain_multi_leaf;
+    chain_case ~domains:4 "(e) (a) at 4 domains" chain_shared_vars;
+    chain_case ~domains:4 "(e) (b) at 4 domains" chain_below_divmod;
+    chain_case ~domains:4 "(e) (c) at 4 domains" chain_select;
+    chain_case ~domains:4 "(e) (d) at 4 domains" chain_multi_leaf;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Relation-derived layouts: random primitive chains (DESIGN.md §16)  *)
@@ -915,11 +1130,12 @@ let () =
     [
       ( "differential",
         qsuite
-          [
+          ([
             prop_differential conv_op 6 "conv2d: exec == interpreter (3 machines)";
             prop_differential gmm_op 3 "matmul: exec == interpreter (3 machines)";
             prop_relation_chains;
           ]
+          @ List.map prop_poisoned shape_ops)
         @ [
             Alcotest.test_case "ALT template (split/reorder/unfold)" `Quick
               test_unfolded_template;
@@ -939,6 +1155,7 @@ let () =
           Alcotest.test_case "generic fallback matches" `Quick
             test_generic_fallback;
         ] );
+      ("chains", chain_cases);
       ( "parallel",
         qsuite
           [

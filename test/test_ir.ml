@@ -620,6 +620,25 @@ let prop_offset_oracle =
         a.Program.idx;
       Loopenv.eval off env = !want)
 
+(* The exec kernels read a loop variable's stride off the compiled offset;
+   it must be the one [affine_stride] derives from the index expressions,
+   [None] included, for every variable. *)
+let prop_slot_stride =
+  QCheck2.Test.make ~count:500 ~name:"slot_stride == affine_stride"
+    ~print:(fun dims ->
+      Fmt.str "idx=[%s]"
+        (String.concat "; " (List.map (fun (e, _) -> Ixexpr.to_string e) dims)))
+    QCheck2.Gen.(list_size (int_range 1 3) (pair gen_ix (int_range 1 6)))
+    (fun dims ->
+      let slots, a = access_of dims in
+      let vm = Loopenv.create () in
+      let off = Loopenv.compile_offset vm slots a in
+      Array.for_all
+        (fun v ->
+          Loopenv.slot_stride off (Loopenv.var_slot vm v)
+          = Loopenv.affine_stride slots a v)
+        oracle_vars)
+
 let gen_cond : Sexpr.cond QCheck2.Gen.t =
   QCheck2.Gen.(
     sized_size (int_bound 3)
@@ -737,7 +756,8 @@ let () =
           Alcotest.test_case "affine access is a dot product" `Quick
             test_affine_dot_product;
         ] );
-      qsuite "loopenv-props" [ prop_offset_oracle; prop_cond_oracle ];
+      qsuite "loopenv-props"
+        [ prop_offset_oracle; prop_slot_stride; prop_cond_oracle ];
       ( "profiler",
         [
           Alcotest.test_case "cache basics" `Quick test_cache_basic;
