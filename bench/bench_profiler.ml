@@ -1,12 +1,19 @@
 (* Profiler micro-benchmark: throughput of Profiler.run with the
-   line-granular fast engine vs the scalar interpreter, on the workload
-   shapes the paper tunes (conv2d / matmul / depthwise), at tuned-style
-   layout+schedule configurations (channels-last, long contiguous
-   innermost loops — the structure ALT's own search converges to).
+   line-granular fast engine vs the scalar interpreter, on two sets.
 
-   For every workload the two engines are also compared counter-by-counter
-   (the differential oracle); any mismatch aborts the benchmark.  Results
-   go to BENCH_profiler.json so the perf trajectory is tracked across PRs.
+   - Tuned-style workloads: the shapes the paper tunes (conv2d / matmul /
+     depthwise) at the layout+schedule configurations ALT's search
+     converges to (channels-last, long contiguous innermost loops).
+   - Explored candidates: the traffic the tuner actually sends.  A seeded
+     set of template layouts x loop-space points for each of the eight
+     op kinds the service accepts, at the service's default shapes and
+     point budget; most of them are far from tuned, with strided and
+     non-affine innermost loops among them.
+
+   For every workload and candidate the two engines are also compared
+   counter-by-counter and output by output (the differential oracle); any
+   mismatch aborts the benchmark.  Results go to BENCH_profiler.json so
+   the perf trajectory is tracked across PRs.
 
    ALT_BENCH_SCALE=smoke|quick|full controls sizes and repetitions. *)
 
@@ -104,14 +111,14 @@ let counters_of (r : Profiler.result) =
   ]
 
 (* Differential oracle: the two engines must agree counter-for-counter. *)
-let assert_equal w (fast : Profiler.result) (scalar : Profiler.result) =
+let assert_equal name (fast : Profiler.result) (scalar : Profiler.result) =
   List.iter2
     (fun (n, a) (_, b) ->
       if a <> b then
-        Fmt.failwith "%s: fast/scalar diverge on %s: %h vs %h" w.wname n a b)
+        Fmt.failwith "%s: fast/scalar diverge on %s: %h vs %h" name n a b)
     (counters_of fast) (counters_of scalar);
   if fast.Profiler.sampled <> scalar.Profiler.sampled then
-    Fmt.failwith "%s: sampled flag diverges" w.wname
+    Fmt.failwith "%s: sampled flag diverges" name
 
 let geomean = function
   | [] -> 1.0
@@ -142,7 +149,7 @@ let bench_workload machine (w : workload) : row =
   let es = Profiler.fresh_engine_stats () in
   let rf = Profiler.run ~machine ~engine:es prog ~bufs:(bufs ()) in
   let rs = Profiler.run ~machine ~fast:false prog ~bufs:(bufs ()) in
-  assert_equal w rf rs;
+  assert_equal w.wname rf rs;
   if es.Profiler.fast_groups = 0 then
     Fmt.failwith "%s: fast engine did not engage" w.wname;
   let b = bufs () in
@@ -164,7 +171,145 @@ let bench_workload machine (w : workload) : row =
     scalar_groups = es.Profiler.scalar_groups;
   }
 
-let json_of_rows machine rows =
+(* ------------------------------------------------------------------ *)
+(* Explored candidates: the tuner's traffic                           *)
+(* ------------------------------------------------------------------ *)
+
+let service_kinds = [ "c2d"; "dil"; "grp"; "dep"; "c1d"; "c3d"; "gmm"; "t2d" ]
+let per_kind = pick ~smoke:3 ~quick:24 ~full:64
+let explored_seed = 2023
+let explored_max_points = Workload.default_tune_spec.Workload.max_points
+
+type candidate = {
+  prog : Program.t;
+  feeds : (string * float array) list;
+  sim_points : float; (* points simulated under the budget *)
+  fast_groups : int;
+  scalar_groups : int;
+}
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Seeded draws the way the tuner explores: template actions decoded to
+   a layout, then a random point of that layout's loop space.  Each
+   candidate that lowers runs once on each engine; counters and outputs
+   must agree. *)
+let explored_candidates machine kind =
+  let op = Workload.op_of_spec { Workload.default_op with Workload.kind } in
+  let tpl = Option.get (Templates.for_op op) in
+  let task = Measure.make_task ~machine op in
+  let rng = Random.State.make [| explored_seed; Hashtbl.hash kind |] in
+  let nknobs = Array.length tpl.Templates.knobs in
+  let rec draw acc n tries =
+    if n = 0 || tries = 0 then List.rev acc
+    else
+      let actions = Array.init nknobs (fun _ -> Random.State.float rng 1.0) in
+      let choice = tpl.Templates.decode actions in
+      let space = Loopspace.of_layout op choice.Propagate.out_layout in
+      let sched = Loopspace.decode space (Loopspace.random_point ~rng space) in
+      match Measure.program_of task choice sched with
+      | None -> draw acc n (tries - 1)
+      | Some prog ->
+          let feeds = task.Measure.feeds in
+          let bufs () = Runtime.alloc_bufs prog ~inputs:feeds in
+          let es = Profiler.fresh_engine_stats () in
+          let bf = bufs () and bs = bufs () in
+          let rf =
+            Profiler.run ~machine ~max_points:explored_max_points ~engine:es
+              prog ~bufs:bf
+          in
+          let rs =
+            Profiler.run ~machine ~max_points:explored_max_points ~fast:false
+              prog ~bufs:bs
+          in
+          let name = Fmt.str "%s candidate %d" kind (List.length acc) in
+          assert_equal name rf rs;
+          if not (Array.for_all2 bits_equal bf bs) then
+            Fmt.failwith "%s: fast/scalar outputs diverge" name;
+          let c =
+            {
+              prog;
+              feeds;
+              sim_points = Measure.program_points prog /. rf.Profiler.scale;
+              fast_groups = es.Profiler.fast_groups;
+              scalar_groups = es.Profiler.scalar_groups;
+            }
+          in
+          draw (c :: acc) (n - 1) (tries - 1)
+  in
+  draw [] per_kind (20 * per_kind)
+
+type explored_row = {
+  kind : string;
+  n : int;
+  points : float; (* simulated points of one pass over the candidates *)
+  fast_pps : float;
+  scalar_pps : float;
+  fgroups : int;
+  sgroups : int;
+}
+
+let bench_explored machine kind =
+  let cands = explored_candidates machine kind in
+  let with_bufs =
+    List.map (fun c -> (c, Runtime.alloc_bufs c.prog ~inputs:c.feeds)) cands
+  in
+  let pass fast () =
+    List.iter
+      (fun (c, bufs) ->
+        ignore
+          (Profiler.run ~machine ~max_points:explored_max_points ~fast c.prog
+             ~bufs
+            : Profiler.result))
+      with_bufs
+  in
+  let points = List.fold_left (fun a c -> a +. c.sim_points) 0.0 cands in
+  {
+    kind;
+    n = List.length cands;
+    points;
+    fast_pps = throughput (pass true) *. points;
+    scalar_pps = throughput (pass false) *. points;
+    fgroups = List.fold_left (fun a (c : candidate) -> a + c.fast_groups) 0 cands;
+    sgroups =
+      List.fold_left (fun a (c : candidate) -> a + c.scalar_groups) 0 cands;
+  }
+
+(* Points per second over the whole set: total points over total time. *)
+let set_pps rows pps =
+  let points = List.fold_left (fun a r -> a +. r.points) 0.0 rows in
+  points /. List.fold_left (fun a r -> a +. (r.points /. pps r)) 0.0 rows
+
+let share a b = if a + b = 0 then 0.0 else float_of_int a /. float_of_int (a + b)
+
+let json_of_explored rows =
+  let fg = List.fold_left (fun a r -> a + r.fgroups) 0 rows
+  and sg = List.fold_left (fun a r -> a + r.sgroups) 0 rows in
+  let row r =
+    Fmt.str
+      "{\"kind\": %S, \"candidates\": %d, \"points\": %.0f, \
+       \"fast_points_per_s\": %.0f, \"scalar_points_per_s\": %.0f, \
+       \"speedup\": %.3f, \"fast_groups\": %d, \"scalar_groups\": %d}"
+      r.kind r.n r.points r.fast_pps r.scalar_pps (r.fast_pps /. r.scalar_pps)
+      r.fgroups r.sgroups
+  in
+  Fmt.str
+    "{\"seed\": %d, \"max_points\": %d, \"candidates\": %d, \
+     \"fast_points_per_s\": %.0f, \"scalar_points_per_s\": %.0f, \
+     \"fast_group_share\": %.4f, \"scalar_group_share\": %.4f, \
+     \"kinds\": [\n    %s\n  ]}"
+    explored_seed explored_max_points
+    (List.fold_left (fun a r -> a + r.n) 0 rows)
+    (set_pps rows (fun r -> r.fast_pps))
+    (set_pps rows (fun r -> r.scalar_pps))
+    (share fg sg) (share sg fg)
+    (String.concat ",\n    " (List.map row rows))
+
+let json_of_rows machine rows explored =
   let b = Stdlib.Buffer.create 1024 in
   let add = Stdlib.Buffer.add_string b in
   add "{\n";
@@ -200,7 +345,8 @@ let json_of_rows machine rows =
   in
   add (Fmt.str "  \"geomean_speedup\": %.3f,\n" (geomean speedups));
   add
-    (Fmt.str "  \"geomean_speedup_conv_matmul\": %.3f\n" (geomean core));
+    (Fmt.str "  \"geomean_speedup_conv_matmul\": %.3f,\n" (geomean core));
+  add (Fmt.str "  \"explored\": %s\n" (json_of_explored explored));
   add "}\n";
   Stdlib.Buffer.contents b
 
@@ -218,5 +364,23 @@ let () =
     rows;
   let speedups = List.map (fun r -> r.fast_rps /. r.scalar_rps) rows in
   Fmt.pr "geomean speedup: %.2fx@." (geomean speedups);
-  let json = json_of_rows machine rows in
+  Fmt.pr "explored candidates (seed %d, max_points %d):@." explored_seed
+    explored_max_points;
+  let explored = List.map (bench_explored machine) service_kinds in
+  List.iter
+    (fun r ->
+      Fmt.pr
+        "%-4s %3d cands %9.0f pts  fast %6.1f Mpts/s  scalar %6.1f Mpts/s  \
+         groups %d fast / %d scalar@."
+        r.kind r.n r.points (r.fast_pps /. 1e6) (r.scalar_pps /. 1e6) r.fgroups
+        r.sgroups)
+    explored;
+  let fg = List.fold_left (fun a r -> a + r.fgroups) 0 explored
+  and sg = List.fold_left (fun a r -> a + r.sgroups) 0 explored in
+  Fmt.pr "explored set: fast %.1f Mpts/s, scalar %.1f Mpts/s, %.1f%% of \
+          groups on the scalar path@."
+    (set_pps explored (fun r -> r.fast_pps) /. 1e6)
+    (set_pps explored (fun r -> r.scalar_pps) /. 1e6)
+    (100.0 *. share sg fg);
+  let json = json_of_rows machine rows explored in
   Bench_util.write_bench "BENCH_profiler.json" json

@@ -8,7 +8,8 @@
    access, and the multiply-accumulate specialization — executing for
    wall-clock time instead of feeding a simulator.  Each leaf group runs
    with the perfect chain of loops above it whose variables every access
-   is affine in: the bases are evaluated once per chain entry and
+   is affine in, on the chain walker the simulator shares
+   ([Loopenv.chain]): the bases are evaluated once per chain entry and
    strength-reduced across the chain (DESIGN.md §12).  Every combine
    function, evaluation order and accumulation chain matches the scalar
    interpreter operation for operation, so kernel outputs are
@@ -17,11 +18,9 @@
 
    Differences from the profiler's fast planner:
 
-   - any affine stride qualifies for a macro-kernel (the profiler
-     restricts streams to stride 0/1 because the cache span walk needs
-     line-crossing structure; values have no such constraint);
    - loads under Pselect are fine (there is no access trace to keep
-     deterministic — the taken branch just reads its buffer);
+     deterministic — the taken branch just reads its buffer), and so are
+     several Reduce leaves in one group (there are no spills to order);
    - the multiply-accumulate scalar-accumulator loop is 4x unrolled.
      Unrolling preserves the single sequential [acc := !acc +. m] chain,
      so float results are unchanged — it only removes loop overhead.
@@ -94,25 +93,20 @@ let rec compile_plain vm slots ctx (e : Program.pexpr) : int array -> float =
       and fb = compile_plain vm slots ctx b in
       fun env -> if fc env then fa env else fb env
 
-(* Hoisted affine base of one distinct access: evaluated once per chain
-   entry, moved by the chain's outer levels, and advanced by
-   [pb_stride * x] inside the innermost loop. *)
-type pbase = {
-  pb_off : Loopenv.offset;
-  pb_stride : int;
-  mutable pb_base : int;
-}
-
-(* x-indexed evaluator with every load hoisted to a pbase; structure is
-   the profiler's [compile_pure], so float results are bit-identical. *)
-let rec compile_value vm ctx (pbase_of : Program.access -> pbase)
+(* x-indexed evaluator with every load hoisted to a base
+   ({!Loopenv.base}: evaluated once per chain entry, moved by the chain's
+   outer levels, advanced by [b_stride * x] inside the innermost loop);
+   structure is the profiler's [compile_pure], so float results are
+   bit-identical. *)
+let rec compile_value vm ctx (pbase_of : Program.access -> Loopenv.base)
     (e : Program.pexpr) : int -> float =
   match e with
   | Program.Pconst f -> fun _ -> f
   | Program.Pload a ->
       let pb = pbase_of a in
       let buf = ctx.bufs.(a.Program.slot) in
-      fun x -> buf.(pb.pb_base + (pb.pb_stride * x))
+      let stride = pb.Loopenv.b_stride in
+      fun x -> buf.(pb.Loopenv.b_at + (stride * x))
   | Program.Pbin (op, a, b) ->
       let fa = compile_value vm ctx pbase_of a
       and fb = compile_value vm ctx pbase_of b in
@@ -138,7 +132,7 @@ type macro_leaf = {
 }
 
 type macro_plan = {
-  mp_pbases : pbase array;
+  mp_pbases : Loopenv.base array;
   mp_leaves : macro_leaf array;
 }
 
@@ -168,10 +162,9 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
       match List.assoc_opt a !pbases with
       | Some pb -> pb
       | None ->
-          let off = Loopenv.compile_offset vm slots a in
           let pb =
-            match Loopenv.slot_stride off vslot with
-            | Some s -> { pb_off = off; pb_stride = s; pb_base = 0 }
+            match Loopenv.base (Loopenv.compile_offset vm slots a) vslot with
+            | Some pb -> pb
             | None -> raise Fallback
           in
           pbases := (a, pb) :: !pbases;
@@ -192,13 +185,14 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
           let fe = compile_value vm ctx hoist e in
           let spb = hoist a in
           let buf = ctx.bufs.(a.Program.slot) in
-          let step x = buf.(spb.pb_base + (spb.pb_stride * x)) <- fe x in
+          let sstride = spb.Loopenv.b_stride in
+          let step x = buf.(spb.Loopenv.b_at + (sstride * x)) <- fe x in
           let run =
             match e with
             | Program.Pconst cst ->
                 (* tile-init loops: no closure call per element *)
                 fun n ->
-                  let base = spb.pb_base and stride = spb.pb_stride in
+                  let base = spb.Loopenv.b_at and stride = sstride in
                   if stride = 1 then Array.fill buf base n cst
                   else
                     for x = 0 to n - 1 do
@@ -209,7 +203,7 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
           { ml_step = step; ml_run = run }
       | Program.Reduce (a, r, e) ->
           let apb = hoist a in
-          let astride = apb.pb_stride in
+          let astride = apb.Loopenv.b_stride in
           let buf = ctx.bufs.(a.Program.slot) in
           let step, run =
             match e with
@@ -223,20 +217,20 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
                 let pba = hoist la and pbb = hoist lb in
                 let ba = ctx.bufs.(la.Program.slot)
                 and bb = ctx.bufs.(lb.Program.slot) in
-                let sa = pba.pb_stride and sb = pbb.pb_stride in
+                let sa = pba.Loopenv.b_stride and sb = pbb.Loopenv.b_stride in
                 let alias_a = la.Program.slot = a.Program.slot
                 and alias_b = lb.Program.slot = a.Program.slot in
                 let step x =
-                  let o = apb.pb_base + (astride * x) in
+                  let o = apb.Loopenv.b_at + (astride * x) in
                   buf.(o) <-
                     buf.(o)
-                    +. (ba.(pba.pb_base + (sa * x))
-                       *. bb.(pbb.pb_base + (sb * x)))
+                    +. (ba.(pba.Loopenv.b_at + (sa * x))
+                       *. bb.(pbb.Loopenv.b_at + (sb * x)))
                 in
                 let run n =
-                  let oa = pba.pb_base
-                  and ob = pbb.pb_base
-                  and oc = apb.pb_base in
+                  let oa = pba.Loopenv.b_at
+                  and ob = pbb.Loopenv.b_at
+                  and oc = apb.Loopenv.b_at in
                   if astride = 0 && (not alias_a) && not alias_b then begin
                     let acc = ref buf.(oc) in
                     let n4 = n - (n land 3) in
@@ -318,7 +312,7 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
                 in
                 let step x =
                   let v = fe x in
-                  let o = apb.pb_base + (astride * x) in
+                  let o = apb.Loopenv.b_at + (astride * x) in
                   buf.(o) <- combine buf.(o) v
                 in
                 (step, generic_run step)
@@ -336,61 +330,20 @@ let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
 (* Chain runner                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One loop of a perfect chain above a macro group's innermost loop: its
-   environment slot, its extent, and the hoisted bases that move with its
-   variable, each with its element stride. *)
-type level = {
-  lv_slot : int;
-  lv_extent : int;
-  lv_pbases : pbase array;
-  lv_strides : int array;
-}
-
-(* The chain level of loop [l], or [None] when some access of the plan
-   reaches [l]'s variable through a non-affine atom. *)
-let level_of vm (plan : macro_plan) (l : Program.loop) : level option =
-  let slot = Loopenv.var_slot vm l.Program.v in
-  let moving = ref [] in
-  let affine =
-    Array.for_all
-      (fun pb ->
-        match Loopenv.slot_stride pb.pb_off slot with
-        | None -> false
-        | Some 0 -> true
-        | Some s ->
-            moving := (pb, s) :: !moving;
-            true)
-      plan.mp_pbases
-  in
-  if not affine then None
-  else
-    let moving = Array.of_list (List.rev !moving) in
-    Some
-      { lv_slot = slot;
-        lv_extent = l.Program.extent;
-        lv_pbases = Array.map fst moving;
-        lv_strides = Array.map snd moving }
-
-(* The runner of a macro group's chain: [levels] outermost first above
-   the innermost loop [vslot] of [n] iterations.  On each entry every
-   hoisted base is evaluated once, with all chain variables at 0; each
-   level then advances the bases that move with it after every
-   iteration and rewinds them when its loop ends, so the innermost loop
-   always starts from the bases a fresh evaluation would give.  Chain
-   variables are still written to the environment, because select
-   conditions read them.  Multi-leaf blocks interleave per iteration,
-   since a later leaf may read what an earlier one wrote at the same
-   iteration. *)
-let make_chain_runner ctx st (plan : macro_plan) (levels : level array) vslot
-    n =
-  let pbases = plan.mp_pbases and leaves = plan.mp_leaves in
-  let n_pbases = Array.length pbases and n_leaves = Array.length leaves in
+(* The runner of a macro group's chain ([Loopenv.chain]: bases evaluated
+   once per entry, strength-reduced across [levels], outermost first)
+   around its innermost loop [vslot] of [n] iterations.  Multi-leaf
+   blocks interleave per iteration, since a later leaf may read what an
+   earlier one wrote at the same iteration. *)
+let make_chain_runner ctx st (plan : macro_plan) (levels : Loopenv.level array)
+    vslot n =
+  let leaves = plan.mp_leaves in
+  let n_leaves = Array.length leaves in
   let innermost =
     if n_leaves = 1 then
       let run = leaves.(0).ml_run in
-      fun () -> run n
-    else fun () ->
-      let env = ctx.env in
+      fun _ -> run n
+    else fun env ->
       for x = 0 to n - 1 do
         env.(vslot) <- x;
         for i = 0 to n_leaves - 1 do
@@ -398,37 +351,11 @@ let make_chain_runner ctx st (plan : macro_plan) (levels : level array) vslot
         done
       done
   in
-  let wrap lv inner =
-    let slot = lv.lv_slot and ext = lv.lv_extent in
-    let lpbases = lv.lv_pbases and strides = lv.lv_strides in
-    let nb = Array.length lpbases in
-    fun () ->
-      let env = ctx.env in
-      for x = 0 to ext - 1 do
-        env.(slot) <- x;
-        inner ();
-        for i = 0 to nb - 1 do
-          let pb = lpbases.(i) in
-          pb.pb_base <- pb.pb_base + strides.(i)
-        done
-      done;
-      for i = 0 to nb - 1 do
-        let pb = lpbases.(i) in
-        pb.pb_base <- pb.pb_base - (ext * strides.(i))
-      done
-  in
-  let body = Array.fold_right wrap levels innermost in
-  let runs = Array.fold_left (fun r lv -> r * lv.lv_extent) 1 levels in
+  let run = Loopenv.chain ~vslot plan.mp_pbases levels innermost in
+  let runs = Loopenv.chain_points levels in
   fun () ->
     st.macro_runs <- st.macro_runs + runs;
-    let env = ctx.env in
-    env.(vslot) <- 0;
-    Array.iter (fun lv -> env.(lv.lv_slot) <- 0) levels;
-    for i = 0 to n_pbases - 1 do
-      let pb = pbases.(i) in
-      pb.pb_base <- Loopenv.eval pb.pb_off env
-    done;
-    body ()
+    run ctx.env
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation and entry point                              *)
@@ -465,7 +392,10 @@ let compile_stmts ctx st vm (slots : Program.slot array)
                   st.macro_groups <- st.macro_groups + 1;
                   let rec climb levels = function
                     | o :: os as rest -> (
-                        match level_of vm plan o with
+                        match
+                          Loopenv.level_of vm plan.mp_pbases o.Program.v
+                            o.Program.extent
+                        with
                         | Some lv -> climb (lv :: levels) os
                         | None -> (levels, rest))
                     | [] -> (levels, [])

@@ -13,7 +13,8 @@
 
     A macro-kernel runs with its chain: the longest run of loops directly
     enclosing it, each the only statement of the next one out, whose
-    variables every access of the group is affine in.  The chain runner
+    variables every access of the group is affine in.  The chain walker,
+    {!Alt_ir.Loopenv.chain}, which the simulator's fast engine shares,
     evaluates each hoisted base once per chain entry, then moves it by
     precomputed per-loop strides, rewinding after each loop ends; it
     still writes every chain variable to the loop environment for the

@@ -13,7 +13,11 @@
    and products of variables — keep a closure tree, which is added on top.
    Integer arithmetic is exact, so the compiled offset equals the
    expression's value under every environment (test/test_ir.ml checks it
-   against [Ixexpr.eval]). *)
+   against [Ixexpr.eval]).
+
+   Both executors batch innermost loops over hoisted bases, one per
+   distinct access, and run each batched loop with its perfect chain of
+   enclosing loops; the chain walker below is the one both use. *)
 
 module Var = Alt_tensor.Var
 module Ixexpr = Alt_tensor.Ixexpr
@@ -149,6 +153,95 @@ let rec compile_cond vm (c : Sexpr.cond) : int array -> bool =
   | Sexpr.Or (a, b) ->
       let fa = compile_cond vm a and fb = compile_cond vm b in
       fun env -> fa env || fb env
+
+(* ------------------------------------------------------------------ *)
+(* Hoisted bases and the perfect-chain walker                         *)
+(* ------------------------------------------------------------------ *)
+
+(* One distinct access of a batched innermost loop: its offset, the
+   offset's stride in the innermost variable, and the offset with that
+   variable at 0 under the current values of the loops above. *)
+type base = { b_off : offset; b_stride : int; mutable b_at : int }
+
+let base off vslot =
+  match slot_stride off vslot with
+  | Some s -> Some { b_off = off; b_stride = s; b_at = 0 }
+  | None -> None
+
+(* One loop of a perfect chain above a batched innermost loop: its slot,
+   its extent, and the bases that move with its variable, each with its
+   stride. *)
+type level = {
+  lv_slot : int;
+  lv_extent : int;
+  lv_bases : base array;
+  lv_strides : int array;
+}
+
+let level_of vm (bases : base array) (v : Var.t) extent =
+  let slot = var_slot vm v in
+  let moving = ref [] in
+  let affine =
+    Array.for_all
+      (fun b ->
+        match slot_stride b.b_off slot with
+        | None -> false
+        | Some 0 -> true
+        | Some s ->
+            moving := (b, s) :: !moving;
+            true)
+      bases
+  in
+  if not affine then None
+  else
+    let moving = Array.of_list (List.rev !moving) in
+    Some
+      { lv_slot = slot;
+        lv_extent = extent;
+        lv_bases = Array.map fst moving;
+        lv_strides = Array.map snd moving }
+
+let chain_points levels =
+  Array.fold_left (fun n lv -> n * lv.lv_extent) 1 levels
+
+(* Each level writes its variable, runs the level below, and advances
+   the bases that move with it; when its loop ends it rewinds them, so
+   every iteration of the level above starts from the bases a fresh
+   evaluation would give.  On entry every base is evaluated once, with
+   the innermost variable and every chain variable at 0. *)
+let chain ~vslot (bases : base array) (levels : level array)
+    (inner : int array -> unit) =
+  let wrap lv inner =
+    let slot = lv.lv_slot and ext = lv.lv_extent in
+    let moving = lv.lv_bases and strides = lv.lv_strides in
+    let nb = Array.length moving in
+    fun env ->
+      for x = 0 to ext - 1 do
+        env.(slot) <- x;
+        inner env;
+        for i = 0 to nb - 1 do
+          let b = moving.(i) in
+          b.b_at <- b.b_at + strides.(i)
+        done
+      done;
+      for i = 0 to nb - 1 do
+        let b = moving.(i) in
+        b.b_at <- b.b_at - (ext * strides.(i))
+      done
+  in
+  let body = Array.fold_right wrap levels inner in
+  let n_bases = Array.length bases in
+  let slots = Array.map (fun lv -> lv.lv_slot) levels in
+  fun env ->
+    env.(vslot) <- 0;
+    for i = 0 to Array.length slots - 1 do
+      env.(slots.(i)) <- 0
+    done;
+    for i = 0 to n_bases - 1 do
+      let b = bases.(i) in
+      b.b_at <- eval b.b_off env
+    done;
+    body env
 
 (* Element stride of loop variable [v] through the flattened offset of
    [a]; [None] when [v] occurs under a non-affine atom. *)

@@ -47,6 +47,59 @@ val compile_offset : t -> Program.slot array -> Program.access -> offset
 
 val compile_cond : t -> Sexpr.cond -> int array -> bool
 
+(** {1 Hoisted bases and perfect chains}
+
+    The simulator's fast engine and the exec kernels both batch an
+    innermost loop whose accesses are affine in its variable, and run it
+    together with its {e chain}: loops directly above it, each the only
+    statement of the next one out, whose variables every access of the
+    batch is affine in.  They share the walk below, which evaluates each
+    access offset once per chain entry and then strength-reduces it. *)
+
+(** One distinct access of a batched innermost loop. *)
+type base = private {
+  b_off : offset;
+  b_stride : int;  (** offset change per step of the innermost variable *)
+  mutable b_at : int;
+      (** the offset with the innermost variable at 0 and the chain's
+          variables at their current values *)
+}
+
+val base : offset -> int -> base option
+(** [base off vslot]: a hoisted base for the innermost loop whose
+    variable owns [vslot], or [None] when the offset's residue reads
+    that variable (it is not affine in it). *)
+
+(** One loop of a chain: its slot and extent, and the bases that move
+    with its variable. *)
+type level = private {
+  lv_slot : int;
+  lv_extent : int;
+  lv_bases : base array;
+  lv_strides : int array;
+}
+
+val level_of : t -> base array -> Var.t -> int -> level option
+(** [level_of vm bases v extent]: the chain level of a loop over [v]
+    running [extent] iterations (the simulator passes its sampled
+    extents), or [None] when some base's residue reads [v] — a loop
+    that reaches an access through div/mod ends the chain. *)
+
+val chain_points : level array -> int
+(** Innermost runs per chain entry: the product of the extents. *)
+
+val chain :
+  vslot:int -> base array -> level array -> (int array -> unit) ->
+  int array -> unit
+(** [chain ~vslot bases levels inner env] runs [inner env] once per
+    point of [levels] (outermost first), in the order of the loops they
+    stand for.  On entry it sets the innermost variable and every chain
+    variable to 0 and evaluates each of [bases]; each level then writes
+    its variable to [env] (select conditions read it), advances the
+    bases that move with it by their strides after every iteration and
+    rewinds them when its loop ends.  Integer offsets are exact, so
+    [inner] always sees the [b_at] a fresh evaluation would give. *)
+
 val affine_stride : Program.slot array -> Program.access -> Var.t -> int option
 (** Elements the access's offset moves per unit step of the variable;
     [None] when the variable occurs under a non-affine atom. *)

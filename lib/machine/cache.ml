@@ -186,12 +186,16 @@ let access_at t c addr =
     w
   end
 
-(* Whether the cursor's line is still resident in its way. *)
-let resident t c = c.c_gen = t.gen || t.tags.(c.c_way) = c.c_line
+(* Whether [addr]'s line is the line the cursor touched last and its way
+   still holds it.  A cursor that has touched nothing ([c_line = -1])
+   matches no address, so it is never resident. *)
+let resident t c addr =
+  c.c_line = addr lsr t.line_shift
+  && (c.c_gen = t.gen || t.tags.(c.c_way) = c.c_line)
 
-(* [n] further accesses to the resident line of a cursor whose site
-   accessed it last: bulk hits while nothing was installed since, else
-   one re-probe (a prefetch may have re-installed the line, whose next
+(* [n] further accesses to [addr], whose line is {!resident} for the
+   cursor: bulk hits while nothing was installed since, else one
+   re-probe (a prefetch may have re-installed the line, whose next
    demand access then counts a prefetch hit) and bulk hits. *)
 let touch_at t c addr n =
   if c.c_gen = t.gen then touch_run t c.c_way n

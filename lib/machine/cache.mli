@@ -82,13 +82,15 @@ val access_at : t -> cursor -> int -> int
     touched [addr]'s line and nothing was installed since; [c] then
     points at that line. *)
 
-val resident : t -> cursor -> bool
-(** Whether the line [c] touched last is still held by its way. *)
+val resident : t -> cursor -> int -> bool
+(** [resident t c addr]: whether [addr]'s line is the line [c] touched
+    last and is still held by its way, so that an access to [addr] would
+    hit.  A cursor that has touched no line is resident nowhere. *)
 
 val touch_at : t -> cursor -> int -> int -> unit
 (** [touch_at t c addr n] performs [n] further demand accesses to [addr],
-    whose line [c] touched last and which is {!resident}.  Equivalent to
-    [n] successive [access t addr] calls. *)
+    which must be {!resident} for [c].  Equivalent to [n] successive
+    [access t addr] calls. *)
 
 val stats : t -> stats
 (** The live counter record of this cache (mutated in place). *)

@@ -33,25 +33,29 @@
    of allocating a pair per simulation.
 
    Fast path (DESIGN.md §9): innermost loops whose statements access
-   memory affinely with stride 0 or 1 in the loop variable — the
-   contiguous-innermost structure ALT's own layout+loop tuning drives
-   towards — are executed by a line-granular batching engine instead of
-   the element-wise interpreter.  The engine walks the innermost loop in
-   *spans* (maximal iteration ranges in which no access stream crosses a
-   cache line and no accumulator spill fires): within a span every access
-   is a guaranteed cache hit, so per stream it costs one O(1)
-   [Cache.touch_at] instead of per-element tag probes, and the
-   per-iteration counter increments collapse to one bulk update per
-   statement run.  Values are computed in a separate tight loop over
-   pre-hoisted base offsets (base + stride·x, one base per distinct
-   access, refreshed once per run), eliminating the per-iteration
-   closure chains and env reads of the scalar interpreter.
-   Every batched operation reproduces the exact clock/stamp/tag
-   transitions of the element-wise walk, so the produced counters are
+   memory affinely in the loop variable, with any stride, are executed by
+   a line-granular batching engine instead of the element-wise
+   interpreter.  The engine walks the innermost loop in *spans* (maximal
+   iteration ranges in which no access stream, and no accumulator that
+   moves with the loop, leaves its cache line; cut short at a spill
+   whose line is not known resident): it resolves a span's first
+   iteration exactly, and when every line the rest will touch is still
+   resident, the rest is a run of guaranteed hits that costs one O(1)
+   [Cache.touch_at] per stream and one for the accumulator's spills.
+   Per-iteration counter increments collapse to one bulk update per
+   chain entry.  Values are computed in a separate tight loop over
+   hoisted base offsets (base + stride·x, one base per distinct access).
+   Each batched loop runs with the perfect chain of loops above it that
+   every access is affine in: the chain walker shared with the exec
+   kernels ([Loopenv.chain]) evaluates the bases once per chain entry
+   and strength-reduces them across the chain's sampled extents.
+   Every batched operation leaves the same tags and per-set recency
+   order as the element-wise walk, so the produced counters are
    bit-identical to the scalar interpreter's — proven by the differential
-   suite in test/test_fastsim.ml.  Gather/strided statements fall back to
-   the scalar interpreter; [~fast:false] runs a whole program on it, the
-   oracle the differential suite compares against. *)
+   suite in test/test_fastsim.ml.  Statements with non-affine accesses or
+   loads under a select fall back to the scalar interpreter;
+   [~fast:false] runs a whole program on it, the oracle the differential
+   suite compares against. *)
 
 module Var = Alt_tensor.Var
 module Shape = Alt_tensor.Shape
@@ -257,27 +261,35 @@ let promotion_factor machine (enclosing : Program.loop list)
 (* Fast path: line-granular batched execution of innermost loops       *)
 (* ------------------------------------------------------------------ *)
 
-(* Hoisted base of one distinct access of an innermost statement group,
-   shared by its cache stream, its value loads/stores and its
-   accumulator spills. *)
-type pbase = {
-  pb_off : Loopenv.offset;
-  pb_stride : int;
-  mutable pb_base : int; (* element offset at x = 0, refreshed per run *)
-}
-
 (* A per-iteration access stream of an innermost statement group: one
-   memory access per loop iteration at byte address [base + stride·4·x],
-   with a memoized cache-residency handle for O(1) re-touches.  Streams
-   are stored in exact scalar access order (per iteration: each leaf in
-   block order; within a leaf, loads in evaluation order, then the store
-   target). *)
+   memory access per loop iteration at byte address
+   [addr + bstride·x], with a cursor memoizing the line it touched
+   last.  Streams are stored in exact scalar access order (per
+   iteration: each leaf in block order; within a leaf, loads in
+   evaluation order, then the store target). *)
 type stream = {
   str_slot : int;
-  str_pb : pbase; (* the access's hoisted element offset *)
-  str_stride : int; (* elements per iteration: 0 or 1 *)
+  str_base : Loopenv.base; (* the access's hoisted element offset *)
+  str_bstride : int; (* bytes per iteration, any sign *)
+  str_shift : int; (* log2 |bstride| when a power of two, else -1 *)
   mutable str_addr : int; (* byte address at the current iteration *)
-  str_cur : Cache.cursor; (* memoized residency of the stream's line *)
+  str_cur : Cache.cursor;
+}
+
+(* The accumulator of the group's Reduce, spilled and refilled (two
+   accesses of its line) once every [sp_k] iterations.  [sp_k = 0] when
+   the group has no Reduce; the other fields are then unused. *)
+type spill = {
+  sp_slot : int;
+  sp_base : Loopenv.base;
+  sp_bstride : int;
+  sp_shift : int;
+  sp_k : int;
+  mutable sp_tick : int; (* persists across runs, like the scalar tick *)
+  mutable sp_addr : int; (* byte address at the current iteration *)
+  mutable sp_count : int; (* spills since the last counter flush *)
+  sp_cost : float;
+  sp_cur : Cache.cursor;
 }
 
 (* One statement under the innermost loop, compiled for batched
@@ -290,16 +302,6 @@ type fast_leaf = {
   fl_d_stores : float;
   fl_d_insts : float;
   fl_d_flops : float;
-  fl_d_l1acc : int;
-  (* accumulator spill state; fl_k = 0 for Store leaves *)
-  fl_k : int;
-  mutable fl_tick : int; (* persists across runs, like the scalar tick *)
-  mutable fl_spills : int; (* spills in the current run *)
-  fl_acc_slot : int;
-  fl_acc : pbase; (* any affine stride; spills are full accesses *)
-  fl_acc_cost : float;
-  fl_acc_cur : Cache.cursor;
-  mutable fl_acc_base : int; (* byte address at x = 0, refreshed per run *)
 }
 
 let rec pexpr_has_load = function
@@ -333,27 +335,28 @@ let rec loads_in_order = function
 (* Pure value evaluator: loads read buffers directly at hoisted affine
    offsets; no cache or counter effects.  Mirrors [compile_pexpr]'s
    evaluation structure exactly, so float results are bit-identical. *)
-let rec compile_pure vm ctx (pbase_of : Program.access -> pbase)
+let rec compile_pure vm ctx (base_of : Program.access -> Loopenv.base)
     (e : Program.pexpr) : int -> float =
   match e with
   | Program.Pconst f -> fun _ -> f
   | Program.Pload a ->
-      let pb = pbase_of a in
+      let b = base_of a in
       let buf = ctx.bufs.(a.Program.slot) in
-      fun x -> buf.(pb.pb_base + (pb.pb_stride * x))
+      let stride = b.Loopenv.b_stride in
+      fun x -> buf.(b.Loopenv.b_at + (stride * x))
   | Program.Pbin (op, a, b) ->
-      let fa = compile_pure vm ctx pbase_of a
-      and fb = compile_pure vm ctx pbase_of b in
+      let fa = compile_pure vm ctx base_of a
+      and fb = compile_pure vm ctx base_of b in
       let g = Sexpr.apply_binop op in
       fun x -> g (fa x) (fb x)
   | Program.Pun (op, a) ->
-      let fa = compile_pure vm ctx pbase_of a in
+      let fa = compile_pure vm ctx base_of a in
       let g = Sexpr.apply_unop op in
       fun x -> g (fa x)
   | Program.Pselect (c, a, b) ->
       let fc = Loopenv.compile_cond vm c
-      and fa = compile_pure vm ctx pbase_of a
-      and fb = compile_pure vm ctx pbase_of b in
+      and fa = compile_pure vm ctx base_of a
+      and fb = compile_pure vm ctx base_of b in
       fun x -> if fc ctx.env then fa x else fb x
 
 (* Bulk counter updates are products [delta * iterations].  They equal the
@@ -363,18 +366,27 @@ let rec compile_pure vm ctx (pbase_of : Program.access -> pbase)
    partial sums and the products are computed without rounding. *)
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+(* log2 |n| when |n| is a power of two, else -1. *)
+let shift_of n =
+  let n = abs n in
+  if is_pow2 n then
+    let rec go k = if 1 lsl k = n then k else go (k + 1) in
+    go 0
+  else -1
+
 type fast_plan = {
   fp_streams : stream array;
   fp_leaves : fast_leaf array;
-  fp_pbases : pbase array;
-  fp_d_l1acc : int; (* per-iteration accesses, all leaves *)
+  fp_bases : Loopenv.base array; (* one per distinct access *)
+  fp_spill : spill;
+  fp_d_l1acc : int; (* per-iteration stream accesses, all leaves *)
 }
 
 (* Try to compile the body [b] of innermost loop [l] into a fast plan.
    Returns [None] — scalar fallback — unless every statement is a
-   Store/Reduce whose per-iteration accesses are affine with stride 0 or 1
-   in the loop variable (gather/strided bodies), with no loads under
-   selects, and at most one Reduce placed last (spill ordering). *)
+   Store/Reduce whose accesses are affine in the loop variable (any
+   stride), with no loads under selects, and at most one Reduce placed
+   last (its spills follow every other access of the iteration). *)
 let fast_plan_of vm slots (vc : vec_ctx) ctx machine
     (enclosing : Program.loop list) (l : Program.loop) (b : astmt) :
     fast_plan option =
@@ -388,8 +400,6 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
     in
     let stmts = flatten b in
     if stmts = [] then raise Fallback;
-    (* at most one Reduce, and only in last position (spills must come
-       after every other access of the same iteration) *)
     let n = List.length stmts in
     List.iteri
       (fun i s ->
@@ -397,28 +407,18 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
         | Program.Reduce _ when i < n - 1 -> raise Fallback
         | _ -> ())
       stmts;
-    let v = Some l.Program.v in
-    let stride01 a =
-      match vec_stride slots a v with
-      | Some ((0 | 1) as s) -> s
-      | Some _ | None -> raise Fallback
-    in
-    let stride_any a =
-      match vec_stride slots a v with Some s -> s | None -> raise Fallback
-    in
     let vslot = Loopenv.var_slot vm l.Program.v in
-    let streams = ref [] and pbases = ref [] in
-    (* one hoisted base per distinct access, refreshed once per run *)
-    let pbase_of (a : Program.access) =
-      match List.assoc_opt a !pbases with
-      | Some pb -> pb
-      | None ->
-          let pb =
-            { pb_off = Loopenv.compile_offset vm slots a;
-              pb_stride = stride_any a; pb_base = 0 }
-          in
-          pbases := (a, pb) :: !pbases;
-          pb
+    let streams = ref [] and bases = ref [] and spill = ref None in
+    (* one hoisted base per distinct access *)
+    let base_of (a : Program.access) =
+      match List.assoc_opt a !bases with
+      | Some b -> b
+      | None -> (
+          match Loopenv.base (Loopenv.compile_offset vm slots a) vslot with
+          | Some b ->
+              bases := (a, b) :: !bases;
+              b
+          | None -> raise Fallback)
     in
     (* Whole-loop value runner from a per-iteration step; the loop
        variable's env slot tracks x for Pselect conditions. *)
@@ -430,88 +430,83 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
       done
     in
     let mk_stream a =
-      let s =
+      let b = base_of a in
+      streams :=
         {
           str_slot = a.Program.slot;
-          str_stride = stride01 a;
-          str_pb = pbase_of a;
+          str_base = b;
+          str_bstride = b.Loopenv.b_stride * elem_bytes;
+          str_shift = shift_of (b.Loopenv.b_stride * elem_bytes);
           str_addr = 0;
           str_cur = Cache.cursor ();
         }
-      in
-      streams := s :: !streams;
-      s
+        :: !streams
+    in
+    let loads_cost lds =
+      List.fold_left (fun acc la -> acc +. access_inst_cost slots vc la) 0.0 lds
+    in
+    let scaled arith =
+      match vc.vvar with
+      | None -> arith
+      | Some _ -> arith /. float_of_int vc.lanes
     in
     let compile_leaf (s : Program.stmt) : fast_leaf =
       match s with
       | Program.Store (a, e) ->
           if not (selects_load_free e) then raise Fallback;
           let lds = loads_in_order e in
-          List.iter (fun la -> ignore (mk_stream la : stream)) lds;
-          let st = mk_stream a in
-          ignore (st : stream);
-          let loads_cost =
-            List.fold_left
-              (fun acc la -> acc +. access_inst_cost slots vc la)
-              0.0 lds
-          in
-          let st_cost = access_inst_cost slots vc a in
+          List.iter mk_stream lds;
+          mk_stream a;
+          let ld_cost = loads_cost lds and st_cost = access_inst_cost slots vc a in
           let arith = float_of_int (pexpr_arith e) in
-          let arith_scaled =
-            match vc.vvar with
-            | None -> arith
-            | Some _ -> arith /. float_of_int vc.lanes
-          in
-          let fe = compile_pure vm ctx pbase_of e in
-          let spb = pbase_of a in
+          let fe = compile_pure vm ctx base_of e in
+          let spb = base_of a in
+          let sstride = spb.Loopenv.b_stride in
           let buf = ctx.bufs.(a.Program.slot) in
-          let step x = buf.(spb.pb_base + (spb.pb_stride * x)) <- fe x in
+          let step x = buf.(spb.Loopenv.b_at + (sstride * x)) <- fe x in
           let run =
             match e with
             | Program.Pconst cst ->
-                (* tile-init loops: one fill instead of simn closure calls;
-                   stride 0 degenerates to one (idempotent) write *)
+                (* tile-init loops: no closure call per element *)
                 fun simn ->
-                  if spb.pb_stride = 1 then Array.fill buf spb.pb_base simn cst
-                  else buf.(spb.pb_base) <- cst
+                  let base = spb.Loopenv.b_at in
+                  if sstride = 1 then Array.fill buf base simn cst
+                  else
+                    for x = 0 to simn - 1 do
+                      buf.(base + (sstride * x)) <- cst
+                    done
             | _ -> generic_run step
           in
           {
             fl_step = step;
             fl_run = run;
-            fl_d_loads = loads_cost;
+            fl_d_loads = ld_cost;
             fl_d_stores = st_cost;
-            fl_d_insts = loads_cost +. st_cost +. arith_scaled;
+            fl_d_insts = ld_cost +. st_cost +. scaled arith;
             fl_d_flops = arith;
-            fl_d_l1acc = List.length lds + 1;
-            fl_k = 0;
-            fl_tick = 0;
-            fl_spills = 0;
-            fl_acc_slot = 0;
-            fl_acc = spb (* unused: no spills *);
-            fl_acc_cost = 0.0;
-            fl_acc_cur = Cache.cursor ();
-            fl_acc_base = 0;
           }
       | Program.Reduce (a, r, e) ->
           if not (selects_load_free e) then raise Fallback;
           let lds = loads_in_order e in
-          List.iter (fun la -> ignore (mk_stream la : stream)) lds;
-          let loads_cost =
-            List.fold_left
-              (fun acc la -> acc +. access_inst_cost slots vc la)
-              0.0 lds
-          in
+          List.iter mk_stream lds;
+          let ld_cost = loads_cost lds in
           let arith = float_of_int (pexpr_arith e + 1) in
-          let arith_scaled =
-            match vc.vvar with
-            | None -> arith
-            | Some _ -> arith /. float_of_int vc.lanes
-          in
-          let acc_cost = access_inst_cost slots vc a in
-          let k = promotion_factor machine enclosing a in
-          let apb = pbase_of a in
-          let astride = apb.pb_stride in
+          let apb = base_of a in
+          let astride = apb.Loopenv.b_stride in
+          spill :=
+            Some
+              {
+                sp_slot = a.Program.slot;
+                sp_base = apb;
+                sp_bstride = astride * elem_bytes;
+                sp_shift = shift_of (astride * elem_bytes);
+                sp_k = promotion_factor machine enclosing a;
+                sp_tick = 0;
+                sp_addr = 0;
+                sp_count = 0;
+                sp_cost = access_inst_cost slots vc a;
+                sp_cur = Cache.cursor ();
+              };
           let buf = ctx.bufs.(a.Program.slot) in
           let step, run =
             match e with
@@ -522,23 +517,23 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
                    reduction lowers to: run it as a tight array loop, with
                    loop-invariant (stride-0) operands hoisted when they
                    cannot alias the accumulator *)
-                let pba = pbase_of la and pbb = pbase_of lb in
+                let pba = base_of la and pbb = base_of lb in
                 let ba = ctx.bufs.(la.Program.slot)
                 and bb = ctx.bufs.(lb.Program.slot) in
-                let sa = pba.pb_stride and sb = pbb.pb_stride in
+                let sa = pba.Loopenv.b_stride and sb = pbb.Loopenv.b_stride in
                 let alias_a = la.Program.slot = a.Program.slot
                 and alias_b = lb.Program.slot = a.Program.slot in
                 let step x =
-                  let o = apb.pb_base + (astride * x) in
+                  let o = apb.Loopenv.b_at + (astride * x) in
                   buf.(o) <-
                     buf.(o)
-                    +. (ba.(pba.pb_base + (sa * x))
-                       *. bb.(pbb.pb_base + (sb * x)))
+                    +. (ba.(pba.Loopenv.b_at + (sa * x))
+                       *. bb.(pbb.Loopenv.b_at + (sb * x)))
                 in
                 let run simn =
-                  let oa = pba.pb_base
-                  and ob = pbb.pb_base
-                  and oc = apb.pb_base in
+                  let oa = pba.Loopenv.b_at
+                  and ob = pbb.Loopenv.b_at
+                  and oc = apb.Loopenv.b_at in
                   if astride = 0 && (not alias_a) && not alias_b then begin
                     (* scalar accumulator: defer the store to the end *)
                     let acc = ref buf.(oc) in
@@ -583,7 +578,7 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
                 in
                 (step, run)
             | _ ->
-                let fe = compile_pure vm ctx pbase_of e in
+                let fe = compile_pure vm ctx base_of e in
                 let combine =
                   match r with
                   | Program.Rsum -> Float.add
@@ -591,7 +586,7 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
                 in
                 let step x =
                   let v = fe x in
-                  let o = apb.pb_base + (astride * x) in
+                  let o = apb.Loopenv.b_at + (astride * x) in
                   buf.(o) <- combine buf.(o) v
                 in
                 (step, generic_run step)
@@ -599,78 +594,193 @@ let fast_plan_of vm slots (vc : vec_ctx) ctx machine
           {
             fl_step = step;
             fl_run = run;
-            fl_d_loads = loads_cost;
+            fl_d_loads = ld_cost;
             fl_d_stores = 0.0;
-            fl_d_insts = loads_cost +. arith_scaled;
+            fl_d_insts = ld_cost +. scaled arith;
             fl_d_flops = arith;
-            fl_d_l1acc = List.length lds;
-            fl_k = k;
-            fl_tick = 0;
-            fl_spills = 0;
-            fl_acc_slot = a.Program.slot;
-            fl_acc = apb;
-            fl_acc_cost = acc_cost;
-            fl_acc_cur = Cache.cursor ();
-            fl_acc_base = 0;
           }
       | Program.For _ | Program.Block _ -> raise Fallback
     in
     let leaves = Array.of_list (List.map compile_leaf stmts) in
     let streams = Array.of_list (List.rev !streams) in
-    let d_l1acc = Array.fold_left (fun a fl -> a + fl.fl_d_l1acc) 0 leaves in
+    let bases = Array.of_list (List.rev_map snd !bases) in
+    let spill =
+      match !spill with
+      | Some sp -> sp
+      | None ->
+          {
+            sp_slot = 0;
+            sp_base = bases.(0);
+            sp_bstride = 0;
+            sp_shift = -1;
+            sp_k = 0;
+            sp_tick = 0;
+            sp_addr = 0;
+            sp_count = 0;
+            sp_cost = 0.0;
+            sp_cur = Cache.cursor ();
+          }
+    in
     Some
       {
         fp_streams = streams;
         fp_leaves = leaves;
-        fp_pbases = Array.of_list (List.rev_map snd !pbases);
-        fp_d_l1acc = d_l1acc;
+        fp_bases = bases;
+        fp_spill = spill;
+        fp_d_l1acc = Array.length streams;
       }
   with Fallback -> None
 
-(* Like [mem_access], but counting misses into int refs flushed in bulk. *)
-let fast_mem_access ctx cur mis1 mis2 addr =
+(* Like [mem_access], with the access itself counted in bulk. *)
+let fast_mem_access ctx cur addr =
   if Cache.access_at ctx.l1 cur addr < 0 then begin
-    incr mis1;
-    if l1_miss ctx addr then incr mis2
+    let c = ctx.c in
+    c.l1_misses <- c.l1_misses +. 1.0;
+    if l1_miss ctx addr then c.l2_misses <- c.l2_misses +. 1.0
   end
 
-(* One execution of an innermost loop through the batching engine:
-   value pass (tight loop over hoisted offsets), then the span walk over
-   the cache model, then one bulk counter flush. *)
-let make_fast_runner ctx (plan : fast_plan) vslot sim =
-  let streams = plan.fp_streams
-  and leaves = plan.fp_leaves
-  and pbases = plan.fp_pbases in
-  let n_streams = Array.length streams
-  and n_leaves = Array.length leaves
-  and n_pbases = Array.length pbases in
-  let l1 = ctx.l1 in
-  let lb = ctx.lb1 in
-  let fsim = float_of_int sim in
-  fun () ->
-    ctx.es.fast_runs <- ctx.es.fast_runs + 1;
-    let env = ctx.env in
-    env.(vslot) <- 0;
-    (* refresh hoisted bases at x = 0 *)
-    for i = 0 to n_pbases - 1 do
-      let pb = pbases.(i) in
-      pb.pb_base <- Loopenv.eval pb.pb_off env
+(* One spill: the accumulator's two accesses at [addr]. *)
+let spill_at ctx sp addr =
+  sp.sp_count <- sp.sp_count + 1;
+  fast_mem_access ctx sp.sp_cur addr;
+  fast_mem_access ctx sp.sp_cur addr
+
+(* Iterations [y0, y1) counted from the streams' current addresses,
+   element by element in the scalar interpreter's order: every stream
+   through its cursor (O(1) when it re-touches its line with nothing
+   installed since), then the spill if its tick fires. *)
+let replay ctx (streams : stream array) sp y0 y1 =
+  let k = sp.sp_k in
+  for y = y0 to y1 - 1 do
+    for i = 0 to Array.length streams - 1 do
+      let s = streams.(i) in
+      fast_mem_access ctx s.str_cur (s.str_addr + (s.str_bstride * y))
     done;
+    if k > 0 then begin
+      let t = sp.sp_tick + 1 in
+      if t >= k then begin
+        sp.sp_tick <- 0;
+        spill_at ctx sp (sp.sp_addr + (sp.sp_bstride * y))
+      end
+      else sp.sp_tick <- t
+    end
+  done
+
+(* Iterations from byte address [addr] on, moving [bs] bytes per
+   iteration ([shift] = log2 |bs| when that is a power of two, sparing
+   the division), before the address leaves its [lb]-byte line: at
+   least 1, and [max_int] when it does not move. *)
+let line_run lb bs shift addr =
+  if bs = 0 then max_int
+  else
+    let room = if bs > 0 then lb - 1 - (addr land (lb - 1)) else addr land (lb - 1) in
+    (if shift >= 0 then room lsr shift else room / abs bs) + 1
+
+(* The cache pass of one execution of an innermost loop of [sim]
+   iterations, from the bases the chain walker left.  It walks the loop
+   in spans: maximal runs of iterations in which no stream, and no
+   accumulator that moves with the loop, leaves its line (or shorter,
+   see below). *)
+let make_cache_pass ctx (plan : fast_plan) sim =
+  let streams = plan.fp_streams and sp = plan.fp_spill in
+  let n_streams = Array.length streams in
+  let k = sp.sp_k in
+  let l1 = ctx.l1 and lb = ctx.lb1 in
+  (* a stream that leaves its line on every iteration makes every span
+     one iteration long *)
+  let one_line_spans =
+    Array.exists (fun s -> abs s.str_bstride >= lb) streams
+    || (k > 0 && abs sp.sp_bstride >= lb)
+  in
+  fun () ->
+    let bases = ctx.bases in
     for i = 0 to n_streams - 1 do
       let s = streams.(i) in
-      s.str_addr <- ctx.bases.(s.str_slot) + (s.str_pb.pb_base * elem_bytes)
+      s.str_addr <- bases.(s.str_slot) + (s.str_base.Loopenv.b_at * elem_bytes)
     done;
-    for i = 0 to n_leaves - 1 do
-      let fl = leaves.(i) in
-      fl.fl_spills <- 0;
-      if fl.fl_k > 0 then
-        fl.fl_acc_base <-
-          ctx.bases.(fl.fl_acc_slot) + (fl.fl_acc.pb_base * elem_bytes)
-    done;
-    (* value pass: pure, independent of the cache model.  Single-leaf
-       groups (the common case) run the leaf's compiled whole-loop
-       runner; multi-leaf blocks interleave per iteration, since a later
-       leaf may read what an earlier one wrote at the same iteration. *)
+    sp.sp_addr <- bases.(sp.sp_slot) + (sp.sp_base.Loopenv.b_at * elem_bytes);
+    if one_line_spans then replay ctx streams sp 0 sim
+    else begin
+      let x = ref 0 in
+      while !x < sim do
+        let m = ref (sim - !x) in
+        for i = 0 to n_streams - 1 do
+          let s = streams.(i) in
+          let r = line_run lb s.str_bstride s.str_shift s.str_addr in
+          if r < !m then m := r
+        done;
+        (if k > 0 then
+           let r = line_run lb sp.sp_bstride sp.sp_shift sp.sp_addr in
+           if r < !m then m := r);
+        (* iteration one, exactly *)
+        replay ctx streams sp 0 1;
+        (* The other m-1 iterations touch only lines iteration one
+           touched, plus the accumulator's line if a spill fires among
+           them.  When all of those are resident, every one of these
+           accesses hits and nothing is installed, so each line's
+           recency is decided by its last touch: per stream, one bulk
+           touch of m-1 hits; for the accumulator, two hits per spill,
+           ordered before the streams (its last spill precedes the last
+           iteration's streams) unless that last spill falls on the
+           span's last iteration, which then runs exactly after them.
+           When spills would fire before the last iteration but the
+           accumulator's line is not known resident (its cursor last
+           touched another line, or iteration one evicted it), the span
+           ends at its first spill instead, which runs exactly.  If a
+           stream's line did not survive iteration one, the rest replays
+           element-wise. *)
+        if !m > 1 then begin
+          (* spills among the other iterations: the first at [k - tick] *)
+          let first = if k > 0 then k - sp.sp_tick else max_int in
+          if first < !m - 1 && not (Cache.resident l1 sp.sp_cur sp.sp_addr)
+          then m := first + 1;
+          let n = !m - 1 in
+          let later =
+            if first > n then 0
+            else if n - first < k then 1
+            else 1 + ((n - first) / k)
+          in
+          let tail = later > 0 && first + ((later - 1) * k) = n in
+          let inner = if tail then later - 1 else later in
+          let hits = ref true in
+          for i = 0 to n_streams - 1 do
+            let s = streams.(i) in
+            if not (Cache.resident l1 s.str_cur s.str_addr) then hits := false
+          done;
+          if !hits then begin
+            if inner > 0 then begin
+              Cache.touch_at l1 sp.sp_cur sp.sp_addr (2 * inner);
+              sp.sp_count <- sp.sp_count + inner
+            end;
+            for i = 0 to n_streams - 1 do
+              let s = streams.(i) in
+              Cache.touch_at l1 s.str_cur s.str_addr n
+            done;
+            if tail then spill_at ctx sp (sp.sp_addr + (sp.sp_bstride * n));
+            if k > 0 then sp.sp_tick <- sp.sp_tick + n - (later * k)
+          end
+          else replay ctx streams sp 1 !m
+        end;
+        let m = !m in
+        for i = 0 to n_streams - 1 do
+          let s = streams.(i) in
+          s.str_addr <- s.str_addr + (s.str_bstride * m)
+        done;
+        sp.sp_addr <- sp.sp_addr + (sp.sp_bstride * m);
+        x := !x + m
+      done
+    end
+
+(* The innermost run of a fast group: value pass (pure, independent of
+   the cache model), then the cache pass.  Single-leaf groups (the
+   common case) run the leaf's compiled whole-loop runner; multi-leaf
+   blocks interleave per iteration, since a later leaf may read what an
+   earlier one wrote at the same iteration. *)
+let make_fast_runner ctx (plan : fast_plan) vslot sim =
+  let leaves = plan.fp_leaves in
+  let n_leaves = Array.length leaves in
+  let cache_pass = make_cache_pass ctx plan sim in
+  fun env ->
     if n_leaves = 1 then leaves.(0).fl_run sim
     else
       for x = 0 to sim - 1 do
@@ -679,107 +789,30 @@ let make_fast_runner ctx (plan : fast_plan) vslot sim =
           leaves.(i).fl_step x
         done
       done;
-    (* cache pass: span walk *)
-    let mis1 = ref 0 and mis2 = ref 0 in
-    let x = ref 0 in
-    while !x < sim do
-      (* span length: iterations until any stride-1 stream crosses a line
-         or an accumulator spill fires *)
-      let m = ref (sim - !x) in
-      for i = 0 to n_streams - 1 do
-        let s = streams.(i) in
-        if s.str_stride = 1 then begin
-          let within = (lb - (s.str_addr land (lb - 1))) / elem_bytes in
-          if within < !m then m := within
-        end
-      done;
-      for i = 0 to n_leaves - 1 do
-        let fl = leaves.(i) in
-        if fl.fl_k > 0 then begin
-          let d = fl.fl_k - fl.fl_tick in
-          if d < !m then m := d
-        end
-      done;
-      let m = !m in
-      (* Iteration !x, exact scalar access order: O(1) memoized touch when
-         no line was installed since the stream's last access, otherwise
-         one real (possibly missing) access. *)
-      for i = 0 to n_streams - 1 do
-        let s = streams.(i) in
-        fast_mem_access ctx s.str_cur mis1 mis2 s.str_addr
-      done;
-      (* Iterations !x+1 .. !x+m-1: no stream crosses a line and no spill
-         fires, so if every stream's line survived the fronts above, all
-         remaining accesses are guaranteed hits — collapsible to one
-         O(1) touch_run per stream (within-set stamp order is preserved:
-         each stream's final stamp keeps its per-iteration relative
-         order).  A front install may however have evicted another
-         stream's line (more active streams than ways in one set): such
-         spans replay element-wise, which is scalar by construction. *)
-      if m > 1 then begin
-        let resident = ref true in
-        for i = 0 to n_streams - 1 do
-          if not (Cache.resident l1 streams.(i).str_cur) then resident := false
-        done;
-        if !resident then
-          for i = 0 to n_streams - 1 do
-            let s = streams.(i) in
-            Cache.touch_at l1 s.str_cur s.str_addr (m - 1)
-          done
-        else
-          for y = 1 to m - 1 do
-            for i = 0 to n_streams - 1 do
-              let s = streams.(i) in
-              fast_mem_access ctx s.str_cur mis1 mis2
-                (s.str_addr + (s.str_stride * elem_bytes * y))
-            done
-          done
-      end;
-      for i = 0 to n_streams - 1 do
-        let s = streams.(i) in
-        s.str_addr <- s.str_addr + (s.str_stride * elem_bytes * m)
-      done;
-      (* accumulator spills fire after the loads of their iteration *)
-      for i = 0 to n_leaves - 1 do
-        let fl = leaves.(i) in
-        if fl.fl_k > 0 then begin
-          fl.fl_tick <- fl.fl_tick + m;
-          if fl.fl_tick >= fl.fl_k then begin
-            fl.fl_tick <- 0;
-            fl.fl_spills <- fl.fl_spills + 1;
-            let addr =
-              fl.fl_acc_base
-              + (fl.fl_acc.pb_stride * elem_bytes * (!x + m - 1))
-            in
-            fast_mem_access ctx fl.fl_acc_cur mis1 mis2 addr;
-            fast_mem_access ctx fl.fl_acc_cur mis1 mis2 addr
-          end
-        end
-      done;
-      x := !x + m
-    done;
-    (* bulk counter flush *)
-    let c = ctx.c in
-    let spill_acc = ref 0 in
-    for i = 0 to n_leaves - 1 do
-      let fl = leaves.(i) in
-      c.loads <- c.loads +. (fl.fl_d_loads *. fsim);
-      c.stores <- c.stores +. (fl.fl_d_stores *. fsim);
-      c.insts <- c.insts +. (fl.fl_d_insts *. fsim);
-      c.flops <- c.flops +. (fl.fl_d_flops *. fsim);
-      if fl.fl_spills > 0 then begin
-        let ns = float_of_int fl.fl_spills in
-        c.loads <- c.loads +. (fl.fl_acc_cost *. ns);
-        c.stores <- c.stores +. (fl.fl_acc_cost *. ns);
-        c.insts <- c.insts +. (2.0 *. fl.fl_acc_cost *. ns);
-        spill_acc := !spill_acc + fl.fl_spills
-      end
-    done;
-    c.l1_accesses <-
-      c.l1_accesses
-      +. float_of_int ((plan.fp_d_l1acc * sim) + (2 * !spill_acc));
-    c.l1_misses <- c.l1_misses +. float_of_int !mis1;
-    c.l2_misses <- c.l2_misses +. float_of_int !mis2
+    cache_pass ()
+
+(* The counters of [points] iterations of a fast group, in bulk, with
+   the spills counted since the last flush. *)
+let flush ctx (plan : fast_plan) ~points =
+  let c = ctx.c and sp = plan.fp_spill in
+  let fp = float_of_int points in
+  Array.iter
+    (fun fl ->
+      c.loads <- c.loads +. (fl.fl_d_loads *. fp);
+      c.stores <- c.stores +. (fl.fl_d_stores *. fp);
+      c.insts <- c.insts +. (fl.fl_d_insts *. fp);
+      c.flops <- c.flops +. (fl.fl_d_flops *. fp))
+    plan.fp_leaves;
+  let spills = sp.sp_count in
+  sp.sp_count <- 0;
+  if spills > 0 then begin
+    let ns = float_of_int spills in
+    c.loads <- c.loads +. (sp.sp_cost *. ns);
+    c.stores <- c.stores +. (sp.sp_cost *. ns);
+    c.insts <- c.insts +. (2.0 *. sp.sp_cost *. ns)
+  end;
+  c.l1_accesses <-
+    c.l1_accesses +. float_of_int ((plan.fp_d_l1acc * points) + (2 * spills))
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation                                              *)
@@ -795,44 +828,81 @@ let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
   let vm = Loopenv.create () in
   let slots = p.Program.slots in
   let ann = annotate sample_ratio p.Program.body in
-  (* enclosing: innermost-first loop list; vc: vectorization context *)
-  let rec comp (enclosing : Program.loop list) (vc : vec_ctx) = function
-    | Afor (l, sim, b) -> (
-        let slot = Loopenv.var_slot vm l.Program.v in
-        let vc' =
+  let loop (l : Program.loop) sim (fb : unit -> unit) =
+    let slot = Loopenv.var_slot vm l.Program.v in
+    fun () ->
+      let env = ctx.env in
+      for x = 0 to sim - 1 do
+        env.(slot) <- x;
+        fb ()
+      done
+  in
+  (* The perfect chain of loops from [s] down — each loop's body exactly
+     the next loop — as (loop, simulated extent) pairs innermost first,
+     with its body and the enclosing list and vectorization context
+     there. *)
+  let rec descend enclosing vc chain = function
+    | Afor (l, sim, b) ->
+        let vc =
           if l.Program.kind = Program.Vectorized then
             { vvar = Some l.Program.v; lanes = machine.Machine.lanes }
           else vc
         in
-        let enclosing' = l :: enclosing in
-        let plan =
-          if fast && all_leaves b then
-            fast_plan_of vm slots vc' ctx machine enclosing' l b
-          else None
-        in
-        match plan with
-        | Some plan ->
-            ctx.es.fast_groups <- ctx.es.fast_groups + 1;
-            make_fast_runner ctx plan slot sim
-        | None ->
-            if all_leaves b then
-              ctx.es.scalar_groups <- ctx.es.scalar_groups + 1;
-            let fb = comp enclosing' vc' b in
-            if all_leaves b then
-              fun () ->
-                ctx.es.scalar_runs <- ctx.es.scalar_runs + 1;
-                let env = ctx.env in
-                for x = 0 to sim - 1 do
-                  env.(slot) <- x;
-                  fb ()
-                done
-            else
-              fun () ->
-                let env = ctx.env in
-                for x = 0 to sim - 1 do
-                  env.(slot) <- x;
-                  fb ()
-                done)
+        descend (l :: enclosing) vc ((l, sim) :: chain) b
+    | b -> (enclosing, vc, chain, b)
+  in
+  (* enclosing: innermost-first loop list; vc: vectorization context *)
+  let rec comp (enclosing : Program.loop list) (vc : vec_ctx) = function
+    | Afor _ as s -> (
+        match descend enclosing vc [] s with
+        | enclosing', vc', (l, sim) :: outer, b when all_leaves b ->
+            (* a leaf group: batched with the longest run of loops above
+               it that every access is affine in (its chain), the loops
+               above that run as plain loops around it *)
+            let plan =
+              if fast then fast_plan_of vm slots vc' ctx machine enclosing' l b
+              else None
+            in
+            let group, rest =
+              match plan with
+              | Some plan ->
+                  ctx.es.fast_groups <- ctx.es.fast_groups + 1;
+                  let rec climb levels = function
+                    | ((o : Program.loop), osim) :: os as rest -> (
+                        match
+                          Loopenv.level_of vm plan.fp_bases o.Program.v osim
+                        with
+                        | Some lv -> climb (lv :: levels) os
+                        | None -> (levels, rest))
+                    | [] -> (levels, [])
+                  in
+                  let levels, rest = climb [] outer in
+                  let levels = Array.of_list levels in
+                  let vslot = Loopenv.var_slot vm l.Program.v in
+                  let run =
+                    Loopenv.chain ~vslot plan.fp_bases levels
+                      (make_fast_runner ctx plan vslot sim)
+                  in
+                  let runs = Loopenv.chain_points levels in
+                  let points = runs * sim in
+                  ( (fun () ->
+                      ctx.es.fast_runs <- ctx.es.fast_runs + runs;
+                      run ctx.env;
+                      flush ctx plan ~points),
+                    rest )
+              | None ->
+                  ctx.es.scalar_groups <- ctx.es.scalar_groups + 1;
+                  let fl = loop l sim (comp enclosing' vc' b) in
+                  ( (fun () ->
+                      ctx.es.scalar_runs <- ctx.es.scalar_runs + 1;
+                      fl ()),
+                    outer )
+            in
+            List.fold_left (fun f (o, osim) -> loop o osim f) group rest
+        | enclosing', vc', chain, b ->
+            List.fold_left
+              (fun f (o, osim) -> loop o osim f)
+              (comp enclosing' vc' b) chain)
     | Ablock lst ->
         let fs = List.map (comp enclosing vc) lst in
         fun () -> List.iter (fun f -> f ()) fs
@@ -1019,6 +1089,15 @@ let run ?(machine = Machine.intel_cpu) ?max_points ?(fast = true) ?engine
       es;
     }
   in
+  (* engine-stats snapshot for delta publication, taken before [compile]
+     counts the groups; [es] itself stands in when metrics are off so
+     the disabled path allocates nothing *)
+  let es0 =
+    if Alt_obs.Metrics.enabled () then
+      { fast_groups = es.fast_groups; scalar_groups = es.scalar_groups;
+        fast_runs = es.fast_runs; scalar_runs = es.scalar_runs }
+    else es
+  in
   let vm, runner, ann = compile ctx p ~sample_ratio:ratio ~fast in
   let simulated = sim_points ann in
   let scale = float_of_int total /. float_of_int (max 1 simulated) in
@@ -1034,14 +1113,6 @@ let run ?(machine = Machine.intel_cpu) ?max_points ?(fast = true) ?engine
     bufs;
   ctx.env <- Loopenv.alloc_env vm;
   ctx.bases <- bases;
-  (* engine-stats snapshot for delta publication; [es] itself stands in
-     when metrics are off so the disabled path allocates nothing *)
-  let es0 =
-    if Alt_obs.Metrics.enabled () then
-      { fast_groups = es.fast_groups; scalar_groups = es.scalar_groups;
-        fast_runs = es.fast_runs; scalar_runs = es.scalar_runs }
-    else es
-  in
   (* the span wraps the whole interpretation; attrs are only built when a
      trace sink is installed, so the default path allocates nothing *)
   if Alt_obs.Trace.enabled () then

@@ -5,10 +5,13 @@
     modelling notes on vectorization, register accumulation, parallelism
     and sampling).
 
-    Innermost loops whose accesses are affine with stride 0 or 1 in the
-    loop variable are executed by a line-granular batching engine
-    (DESIGN.md §9) producing bit-identical counters to the element-wise
-    interpreter; gather/strided bodies fall back to the scalar path. *)
+    Innermost loops whose accesses are affine in the loop variable, with
+    any stride, are executed by a line-granular batching engine
+    (DESIGN.md §9), together with the perfect chain of loops above them
+    that the accesses are affine in; it produces bit-identical counters
+    and outputs to the element-wise interpreter.  Statements with
+    non-affine accesses (div/mod, min/max) or loads under a select fall
+    back to the scalar path. *)
 
 module Program = Alt_ir.Program
 

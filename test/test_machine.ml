@@ -221,7 +221,7 @@ let test_bulk_state_oracle () =
         conflict (cfg.Cache.assoc - 1);
         both_prefetch !s_addr
     | _ -> ());
-    if Cache.resident fast cur then begin
+    if Cache.resident fast cur !s_addr then begin
       if traffic = 3 then incr quiet else incr after_installs;
       Cache.touch_at fast cur !s_addr (n - 1)
     end
@@ -265,6 +265,27 @@ let test_bulk_state_oracle () =
   in
   Alcotest.(check bool) "per-set recency order identical" true
     (recency ftags fstamps = recency etags estamps)
+
+(* A cursor answers only for the line it touched last.  One that has
+   touched nothing is resident nowhere — not even in an empty cache,
+   whose invalid way 0 carries the same tag (-1) as a fresh cursor's
+   line — and a line evicted from the cursor's way is gone. *)
+let test_cursor_residency () =
+  let cfg = { Cache.size_bytes = 1024; assoc = 2; line_bytes = 64 } in
+  let c = Cache.create cfg in
+  let cur = Cache.cursor () in
+  Alcotest.(check bool) "fresh cursor, empty cache" false
+    (Cache.resident c cur 0);
+  ignore (Cache.access_at c cur 128 : int);
+  Alcotest.(check bool) "its line" true (Cache.resident c cur 160);
+  Alcotest.(check bool) "another resident line" false
+    (ignore (Cache.access c 0 : bool);
+     Cache.resident c cur 0);
+  (* two more lines of the same set evict the cursor's line *)
+  let set_bytes = cfg.Cache.size_bytes / cfg.Cache.assoc in
+  ignore (Cache.access c (128 + set_bytes) : bool);
+  ignore (Cache.access c (128 + (2 * set_bytes)) : bool);
+  Alcotest.(check bool) "evicted" false (Cache.resident c cur 128)
 
 (* ------------------------------------------------------------------ *)
 (* Cache reuse across simulations                                     *)
@@ -363,6 +384,7 @@ let () =
         [
           Alcotest.test_case "bulk interface state oracle" `Quick
             test_bulk_state_oracle;
+          Alcotest.test_case "cursor residency" `Quick test_cursor_residency;
           Alcotest.test_case "reset = create" `Quick test_reset_is_create;
           Alcotest.test_case "reused caches leak nothing" `Quick
             test_reused_caches_leak_nothing;
