@@ -1,9 +1,10 @@
 (* Exec-backend measurement (DESIGN.md §12).
 
    Compile once outside timing; re-zero non-input buffers before every
-   run (Reduce accumulates — reruns over dirty outputs would compute
-   garbage and, worse, *different* garbage per repeat); time only the
-   kernel invocation.  Median-of-repeats is the reported latency:
+   run, so every timed run starts from the same state (lowered programs
+   initialize what they reduce into, but a hand-built nest without an
+   init store would accumulate into the previous run's outputs); time
+   only the kernel invocation.  Median-of-repeats is the reported latency:
    robust to the one-off scheduling hiccups that plague wall-clock
    microbenchmarks.
 

@@ -2,28 +2,18 @@
 
    Index expressions, conditions and access offsets compile through
    the access compiler the simulator uses too ({!Alt_ir.Loopenv}: affine
-   offsets are dot products over the loop environment).  On top of it
-   this module keeps the value half of the simulator's fast engine with
-   the cache model cut away: hoisted affine bases, one per distinct
-   access, and the multiply-accumulate specialization — executing for
-   wall-clock time instead of feeding a simulator.  Each leaf group runs
-   with the perfect chain of loops above it whose variables every access
-   is affine in, on the chain walker the simulator shares
-   ([Loopenv.chain]): the bases are evaluated once per chain entry and
-   strength-reduced across the chain (DESIGN.md §12).  Every combine
-   function, evaluation order and accumulation chain matches the scalar
-   interpreter operation for operation, so kernel outputs are
-   bit-identical to a simulator run of the same program, which is what
-   the differential suite in test/test_exec.ml pins.
-
-   Differences from the profiler's fast planner:
-
-   - loads under Pselect are fine (there is no access trace to keep
-     deterministic — the taken branch just reads its buffer), and so are
-     several Reduce leaves in one group (there are no spills to order);
-   - the multiply-accumulate scalar-accumulator loop is 4x unrolled.
-     Unrolling preserves the single sequential [acc := !acc +. m] chain,
-     so float results are unchanged — it only removes loop overhead.
+   offsets are dot products over the loop environment), and the values
+   of a leaf group — an innermost loop of Store/Reduce statements whose
+   accesses are affine in its variable — through the leaf compiler the
+   simulator's fast engine runs too ([Loopenv.leaf_group]: hoisted
+   bases and the multiply-accumulate specialization).  Each group runs
+   with the perfect chain of loops above it whose variables every
+   access is affine in, on the shared chain walker ([Loopenv.chain]).
+   Every combine function, evaluation order and accumulation chain
+   matches the scalar interpreter, so kernel outputs are bit-identical
+   to a simulator run of the same program (test/test_exec.ml pins it).
+   The kernels take every group the leaf compiler accepts; the
+   simulator declines loads under a select and several Reduce leaves.
 
    Parallel driver (DESIGN.md §15): with [domains > 1] the leading
    [Parallel] loops of the nest are flattened into one iteration space,
@@ -93,269 +83,14 @@ let rec compile_plain vm slots ctx (e : Program.pexpr) : int array -> float =
       and fb = compile_plain vm slots ctx b in
       fun env -> if fc env then fa env else fb env
 
-(* x-indexed evaluator with every load hoisted to a base
-   ({!Loopenv.base}: evaluated once per chain entry, moved by the chain's
-   outer levels, advanced by [b_stride * x] inside the innermost loop);
-   structure is the profiler's [compile_pure], so float results are
-   bit-identical. *)
-let rec compile_value vm ctx (pbase_of : Program.access -> Loopenv.base)
-    (e : Program.pexpr) : int -> float =
-  match e with
-  | Program.Pconst f -> fun _ -> f
-  | Program.Pload a ->
-      let pb = pbase_of a in
-      let buf = ctx.bufs.(a.Program.slot) in
-      let stride = pb.Loopenv.b_stride in
-      fun x -> buf.(pb.Loopenv.b_at + (stride * x))
-  | Program.Pbin (op, a, b) ->
-      let fa = compile_value vm ctx pbase_of a
-      and fb = compile_value vm ctx pbase_of b in
-      let g = Sexpr.apply_binop op in
-      fun x -> g (fa x) (fb x)
-  | Program.Pun (op, a) ->
-      let fa = compile_value vm ctx pbase_of a in
-      let g = Sexpr.apply_unop op in
-      fun x -> g (fa x)
-  | Program.Pselect (c, a, b) ->
-      let fc = Loopenv.compile_cond vm c
-      and fa = compile_value vm ctx pbase_of a
-      and fb = compile_value vm ctx pbase_of b in
-      fun x -> if fc ctx.env then fa x else fb x
-
-(* ------------------------------------------------------------------ *)
-(* Macro-kernel planner                                               *)
-(* ------------------------------------------------------------------ *)
-
-type macro_leaf = {
-  ml_step : int -> unit;  (** one iteration at x (multi-leaf interleave) *)
-  ml_run : int -> unit;  (** the whole loop of n iterations *)
-}
-
-type macro_plan = {
-  mp_pbases : Loopenv.base array;
-  mp_leaves : macro_leaf array;
-}
-
 let rec all_leaves = function
   | Program.Store _ | Program.Reduce _ -> true
   | Program.Block l -> l <> [] && List.for_all all_leaves l
   | Program.For _ -> false
 
-(* Try to compile the leaf-only body [b] of innermost loop [l] into a
-   macro plan: every access must be affine in the loop variable (any
-   stride).  Returns [None] — generic fallback — otherwise. *)
-let macro_plan_of vm slots ctx (l : Program.loop) (b : Program.stmt) :
-    macro_plan option =
-  let exception Fallback in
-  try
-    let rec flatten = function
-      | Program.Block lst -> List.concat_map flatten lst
-      | (Program.Store _ | Program.Reduce _) as s -> [ s ]
-      | Program.For _ -> raise Fallback
-    in
-    let stmts = flatten b in
-    if stmts = [] then raise Fallback;
-    let vslot = Loopenv.var_slot vm l.Program.v in
-    let pbases = ref [] in
-    (* one hoisted base per distinct access *)
-    let hoist (a : Program.access) =
-      match List.assoc_opt a !pbases with
-      | Some pb -> pb
-      | None ->
-          let pb =
-            match Loopenv.base (Loopenv.compile_offset vm slots a) vslot with
-            | Some pb -> pb
-            | None -> raise Fallback
-          in
-          pbases := (a, pb) :: !pbases;
-          pb
-    in
-    (* Whole-loop runner from a per-iteration step; the loop variable's
-       env slot tracks x for Pselect conditions. *)
-    let generic_run (step : int -> unit) n =
-      let env = ctx.env in
-      for x = 0 to n - 1 do
-        env.(vslot) <- x;
-        step x
-      done
-    in
-    let compile_leaf (s : Program.stmt) : macro_leaf =
-      match s with
-      | Program.Store (a, e) ->
-          let fe = compile_value vm ctx hoist e in
-          let spb = hoist a in
-          let buf = ctx.bufs.(a.Program.slot) in
-          let sstride = spb.Loopenv.b_stride in
-          let step x = buf.(spb.Loopenv.b_at + (sstride * x)) <- fe x in
-          let run =
-            match e with
-            | Program.Pconst cst ->
-                (* tile-init loops: no closure call per element *)
-                fun n ->
-                  let base = spb.Loopenv.b_at and stride = sstride in
-                  if stride = 1 then Array.fill buf base n cst
-                  else
-                    for x = 0 to n - 1 do
-                      buf.(base + (stride * x)) <- cst
-                    done
-            | _ -> generic_run step
-          in
-          { ml_step = step; ml_run = run }
-      | Program.Reduce (a, r, e) ->
-          let apb = hoist a in
-          let astride = apb.Loopenv.b_stride in
-          let buf = ctx.bufs.(a.Program.slot) in
-          let step, run =
-            match e with
-            | Program.Pbin (Sexpr.Bmul, Program.Pload la, Program.Pload lb)
-              when r = Program.Rsum ->
-                (* the multiply-accumulate kernel every conv/matmul
-                   reduction lowers to: tight array loops with
-                   loop-invariant operands hoisted when they cannot
-                   alias the accumulator, 4x unrolled in the scalar-
-                   accumulator case (single sequential chain preserved) *)
-                let pba = hoist la and pbb = hoist lb in
-                let ba = ctx.bufs.(la.Program.slot)
-                and bb = ctx.bufs.(lb.Program.slot) in
-                let sa = pba.Loopenv.b_stride and sb = pbb.Loopenv.b_stride in
-                let alias_a = la.Program.slot = a.Program.slot
-                and alias_b = lb.Program.slot = a.Program.slot in
-                let step x =
-                  let o = apb.Loopenv.b_at + (astride * x) in
-                  buf.(o) <-
-                    buf.(o)
-                    +. (ba.(pba.Loopenv.b_at + (sa * x))
-                       *. bb.(pbb.Loopenv.b_at + (sb * x)))
-                in
-                let run n =
-                  let oa = pba.Loopenv.b_at
-                  and ob = pbb.Loopenv.b_at
-                  and oc = apb.Loopenv.b_at in
-                  if astride = 0 && (not alias_a) && not alias_b then begin
-                    let acc = ref buf.(oc) in
-                    let n4 = n - (n land 3) in
-                    (if sa = 0 then begin
-                       let va = ba.(oa) in
-                       let x = ref 0 in
-                       while !x < n4 do
-                         let o = ob + (sb * !x) in
-                         acc := !acc +. (va *. bb.(o));
-                         acc := !acc +. (va *. bb.(o + sb));
-                         acc := !acc +. (va *. bb.(o + (2 * sb)));
-                         acc := !acc +. (va *. bb.(o + (3 * sb)));
-                         x := !x + 4
-                       done;
-                       for x = n4 to n - 1 do
-                         acc := !acc +. (va *. bb.(ob + (sb * x)))
-                       done
-                     end
-                     else if sb = 0 then begin
-                       let vb = bb.(ob) in
-                       let x = ref 0 in
-                       while !x < n4 do
-                         let o = oa + (sa * !x) in
-                         acc := !acc +. (ba.(o) *. vb);
-                         acc := !acc +. (ba.(o + sa) *. vb);
-                         acc := !acc +. (ba.(o + (2 * sa)) *. vb);
-                         acc := !acc +. (ba.(o + (3 * sa)) *. vb);
-                         x := !x + 4
-                       done;
-                       for x = n4 to n - 1 do
-                         acc := !acc +. (ba.(oa + (sa * x)) *. vb)
-                       done
-                     end
-                     else begin
-                       let x = ref 0 in
-                       while !x < n4 do
-                         let xa = oa + (sa * !x) and xb = ob + (sb * !x) in
-                         acc := !acc +. (ba.(xa) *. bb.(xb));
-                         acc := !acc +. (ba.(xa + sa) *. bb.(xb + sb));
-                         acc := !acc +. (ba.(xa + (2 * sa)) *. bb.(xb + (2 * sb)));
-                         acc := !acc +. (ba.(xa + (3 * sa)) *. bb.(xb + (3 * sb)));
-                         x := !x + 4
-                       done;
-                       for x = n4 to n - 1 do
-                         acc := !acc +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
-                       done
-                     end);
-                    buf.(oc) <- !acc
-                  end
-                  else if sa = 0 && not alias_a then begin
-                    let va = ba.(oa) in
-                    for x = 0 to n - 1 do
-                      let o = oc + (astride * x) in
-                      buf.(o) <- buf.(o) +. (va *. bb.(ob + (sb * x)))
-                    done
-                  end
-                  else if sb = 0 && not alias_b then begin
-                    let vb = bb.(ob) in
-                    for x = 0 to n - 1 do
-                      let o = oc + (astride * x) in
-                      buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. vb)
-                    done
-                  end
-                  else
-                    for x = 0 to n - 1 do
-                      let o = oc + (astride * x) in
-                      buf.(o) <-
-                        buf.(o)
-                        +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
-                    done
-                in
-                (step, run)
-            | _ ->
-                let fe = compile_value vm ctx hoist e in
-                let combine =
-                  match r with
-                  | Program.Rsum -> Float.add
-                  | Program.Rmax -> Float.max
-                in
-                let step x =
-                  let v = fe x in
-                  let o = apb.Loopenv.b_at + (astride * x) in
-                  buf.(o) <- combine buf.(o) v
-                in
-                (step, generic_run step)
-          in
-          { ml_step = step; ml_run = run }
-      | Program.For _ | Program.Block _ -> raise Fallback
-    in
-    let leaves = Array.of_list (List.map compile_leaf stmts) in
-    Some
-      { mp_pbases = Array.of_list (List.rev_map snd !pbases);
-        mp_leaves = leaves }
-  with Fallback -> None
-
-(* ------------------------------------------------------------------ *)
-(* Chain runner                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The runner of a macro group's chain ([Loopenv.chain]: bases evaluated
-   once per entry, strength-reduced across [levels], outermost first)
-   around its innermost loop [vslot] of [n] iterations.  Multi-leaf
-   blocks interleave per iteration, since a later leaf may read what an
-   earlier one wrote at the same iteration. *)
-let make_chain_runner ctx st (plan : macro_plan) (levels : Loopenv.level array)
-    vslot n =
-  let leaves = plan.mp_leaves in
-  let n_leaves = Array.length leaves in
-  let innermost =
-    if n_leaves = 1 then
-      let run = leaves.(0).ml_run in
-      fun _ -> run n
-    else fun env ->
-      for x = 0 to n - 1 do
-        env.(vslot) <- x;
-        for i = 0 to n_leaves - 1 do
-          leaves.(i).ml_step x
-        done
-      done
-  in
-  let run = Loopenv.chain ~vslot plan.mp_pbases levels innermost in
-  let runs = Loopenv.chain_points levels in
-  fun () ->
-    st.macro_runs <- st.macro_runs + runs;
-    run ctx.env
+let rec leaves = function
+  | Program.Block l -> List.concat_map leaves l
+  | s -> [ s ]
 
 (* ------------------------------------------------------------------ *)
 (* Statement compilation and entry point                              *)
@@ -383,17 +118,19 @@ let compile_stmts ctx st vm (slots : Program.slot array)
     | Program.For _ -> (
         match perfect_chain [] s with
         | l :: outer, b when all_leaves b ->
-            (* a leaf group: the macro plan is compiled once, and the
+            (* a leaf group: its values are compiled once, and the
                longest run of enclosing loops every access is affine in
                joins its chain *)
             let group, rest =
-              match macro_plan_of vm slots ctx l b with
-              | Some plan ->
+              match
+                Loopenv.leaf_group vm slots ctx.bufs l.Program.v (leaves b)
+              with
+              | Some g ->
                   st.macro_groups <- st.macro_groups + 1;
                   let rec climb levels = function
                     | o :: os as rest -> (
                         match
-                          Loopenv.level_of vm plan.mp_pbases o.Program.v
+                          Loopenv.level_of vm g.Loopenv.lg_bases o.Program.v
                             o.Program.extent
                         with
                         | Some lv -> climb (lv :: levels) os
@@ -401,9 +138,17 @@ let compile_stmts ctx st vm (slots : Program.slot array)
                     | [] -> (levels, [])
                   in
                   let levels, rest = climb [] outer in
-                  let vslot = Loopenv.var_slot vm l.Program.v in
-                  ( make_chain_runner ctx st plan (Array.of_list levels) vslot
-                      l.Program.extent,
+                  let levels = Array.of_list levels in
+                  let run =
+                    Loopenv.chain
+                      ~vslot:(Loopenv.var_slot vm l.Program.v)
+                      g.Loopenv.lg_bases levels
+                      (g.Loopenv.lg_inner l.Program.extent)
+                  in
+                  let runs = Loopenv.chain_points levels in
+                  ( (fun () ->
+                      st.macro_runs <- st.macro_runs + runs;
+                      run ctx.env),
                     rest )
               | None ->
                   st.generic_groups <- st.generic_groups + 1;

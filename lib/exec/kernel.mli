@@ -5,11 +5,13 @@
     the loop nest for real over flat [float array] buffers — no cache
     model, no counters, just the arithmetic.  Innermost loops whose
     leaves access buffers affinely in the loop variable become
-    macro-kernels: tight array loops over hoisted base offsets, with the
-    multiply-accumulate shape every conv/matmul reduction lowers to
-    specialized (invariant operands hoisted, scalar accumulators kept in
-    a register, innermost iterations unrolled).  Everything else falls
-    back to a generic compiled interpretation of the same nest.
+    macro-kernels, compiled by the leaf compiler the simulator's fast
+    engine shares ({!Alt_ir.Loopenv.leaf_group}): tight array loops over
+    hoisted base offsets, with the multiply-accumulate shape every
+    conv/matmul reduction lowers to specialized (invariant operands
+    hoisted, scalar accumulators kept in a register, innermost
+    iterations unrolled).  Everything else falls back to a generic
+    compiled interpretation of the same nest.
 
     A macro-kernel runs with its chain: the longest run of loops directly
     enclosing it, each the only statement of the next one out, whose
@@ -25,7 +27,8 @@
     [lib/machine/profiler.ml] operation for operation — same combine
     functions, same evaluation order, same accumulation chains — so
     outputs are bit-identical to a simulator run of the same program
-    (pinned by test/test_exec.ml).
+    (pinned by test/test_exec.ml, whose oracle is that interpreter, not
+    the shared leaf compiler).
 
     With [~domains > 1] the leading [Parallel] loops (the band
     [Schedule.parallel] marks) run chunked across a resident

@@ -1,4 +1,5 @@
-(* The access compiler shared by every executor of lowered programs.
+(* The access and leaf compiler shared by every executor of lowered
+   programs.
 
    The simulator's interpreter (lib/machine/profiler.ml) and the exec
    backend's kernels (lib/exec/kernel.ml) both run a loop nest over a
@@ -17,15 +18,24 @@
 
    Both executors batch innermost loops over hoisted bases, one per
    distinct access, and run each batched loop with its perfect chain of
-   enclosing loops; the chain walker below is the one both use. *)
+   enclosing loops; the chain walker and the leaf values below are the
+   ones both use.  The simulator adds only its cache pass and counters,
+   and declines some groups the kernels run (loads under a select,
+   several Reduce leaves). *)
 
 module Var = Alt_tensor.Var
 module Ixexpr = Alt_tensor.Ixexpr
 module Layout = Alt_tensor.Layout
 
-type t = { tbl : (int, int) Hashtbl.t; mutable next : int }
+(* [env] is the environment [alloc_env] allocated last: the leaf values
+   below read it at run time, for the select conditions they evaluate. *)
+type t = {
+  tbl : (int, int) Hashtbl.t;
+  mutable next : int;
+  mutable env : int array;
+}
 
-let create () = { tbl = Hashtbl.create 64; next = 0 }
+let create () = { tbl = Hashtbl.create 64; next = 0; env = [||] }
 
 let var_slot vm (v : Var.t) =
   match Hashtbl.find_opt vm.tbl (Var.id v) with
@@ -36,7 +46,10 @@ let var_slot vm (v : Var.t) =
       Hashtbl.replace vm.tbl (Var.id v) i;
       i
 
-let alloc_env vm = Array.make (max 1 vm.next) 0
+let alloc_env vm =
+  let env = Array.make (max 1 vm.next) 0 in
+  vm.env <- env;
+  env
 
 (* Closure tree for the non-affine residue of an index. *)
 let rec compile_ix vm (e : Ixexpr.t) : int array -> int =
@@ -242,6 +255,199 @@ let chain ~vslot (bases : base array) (levels : level array)
       b.b_at <- eval b.b_off env
     done;
     body env
+
+(* ------------------------------------------------------------------ *)
+(* Leaf values: the value half of a batched leaf group                *)
+(* ------------------------------------------------------------------ *)
+
+(* x-indexed evaluator: every load reads its hoisted base, moved by
+   [b_stride * x] inside the innermost loop.  Its structure is the scalar
+   interpreter's — the same combine functions applied in the same order —
+   so float results are bit-identical.  Select conditions read the loop
+   environment at run time. *)
+let rec compile_value vm bufs (base_of : Program.access -> base)
+    (e : Program.pexpr) : int -> float =
+  match e with
+  | Program.Pconst f -> fun _ -> f
+  | Program.Pload a ->
+      let b = base_of a in
+      let buf = bufs.(a.Program.slot) and stride = b.b_stride in
+      fun x -> buf.(b.b_at + (stride * x))
+  | Program.Pbin (op, a, b) ->
+      let fa = compile_value vm bufs base_of a
+      and fb = compile_value vm bufs base_of b in
+      let g = Sexpr.apply_binop op in
+      fun x -> g (fa x) (fb x)
+  | Program.Pun (op, a) ->
+      let fa = compile_value vm bufs base_of a in
+      let g = Sexpr.apply_unop op in
+      fun x -> g (fa x)
+  | Program.Pselect (c, a, b) ->
+      let fc = compile_cond vm c
+      and fa = compile_value vm bufs base_of a
+      and fb = compile_value vm bufs base_of b in
+      fun x -> if fc vm.env then fa x else fb x
+
+(* One leaf of a group: its iteration at x (for the multi-leaf
+   interleave), and its whole loop of n iterations. *)
+type leaf = { step : int -> unit; run : int -> unit }
+
+(* The multiply-accumulate leaf [c += a * b] every conv/matmul reduction
+   lowers to, as tight array loops.  A scalar accumulator (stride 0) is
+   kept in a register over a 4x unrolled loop that still adds in one
+   sequential chain; a moving one hoists a loop-invariant operand.  Both
+   shortcuts need operands that cannot alias the accumulator: a deferred
+   store, or a hoisted read, would miss the updates in between. *)
+let mac_leaf bufs base_of (c : Program.access) (la : Program.access)
+    (lb : Program.access) =
+  let pc = base_of c and pa = base_of la and pb = base_of lb in
+  let ba = bufs.(la.Program.slot)
+  and bb = bufs.(lb.Program.slot)
+  and buf = bufs.(c.Program.slot) in
+  let sa = pa.b_stride and sb = pb.b_stride and sc = pc.b_stride in
+  let alias_a = la.Program.slot = c.Program.slot
+  and alias_b = lb.Program.slot = c.Program.slot in
+  let step x =
+    let o = pc.b_at + (sc * x) in
+    buf.(o) <- buf.(o) +. (ba.(pa.b_at + (sa * x)) *. bb.(pb.b_at + (sb * x)))
+  in
+  let run n =
+    let oa = pa.b_at and ob = pb.b_at and oc = pc.b_at in
+    if sc = 0 && (not alias_a) && not alias_b then begin
+      let acc = ref buf.(oc) in
+      let n4 = n - (n land 3) in
+      let x = ref 0 in
+      while !x < n4 do
+        let xa = oa + (sa * !x) and xb = ob + (sb * !x) in
+        acc := !acc +. (ba.(xa) *. bb.(xb));
+        acc := !acc +. (ba.(xa + sa) *. bb.(xb + sb));
+        acc := !acc +. (ba.(xa + (2 * sa)) *. bb.(xb + (2 * sb)));
+        acc := !acc +. (ba.(xa + (3 * sa)) *. bb.(xb + (3 * sb)));
+        x := !x + 4
+      done;
+      for x = n4 to n - 1 do
+        acc := !acc +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
+      done;
+      buf.(oc) <- !acc
+    end
+    else if sa = 0 && not alias_a then begin
+      let va = ba.(oa) in
+      for x = 0 to n - 1 do
+        let o = oc + (sc * x) in
+        buf.(o) <- buf.(o) +. (va *. bb.(ob + (sb * x)))
+      done
+    end
+    else if sb = 0 && not alias_b then begin
+      let vb = bb.(ob) in
+      for x = 0 to n - 1 do
+        let o = oc + (sc * x) in
+        buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. vb)
+      done
+    end
+    else
+      for x = 0 to n - 1 do
+        let o = oc + (sc * x) in
+        buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
+      done
+  in
+  { step; run }
+
+type leaf_group = {
+  lg_bases : base array;
+  lg_base : Program.access -> base;
+  lg_inner : int -> int array -> unit;
+}
+
+let leaf_group vm (slots : Program.slot array) (bufs : float array array)
+    (v : Var.t) (stmts : Program.stmt list) : leaf_group option =
+  let exception Fallback in
+  let vslot = var_slot vm v in
+  let hoisted = ref [] in
+  (* one hoisted base per distinct access *)
+  let base_of (a : Program.access) =
+    match List.assoc_opt a !hoisted with
+    | Some b -> b
+    | None -> (
+        match base (compile_offset vm slots a) vslot with
+        | Some b ->
+            hoisted := (a, b) :: !hoisted;
+            b
+        | None -> raise Fallback)
+  in
+  (* the whole loop from the step; the loop variable's slot tracks x for
+     the select conditions *)
+  let generic step =
+    let run n =
+      let env = vm.env in
+      for x = 0 to n - 1 do
+        env.(vslot) <- x;
+        step x
+      done
+    in
+    { step; run }
+  in
+  let compile_leaf (s : Program.stmt) : leaf =
+    match s with
+    | Program.Store (a, e) -> (
+        let fe = compile_value vm bufs base_of e in
+        let b = base_of a in
+        let buf = bufs.(a.Program.slot) and stride = b.b_stride in
+        let step x = buf.(b.b_at + (stride * x)) <- fe x in
+        match e with
+        | Program.Pconst cst ->
+            (* tile-init loops: no closure call per element *)
+            let run n =
+              let at = b.b_at in
+              if stride = 1 then Array.fill buf at n cst
+              else
+                for x = 0 to n - 1 do
+                  buf.(at + (stride * x)) <- cst
+                done
+            in
+            { step; run }
+        | _ -> generic step)
+    | Program.Reduce
+        ( a,
+          Program.Rsum,
+          Program.Pbin (Sexpr.Bmul, Program.Pload la, Program.Pload lb) ) ->
+        mac_leaf bufs base_of a la lb
+    | Program.Reduce (a, r, e) ->
+        let b = base_of a in
+        let buf = bufs.(a.Program.slot) and stride = b.b_stride in
+        let combine =
+          match r with Program.Rsum -> Float.add | Program.Rmax -> Float.max
+        in
+        let fe = compile_value vm bufs base_of e in
+        generic (fun x ->
+            let v = fe x in
+            let o = b.b_at + (stride * x) in
+            buf.(o) <- combine buf.(o) v)
+    | Program.For _ | Program.Block _ -> raise Fallback
+  in
+  match Array.of_list (List.map compile_leaf stmts) with
+  | [||] -> None
+  | leaves ->
+      let n_leaves = Array.length leaves in
+      (* several leaves interleave per iteration: a later leaf may read
+         what an earlier one wrote at the same iteration *)
+      let inner n =
+        if n_leaves = 1 then
+          let run = leaves.(0).run in
+          fun _ -> run n
+        else fun env ->
+          for x = 0 to n - 1 do
+            env.(vslot) <- x;
+            for i = 0 to n_leaves - 1 do
+              leaves.(i).step x
+            done
+          done
+      in
+      let hoisted = !hoisted in
+      Some
+        { lg_bases = Array.of_list (List.rev_map snd hoisted);
+          lg_base = (fun a -> List.assoc a hoisted);
+          lg_inner = inner }
+  | exception Fallback -> None
 
 (* Element stride of loop variable [v] through the flattened offset of
    [a]; [None] when [v] occurs under a non-affine atom. *)

@@ -1,4 +1,4 @@
-(** The access compiler shared by the simulator's interpreter and the exec
+(** The access and leaf compiler shared by the simulator and the exec
     backend's kernels.
 
     A lowered program runs over a dense integer environment in which every
@@ -6,7 +6,8 @@
     [c0 + Σ kⱼ·env.(sⱼ)] read from {!Alt_tensor.Ixexpr.affine}; only
     non-affine residues (div/mod/min/max, products of variables) keep a
     closure tree.  Compiled values equal {!Alt_tensor.Ixexpr.eval} of the
-    source expressions under every environment. *)
+    source expressions under every environment.  Batched innermost loops
+    share their hoisted bases, chain walker and leaf values too. *)
 
 module Var = Alt_tensor.Var
 module Ixexpr = Alt_tensor.Ixexpr
@@ -21,7 +22,8 @@ val var_slot : t -> Var.t -> int
 
 val alloc_env : t -> int array
 (** A zeroed environment covering every slot assigned so far; allocate it
-    after compiling. *)
+    after compiling.  [t] keeps the last one for the {!leaf_group} values
+    that read it. *)
 
 (** A compiled integer expression [k0 + Σⱼ coeffs.(j)·env.(slots.(j))],
     plus [resid env] when the source has non-affine atoms. *)
@@ -99,6 +101,38 @@ val chain :
     bases that move with it by their strides after every iteration and
     rewinds them when its loop ends.  Integer offsets are exact, so
     [inner] always sees the [b_at] a fresh evaluation would give. *)
+
+(** {1 Leaf values}
+
+    The value half of a batched leaf group — an innermost loop whose body
+    is Store/Reduce statements — compiled once for both executors: one
+    hoisted base per distinct access, an evaluator indexed by the
+    innermost iteration, and whole-loop runners for constant fills, for
+    the multiply-accumulate shape every conv/matmul reduction lowers to
+    (a scalar accumulator stays in a register over a 4x unrolled loop
+    with one sequential accumulation chain), and for everything else.
+    Every combine function, evaluation order and accumulation chain is
+    the scalar interpreter's, so outputs are bit-identical to it. *)
+
+type leaf_group = private {
+  lg_bases : base array;  (** one per distinct access, for {!chain} *)
+  lg_base : Program.access -> base;
+      (** the base of an access of the group; [Not_found] for others *)
+  lg_inner : int -> int array -> unit;
+      (** [lg_inner n]: the innermost loop of [n] iterations, the [inner]
+          of {!chain}.  Several leaves interleave per iteration, since a
+          later one may read what an earlier one wrote. *)
+}
+
+val leaf_group :
+  t -> Program.slot array -> float array array -> Var.t -> Program.stmt list ->
+  leaf_group option
+(** [leaf_group vm slots bufs v leaves]: the values of the leaf statements
+    under the innermost loop over [v], reading and writing [bufs]; [None]
+    when some access is not affine in [v] or a statement is not a
+    Store/Reduce.  Loads under a select and several Reduce leaves are
+    fine.  Select conditions read the environment {!alloc_env} returned
+    last, so allocate it before running. *)
 
 val affine_stride : Program.slot array -> Program.access -> Var.t -> int option
 (** Elements the access's offset moves per unit step of the variable;

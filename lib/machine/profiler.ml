@@ -43,12 +43,13 @@
    resident, the rest is a run of guaranteed hits that costs one O(1)
    [Cache.touch_at] per stream and one for the accumulator's spills.
    Per-iteration counter increments collapse to one bulk update per
-   chain entry.  Values are computed in a separate tight loop over
-   hoisted base offsets (base + stride·x, one base per distinct access).
-   Each batched loop runs with the perfect chain of loops above it that
-   every access is affine in: the chain walker shared with the exec
-   kernels ([Loopenv.chain]) evaluates the bases once per chain entry
-   and strength-reduces them across the chain's sampled extents.
+   chain entry.  Values are computed ahead of the cache pass, in a
+   separate tight loop over hoisted base offsets (base + stride·x, one
+   base per distinct access), by the leaf compiler the exec kernels run
+   too ([Loopenv.leaf_group]).  Each batched loop runs with the perfect
+   chain of loops above it that every access is affine in: the shared
+   chain walker ([Loopenv.chain]) evaluates the bases once per chain
+   entry and strength-reduces them across the chain's sampled extents.
    Every batched operation leaves the same tags and per-set recency
    order as the element-wise walk, so the produced counters are
    bit-identical to the scalar interpreter's — proven by the differential
@@ -292,12 +293,9 @@ type spill = {
   sp_cur : Cache.cursor;
 }
 
-(* One statement under the innermost loop, compiled for batched
-   execution. *)
+(* The per-iteration counter deltas of one statement under the innermost
+   loop (exact dyadic floats; see DESIGN.md §9). *)
 type fast_leaf = {
-  fl_step : int -> unit; (* value update for iteration x *)
-  fl_run : int -> unit; (* whole-loop value update (single-leaf groups) *)
-  (* per-iteration counter deltas (exact dyadic floats; see DESIGN.md §9) *)
   fl_d_loads : float;
   fl_d_stores : float;
   fl_d_insts : float;
@@ -332,33 +330,6 @@ let rec loads_in_order = function
   | Program.Pun (_, a) -> loads_in_order a
   | Program.Pselect (_, _, _) -> [] (* load-free by [selects_load_free] *)
 
-(* Pure value evaluator: loads read buffers directly at hoisted affine
-   offsets; no cache or counter effects.  Mirrors [compile_pexpr]'s
-   evaluation structure exactly, so float results are bit-identical. *)
-let rec compile_pure vm ctx (base_of : Program.access -> Loopenv.base)
-    (e : Program.pexpr) : int -> float =
-  match e with
-  | Program.Pconst f -> fun _ -> f
-  | Program.Pload a ->
-      let b = base_of a in
-      let buf = ctx.bufs.(a.Program.slot) in
-      let stride = b.Loopenv.b_stride in
-      fun x -> buf.(b.Loopenv.b_at + (stride * x))
-  | Program.Pbin (op, a, b) ->
-      let fa = compile_pure vm ctx base_of a
-      and fb = compile_pure vm ctx base_of b in
-      let g = Sexpr.apply_binop op in
-      fun x -> g (fa x) (fb x)
-  | Program.Pun (op, a) ->
-      let fa = compile_pure vm ctx base_of a in
-      let g = Sexpr.apply_unop op in
-      fun x -> g (fa x)
-  | Program.Pselect (c, a, b) ->
-      let fc = Loopenv.compile_cond vm c
-      and fa = compile_pure vm ctx base_of a
-      and fb = compile_pure vm ctx base_of b in
-      fun x -> if fc ctx.env then fa x else fb x
-
 (* Bulk counter updates are products [delta * iterations].  They equal the
    scalar interpreter's one-by-one float additions exactly because every
    per-iteration cost is a dyadic rational (1, 1/lanes with power-of-two
@@ -378,6 +349,7 @@ type fast_plan = {
   fp_streams : stream array;
   fp_leaves : fast_leaf array;
   fp_bases : Loopenv.base array; (* one per distinct access *)
+  fp_inner : int -> int array -> unit; (* the value pass of n iterations *)
   fp_spill : spill;
   fp_d_l1acc : int; (* per-iteration stream accesses, all leaves *)
 }
@@ -385,251 +357,126 @@ type fast_plan = {
 (* Try to compile the body [b] of innermost loop [l] into a fast plan.
    Returns [None] — scalar fallback — unless every statement is a
    Store/Reduce whose accesses are affine in the loop variable (any
-   stride), with no loads under selects, and at most one Reduce placed
-   last (its spills follow every other access of the iteration). *)
+   stride), with no loads under selects (the access set of an iteration
+   would vary), and at most one Reduce placed last (its spills follow
+   every other access of the iteration).  The values come from the leaf
+   compiler the exec kernels use ([Loopenv.leaf_group]); the plan adds
+   the streams, the spill and the counter deltas. *)
 let fast_plan_of vm slots (vc : vec_ctx) ctx machine
     (enclosing : Program.loop list) (l : Program.loop) (b : astmt) :
     fast_plan option =
-  let exception Fallback in
-  try
-    if not (is_pow2 machine.Machine.lanes) then raise Fallback;
-    let rec flatten = function
-      | Aleaf s -> [ s ]
-      | Ablock lst -> List.concat_map flatten lst
-      | Afor _ -> raise Fallback
-    in
-    let stmts = flatten b in
-    if stmts = [] then raise Fallback;
-    let n = List.length stmts in
-    List.iteri
-      (fun i s ->
-        match s with
-        | Program.Reduce _ when i < n - 1 -> raise Fallback
-        | _ -> ())
-      stmts;
-    let vslot = Loopenv.var_slot vm l.Program.v in
-    let streams = ref [] and bases = ref [] and spill = ref None in
-    (* one hoisted base per distinct access *)
-    let base_of (a : Program.access) =
-      match List.assoc_opt a !bases with
-      | Some b -> b
-      | None -> (
-          match Loopenv.base (Loopenv.compile_offset vm slots a) vslot with
-          | Some b ->
-              bases := (a, b) :: !bases;
-              b
-          | None -> raise Fallback)
-    in
-    (* Whole-loop value runner from a per-iteration step; the loop
-       variable's env slot tracks x for Pselect conditions. *)
-    let generic_run (step : int -> unit) simn =
-      let env = ctx.env in
-      for x = 0 to simn - 1 do
-        env.(vslot) <- x;
-        step x
-      done
-    in
-    let mk_stream a =
-      let b = base_of a in
-      streams :=
-        {
-          str_slot = a.Program.slot;
-          str_base = b;
-          str_bstride = b.Loopenv.b_stride * elem_bytes;
-          str_shift = shift_of (b.Loopenv.b_stride * elem_bytes);
-          str_addr = 0;
-          str_cur = Cache.cursor ();
-        }
-        :: !streams
-    in
-    let loads_cost lds =
-      List.fold_left (fun acc la -> acc +. access_inst_cost slots vc la) 0.0 lds
-    in
-    let scaled arith =
-      match vc.vvar with
-      | None -> arith
-      | Some _ -> arith /. float_of_int vc.lanes
-    in
-    let compile_leaf (s : Program.stmt) : fast_leaf =
-      match s with
-      | Program.Store (a, e) ->
-          if not (selects_load_free e) then raise Fallback;
-          let lds = loads_in_order e in
-          List.iter mk_stream lds;
-          mk_stream a;
-          let ld_cost = loads_cost lds and st_cost = access_inst_cost slots vc a in
-          let arith = float_of_int (pexpr_arith e) in
-          let fe = compile_pure vm ctx base_of e in
-          let spb = base_of a in
-          let sstride = spb.Loopenv.b_stride in
-          let buf = ctx.bufs.(a.Program.slot) in
-          let step x = buf.(spb.Loopenv.b_at + (sstride * x)) <- fe x in
-          let run =
-            match e with
-            | Program.Pconst cst ->
-                (* tile-init loops: no closure call per element *)
-                fun simn ->
-                  let base = spb.Loopenv.b_at in
-                  if sstride = 1 then Array.fill buf base simn cst
-                  else
-                    for x = 0 to simn - 1 do
-                      buf.(base + (sstride * x)) <- cst
-                    done
-            | _ -> generic_run step
-          in
+  let rec flatten = function
+    | Aleaf s -> [ s ]
+    | Ablock lst -> List.concat_map flatten lst
+    | Afor _ -> assert false (* only leaf groups come here *)
+  in
+  let stmts = flatten b in
+  let rec eligible = function
+    | [] -> true
+    | [ Program.Reduce (_, _, e) ] -> selects_load_free e
+    | Program.Store (_, e) :: rest -> selects_load_free e && eligible rest
+    | _ -> false
+  in
+  if not (is_pow2 machine.Machine.lanes && eligible stmts) then None
+  else
+    match Loopenv.leaf_group vm slots ctx.bufs l.Program.v stmts with
+    | None -> None
+    | Some g ->
+        let base_of = g.Loopenv.lg_base in
+        let stream a =
+          let b = base_of a in
           {
-            fl_step = step;
-            fl_run = run;
-            fl_d_loads = ld_cost;
-            fl_d_stores = st_cost;
-            fl_d_insts = ld_cost +. st_cost +. scaled arith;
-            fl_d_flops = arith;
+            str_slot = a.Program.slot;
+            str_base = b;
+            str_bstride = b.Loopenv.b_stride * elem_bytes;
+            str_shift = shift_of (b.Loopenv.b_stride * elem_bytes);
+            str_addr = 0;
+            str_cur = Cache.cursor ();
           }
-      | Program.Reduce (a, r, e) ->
-          if not (selects_load_free e) then raise Fallback;
-          let lds = loads_in_order e in
-          List.iter mk_stream lds;
-          let ld_cost = loads_cost lds in
-          let arith = float_of_int (pexpr_arith e + 1) in
-          let apb = base_of a in
-          let astride = apb.Loopenv.b_stride in
-          spill :=
-            Some
+        in
+        let loads_cost lds =
+          List.fold_left
+            (fun acc la -> acc +. access_inst_cost slots vc la)
+            0.0 lds
+        in
+        let scaled arith =
+          match vc.vvar with
+          | None -> arith
+          | Some _ -> arith /. float_of_int vc.lanes
+        in
+        let spill = ref None in
+        let compile_leaf (s : Program.stmt) =
+          match s with
+          | Program.Store (a, e) ->
+              let lds = loads_in_order e in
+              let ld_cost = loads_cost lds
+              and st_cost = access_inst_cost slots vc a in
+              let arith = float_of_int (pexpr_arith e) in
+              ( List.map stream (lds @ [ a ]),
+                {
+                  fl_d_loads = ld_cost;
+                  fl_d_stores = st_cost;
+                  fl_d_insts = ld_cost +. st_cost +. scaled arith;
+                  fl_d_flops = arith;
+                } )
+          | Program.Reduce (a, _, e) ->
+              let lds = loads_in_order e in
+              let ld_cost = loads_cost lds in
+              let arith = float_of_int (pexpr_arith e + 1) in
+              let ab = base_of a in
+              let astride = ab.Loopenv.b_stride in
+              spill :=
+                Some
+                  {
+                    sp_slot = a.Program.slot;
+                    sp_base = ab;
+                    sp_bstride = astride * elem_bytes;
+                    sp_shift = shift_of (astride * elem_bytes);
+                    sp_k = promotion_factor machine enclosing a;
+                    sp_tick = 0;
+                    sp_addr = 0;
+                    sp_count = 0;
+                    sp_cost = access_inst_cost slots vc a;
+                    sp_cur = Cache.cursor ();
+                  };
+              ( List.map stream lds,
+                {
+                  fl_d_loads = ld_cost;
+                  fl_d_stores = 0.0;
+                  fl_d_insts = ld_cost +. scaled arith;
+                  fl_d_flops = arith;
+                } )
+          | Program.For _ | Program.Block _ -> assert false
+        in
+        let streams, leaves = List.split (List.map compile_leaf stmts) in
+        let streams = Array.of_list (List.concat streams) in
+        let bases = g.Loopenv.lg_bases in
+        let spill =
+          match !spill with
+          | Some sp -> sp
+          | None ->
               {
-                sp_slot = a.Program.slot;
-                sp_base = apb;
-                sp_bstride = astride * elem_bytes;
-                sp_shift = shift_of (astride * elem_bytes);
-                sp_k = promotion_factor machine enclosing a;
+                sp_slot = 0;
+                sp_base = bases.(0);
+                sp_bstride = 0;
+                sp_shift = -1;
+                sp_k = 0;
                 sp_tick = 0;
                 sp_addr = 0;
                 sp_count = 0;
-                sp_cost = access_inst_cost slots vc a;
+                sp_cost = 0.0;
                 sp_cur = Cache.cursor ();
-              };
-          let buf = ctx.bufs.(a.Program.slot) in
-          let step, run =
-            match e with
-            | Program.Pbin
-                (Sexpr.Bmul, Program.Pload la, Program.Pload lb)
-              when r = Program.Rsum ->
-                (* the multiply-accumulate kernel every conv/matmul/depthwise
-                   reduction lowers to: run it as a tight array loop, with
-                   loop-invariant (stride-0) operands hoisted when they
-                   cannot alias the accumulator *)
-                let pba = base_of la and pbb = base_of lb in
-                let ba = ctx.bufs.(la.Program.slot)
-                and bb = ctx.bufs.(lb.Program.slot) in
-                let sa = pba.Loopenv.b_stride and sb = pbb.Loopenv.b_stride in
-                let alias_a = la.Program.slot = a.Program.slot
-                and alias_b = lb.Program.slot = a.Program.slot in
-                let step x =
-                  let o = apb.Loopenv.b_at + (astride * x) in
-                  buf.(o) <-
-                    buf.(o)
-                    +. (ba.(pba.Loopenv.b_at + (sa * x))
-                       *. bb.(pbb.Loopenv.b_at + (sb * x)))
-                in
-                let run simn =
-                  let oa = pba.Loopenv.b_at
-                  and ob = pbb.Loopenv.b_at
-                  and oc = apb.Loopenv.b_at in
-                  if astride = 0 && (not alias_a) && not alias_b then begin
-                    (* scalar accumulator: defer the store to the end *)
-                    let acc = ref buf.(oc) in
-                    (if sa = 0 then
-                       let va = ba.(oa) in
-                       for x = 0 to simn - 1 do
-                         acc := !acc +. (va *. bb.(ob + (sb * x)))
-                       done
-                     else if sb = 0 then
-                       let vb = bb.(ob) in
-                       for x = 0 to simn - 1 do
-                         acc := !acc +. (ba.(oa + (sa * x)) *. vb)
-                       done
-                     else
-                       for x = 0 to simn - 1 do
-                         acc :=
-                           !acc +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
-                       done);
-                    buf.(oc) <- !acc
-                  end
-                  else if sa = 0 && not alias_a then begin
-                    let va = ba.(oa) in
-                    for x = 0 to simn - 1 do
-                      let o = oc + (astride * x) in
-                      buf.(o) <- buf.(o) +. (va *. bb.(ob + (sb * x)))
-                    done
-                  end
-                  else if sb = 0 && not alias_b then begin
-                    let vb = bb.(ob) in
-                    for x = 0 to simn - 1 do
-                      let o = oc + (astride * x) in
-                      buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. vb)
-                    done
-                  end
-                  else
-                    for x = 0 to simn - 1 do
-                      let o = oc + (astride * x) in
-                      buf.(o) <-
-                        buf.(o)
-                        +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
-                    done
-                in
-                (step, run)
-            | _ ->
-                let fe = compile_pure vm ctx base_of e in
-                let combine =
-                  match r with
-                  | Program.Rsum -> Float.add
-                  | Program.Rmax -> Float.max
-                in
-                let step x =
-                  let v = fe x in
-                  let o = apb.Loopenv.b_at + (astride * x) in
-                  buf.(o) <- combine buf.(o) v
-                in
-                (step, generic_run step)
-          in
+              }
+        in
+        Some
           {
-            fl_step = step;
-            fl_run = run;
-            fl_d_loads = ld_cost;
-            fl_d_stores = 0.0;
-            fl_d_insts = ld_cost +. scaled arith;
-            fl_d_flops = arith;
+            fp_streams = streams;
+            fp_leaves = Array.of_list leaves;
+            fp_bases = bases;
+            fp_inner = g.Loopenv.lg_inner;
+            fp_spill = spill;
+            fp_d_l1acc = Array.length streams;
           }
-      | Program.For _ | Program.Block _ -> raise Fallback
-    in
-    let leaves = Array.of_list (List.map compile_leaf stmts) in
-    let streams = Array.of_list (List.rev !streams) in
-    let bases = Array.of_list (List.rev_map snd !bases) in
-    let spill =
-      match !spill with
-      | Some sp -> sp
-      | None ->
-          {
-            sp_slot = 0;
-            sp_base = bases.(0);
-            sp_bstride = 0;
-            sp_shift = -1;
-            sp_k = 0;
-            sp_tick = 0;
-            sp_addr = 0;
-            sp_count = 0;
-            sp_cost = 0.0;
-            sp_cur = Cache.cursor ();
-          }
-    in
-    Some
-      {
-        fp_streams = streams;
-        fp_leaves = leaves;
-        fp_bases = bases;
-        fp_spill = spill;
-        fp_d_l1acc = Array.length streams;
-      }
-  with Fallback -> None
 
 (* Like [mem_access], with the access itself counted in bulk. *)
 let fast_mem_access ctx cur addr =
@@ -771,24 +618,12 @@ let make_cache_pass ctx (plan : fast_plan) sim =
       done
     end
 
-(* The innermost run of a fast group: value pass (pure, independent of
-   the cache model), then the cache pass.  Single-leaf groups (the
-   common case) run the leaf's compiled whole-loop runner; multi-leaf
-   blocks interleave per iteration, since a later leaf may read what an
-   earlier one wrote at the same iteration. *)
-let make_fast_runner ctx (plan : fast_plan) vslot sim =
-  let leaves = plan.fp_leaves in
-  let n_leaves = Array.length leaves in
-  let cache_pass = make_cache_pass ctx plan sim in
+(* The innermost run of a fast group: the value pass (independent of
+   the cache model), then the cache pass. *)
+let make_fast_runner ctx (plan : fast_plan) sim =
+  let values = plan.fp_inner sim and cache_pass = make_cache_pass ctx plan sim in
   fun env ->
-    if n_leaves = 1 then leaves.(0).fl_run sim
-    else
-      for x = 0 to sim - 1 do
-        env.(vslot) <- x;
-        for i = 0 to n_leaves - 1 do
-          leaves.(i).fl_step x
-        done
-      done;
+    values env;
     cache_pass ()
 
 (* The counters of [points] iterations of a fast group, in bulk, with
@@ -881,7 +716,7 @@ let compile ctx (p : Program.t) ~(sample_ratio : float) ~(fast : bool) =
                   let vslot = Loopenv.var_slot vm l.Program.v in
                   let run =
                     Loopenv.chain ~vslot plan.fp_bases levels
-                      (make_fast_runner ctx plan vslot sim)
+                      (make_fast_runner ctx plan sim)
                   in
                   let runs = Loopenv.chain_points levels in
                   let points = runs * sim in

@@ -9,9 +9,11 @@
     any stride, are executed by a line-granular batching engine
     (DESIGN.md §9), together with the perfect chain of loops above them
     that the accesses are affine in; it produces bit-identical counters
-    and outputs to the element-wise interpreter.  Statements with
-    non-affine accesses (div/mod, min/max) or loads under a select fall
-    back to the scalar path. *)
+    and outputs to the element-wise interpreter.  Its values come from
+    the leaf compiler the exec kernels share
+    ({!Alt_ir.Loopenv.leaf_group}).  Statements with non-affine accesses
+    (div/mod, min/max) or loads under a select, and groups with a Reduce
+    that is not the last leaf, fall back to the scalar path. *)
 
 module Program = Alt_ir.Program
 

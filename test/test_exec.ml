@@ -21,6 +21,7 @@ module Opdef = Alt_ir.Opdef
 module Schedule = Alt_ir.Schedule
 module Lower = Alt_ir.Lower
 module Program = Alt_ir.Program
+module Sexpr = Alt_ir.Sexpr
 module Ops = Alt_graph.Ops
 module Propagate = Alt_graph.Propagate
 module Machine = Alt_machine.Machine
@@ -523,6 +524,61 @@ let chain_cases =
     chain_case ~domains:4 "(e) (c) at 4 domains" chain_select;
     chain_case ~domains:4 "(e) (d) at 4 domains" chain_multi_leaf;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Multiply-accumulate alias guard                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A multiply-accumulate whose operand reads its own accumulator: the
+   leaf compiler must neither keep the accumulator in a register nor
+   hoist the operand.  [~moving:false] is
+   [Y[0] = 0.5; for i: Y[0] += Y[0] * W[i]], and [~moving:true] is
+   [for j: Y[j] = X[j]; for i: Y[i] += Y[0] * W[i]], whose first
+   iteration updates the operand the rest read; [~swap] makes the
+   aliased operand the second one. *)
+let mac_alias_nest ~moving ~swap =
+  let n = 13 in
+  let i = Var.fresh "i" and j = Var.fresh "j" in
+  (* [slot[k·v]] of a 1-D slot *)
+  let at slot k v =
+    { Program.slot; idx = [| Ixexpr.mul (Ixexpr.const k) (Ixexpr.var v) |] }
+  in
+  let loop v body =
+    Program.For ({ Program.v; extent = n; kind = Program.Serial }, body)
+  in
+  let slot sname role = { Program.sname; layout = trivial [| n |]; role } in
+  let y0 = Program.Pload (at 0 0 i) and w = Program.Pload (at 1 1 i) in
+  let init =
+    if moving then loop j (Program.Store (at 0 1 j, Program.Pload (at 2 1 j)))
+    else Program.Store (at 0 0 i, Program.Pconst 0.5)
+  in
+  let mac =
+    Program.Reduce
+      ( at 0 (if moving then 1 else 0) i,
+        Program.Rsum,
+        if swap then Program.Pbin (Sexpr.Bmul, w, y0)
+        else Program.Pbin (Sexpr.Bmul, y0, w) )
+  in
+  ( {
+      Program.pname = "mac_alias";
+      body = Program.Block [ init; loop i mac ];
+      slots =
+        [| slot "Y" Program.Output; slot "W" Program.Input;
+           slot "X" Program.Input |];
+      flops = 2 * n;
+    },
+    [ ("W", Buffer.random ~seed:11 [| n |]);
+      ("X", Buffer.random ~seed:12 [| n |]) ] )
+
+let mac_alias_cases =
+  List.map
+    (fun (label, moving, swap) ->
+      Alcotest.test_case label `Quick (fun () ->
+          check_chain ~domains:1 label (mac_alias_nest ~moving ~swap)))
+    [ ("1st operand aliases a scalar accumulator", false, false);
+      ("2nd operand aliases a scalar accumulator", false, true);
+      ("1st operand aliases a moving accumulator", true, false);
+      ("2nd operand aliases a moving accumulator", true, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Relation-derived layouts: random primitive chains (DESIGN.md §16)  *)
@@ -1156,6 +1212,7 @@ let () =
             test_generic_fallback;
         ] );
       ("chains", chain_cases);
+      ("mac-alias", mac_alias_cases);
       ( "parallel",
         qsuite
           [

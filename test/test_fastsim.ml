@@ -462,6 +462,32 @@ let chain_two_levels () =
                 ( at 1 [ (48, k); (16, j); (1, i) ] 0,
                   load 0 [ (7, k); (50, j); (2, i) ] 3 )))))
 
+(* (g) A multiply-accumulate whose operand reads its own accumulator,
+   which the shared leaf compiler must not hoist or keep in a register:
+   a scalar accumulator, [Y[0] = 0.5; for i: Y[0] += Y[0] * W[i]], and a
+   moving one, [for j: Y[j] = X[j]; for i: Y[i] += Y[0] * W[i]], whose
+   first iteration updates the operand the rest read; [~swap] makes the
+   aliased operand the second one. *)
+let mac_alias ~moving ~swap () =
+  let j = Var.fresh "j" and i = Var.fresh "i" in
+  let y0 = load 0 [] 0 and w = load 1 [ (1, i) ] 0 in
+  nest
+    [ ("Y", 13, Program.Output); ("W", 13, Program.Input);
+      ("X", 13, Program.Input) ]
+    (Program.Block
+       [
+         (if moving then
+            for_ j 13 (Program.Store (at 0 [ (1, j) ] 0, load 2 [ (1, j) ] 0))
+          else Program.Store (at 0 [] 0, Program.Pconst 0.5));
+         for_ i 13
+           (Program.Reduce
+              ( at 0 (if moving then [ (1, i) ] else []) 0,
+                Program.Rsum,
+                Program.Pbin
+                  (Sexpr.Bmul, (if swap then w else y0), if swap then y0 else w)
+              ));
+       ])
+
 let directed_cases =
   List.map
     (fun (label, nest) ->
@@ -475,6 +501,14 @@ let directed_cases =
       ("(e) accumulator evicted in iteration one", acc_evicted);
       ("(f) chain stops at div/mod", chain_below_divmod);
       ("(f) chain of two levels", chain_two_levels);
+      ("(g) MAC: 1st operand aliases a scalar accumulator",
+       mac_alias ~moving:false ~swap:false);
+      ("(g) MAC: 2nd operand aliases a scalar accumulator",
+       mac_alias ~moving:false ~swap:true);
+      ("(g) MAC: 1st operand aliases a moving accumulator",
+       mac_alias ~moving:true ~swap:false);
+      ("(g) MAC: 2nd operand aliases a moving accumulator",
+       mac_alias ~moving:true ~swap:true);
     ]
 
 (* The profiler publishes the deltas of the caller's [engine] record:
