@@ -75,33 +75,6 @@ let jobs =
 let effective_jobs () =
   if !jobs <= 0 then Pool.default_jobs () else !jobs
 
-(* Fault injection for the tuning drivers (defaults off): environment
-   knobs ALT_FAULT_RATE / ALT_FAULT_SEED / ALT_RETRIES, overridden by
-   --fault-rate / --fault-seed / --retries in bench/main.ml.  With a
-   nonzero rate every experiment runs through the recovery policy of the
-   measurement pipeline; the fault pattern is deterministic in the seed. *)
-let fault_rate =
-  ref
-    (match Sys.getenv_opt "ALT_FAULT_RATE" with
-    | Some s -> ( try float_of_string (String.trim s) with _ -> 0.0)
-    | None -> 0.0)
-
-let fault_seed =
-  ref
-    (match Sys.getenv_opt "ALT_FAULT_SEED" with
-    | Some s -> ( try int_of_string (String.trim s) with _ -> 0)
-    | None -> 0)
-
-let retries =
-  ref
-    (match Sys.getenv_opt "ALT_RETRIES" with
-    | Some s -> ( try int_of_string (String.trim s) with _ -> 2)
-    | None -> 2)
-
-let faults () =
-  if !fault_rate > 0.0 then Fault.create ~seed:!fault_seed ~rate:!fault_rate ()
-  else Fault.none
-
 let section title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')
 

@@ -44,7 +44,7 @@ let loop_budget = pick ~smoke:8 ~quick:24 ~full:64
 let max_points = pick ~smoke:5_000 ~quick:20_000 ~full:60_000
 
 let tune_fixed machine op choice =
-  let task = Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
+  let task = Measure.make_task ~machine ~max_points op in
   let r =
     Tuner.tune_loop_only ~explorer:Tuner.Guided ~budget:loop_budget
       ~layouts:[ choice ] task

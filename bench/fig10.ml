@@ -47,7 +47,7 @@ let run () =
             List.map
               (fun sys ->
                 let tg =
-                  Graph_tuner.tune_graph ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~system:sys ~machine ~budget
+                  Graph_tuner.tune_graph ~system:sys ~machine ~budget
                     ~max_points:tune_points m.Zoo.graph
                 in
                 let r = Graph_tuner.run ~max_points:run_points tg ~machine in

@@ -25,13 +25,13 @@ let pretrain_agent () =
      GMM workloads drawn from the evaluation distribution) *)
   let workloads =
     [
-      Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points
+      Measure.make_task ~machine ~max_points
         (Ops.c2d ~name:"pre1" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:3 ~o:8
            ~h:12 ~w:12 ~kh:5 ~kw:5 ~stride:2 ());
-      Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points
+      Measure.make_task ~machine ~max_points
         (Ops.c2d ~name:"pre2" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:16 ~o:32
            ~h:14 ~w:14 ~kh:3 ~kw:3 ());
-      Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points
+      Measure.make_task ~machine ~max_points
         (Ops.gmm ~name:"pre3" ~a:"A" ~b:"B" ~out:"C" ~m:64 ~k:64 ~n:64 ());
     ]
   in
@@ -67,7 +67,7 @@ let run () =
     let runs =
       List.map
         (fun seed ->
-          let task = Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points (target_op ()) in
+          let task = Measure.make_task ~machine ~max_points (target_op ()) in
           let r =
             Tuner.tune_alt ~seed ~layout_explorer:(mk_explorer seed)
               ~seed_layouts:false ~joint_budget:budget ~loop_budget:0 task

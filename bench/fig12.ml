@@ -52,7 +52,7 @@ let candidate_choices (op : Opdef.t) =
 let tune_candidates op =
   List.map
     (fun choice ->
-      let task = Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
+      let task = Measure.make_task ~machine ~max_points op in
       let r =
         Tuner.tune_loop_only ~jobs:(effective_jobs ()) ~explorer:Tuner.Guided
           ~budget:loop_budget ~layouts:[ choice ] task

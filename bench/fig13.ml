@@ -39,7 +39,7 @@ let run () =
         List.map
           (fun (name, levels, budget) ->
             let tg =
-              Graph_tuner.tune_graph ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~system:Graph_tuner.Galt ~machine ~budget
+              Graph_tuner.tune_graph ~system:Graph_tuner.Galt ~machine ~budget
                 ~levels ~max_points:tune_points m.Zoo.graph
             in
             let r = Graph_tuner.run ~max_points:run_points tg ~machine in

@@ -172,7 +172,7 @@ let run () =
                 List.map
                   (fun sys ->
                     let op = mk (Fmt.str "%s_%d" fam ci) in
-                    let task = Measure.make_task ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
+                    let task = Measure.make_task ~machine ~max_points op in
                     let r =
                       Tuner.tune_op ~jobs:(effective_jobs ()) ~system:sys
                         ~budget task

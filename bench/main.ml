@@ -24,8 +24,8 @@ let experiments =
   ]
 
 let () =
-  (* strip "--jobs N" (or "-j N") and the fault-injection flags anywhere
-     in the argument list; what remains are experiment names *)
+  (* strip "--jobs N" (or "-j N") anywhere in the argument list; what
+     remains are experiment names *)
   let rec split_args acc = function
     | [] -> List.rev acc
     | ("--jobs" | "-j") :: n :: rest ->
@@ -33,24 +33,7 @@ let () =
            try int_of_string n
            with _ -> Fmt.failwith "--jobs expects an integer, got %S" n);
         split_args acc rest
-    | "--fault-rate" :: p :: rest ->
-        (Bench_util.fault_rate :=
-           try float_of_string p
-           with _ -> Fmt.failwith "--fault-rate expects a float, got %S" p);
-        split_args acc rest
-    | "--fault-seed" :: n :: rest ->
-        (Bench_util.fault_seed :=
-           try int_of_string n
-           with _ -> Fmt.failwith "--fault-seed expects an integer, got %S" n);
-        split_args acc rest
-    | "--retries" :: n :: rest ->
-        (Bench_util.retries :=
-           try int_of_string n
-           with _ -> Fmt.failwith "--retries expects an integer, got %S" n);
-        split_args acc rest
-    | (("--jobs" | "-j" | "--fault-rate" | "--fault-seed" | "--retries") as f)
-      :: [] ->
-        Fmt.failwith "%s expects a value" f
+    | (("--jobs" | "-j") as f) :: [] -> Fmt.failwith "%s expects a value" f
     | a :: rest -> split_args (a :: acc) rest
   in
   let names =

@@ -26,7 +26,7 @@ let fused_chain () =
   ]
 
 let tune_with choice =
-  let task = Measure.make_task ~fused:(fused_chain ()) ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
+  let task = Measure.make_task ~fused:(fused_chain ()) ~machine ~max_points op in
   let r =
     Tuner.tune_loop_only ~explorer:Tuner.Guided ~budget:loop_budget
       ~layouts:[ choice ] task
@@ -34,7 +34,7 @@ let tune_with choice =
   (r.Tuner.best_choice, r.Tuner.best_schedule)
 
 let profile name (choice, schedule) =
-  let task = Measure.make_task ~fused:(fused_chain ()) ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
+  let task = Measure.make_task ~fused:(fused_chain ()) ~machine ~max_points op in
   match Measure.measure task choice schedule with
   | Measure.Ok r ->
       Fmt.pr "%-28s %10.0f %10.0f %9.0f %9.0f %9.4f@." name r.Profiler.insts
@@ -50,7 +50,7 @@ let run () =
   profile "NOHW" (tune_with (Templates.trivial_choice op));
   profile "N O/ot H W ot (ot=8)" (tune_with (Templates.blocked_choice op ~block:8));
   (* joint-tuned ALT layout *)
-  let task = Measure.make_task ~fused:(fused_chain ()) ~faults:(Bench_util.faults ()) ~retries:!Bench_util.retries ~machine ~max_points op in
+  let task = Measure.make_task ~fused:(fused_chain ()) ~machine ~max_points op in
   let r =
     Tuner.tune_alt ~joint_budget:(loop_budget * 2) ~loop_budget task
   in

@@ -178,17 +178,6 @@ let backend_of sel ~warmup ~repeats ~domains =
   | `Sim -> Runtime.Sim
   | `Exec -> Runtime.Exec { Exec.warmup; repeats; clock = Exec.Wall; domains }
 
-let warm_start_arg =
-  Arg.(
-    value & flag
-    & info [ "warm-start-model" ]
-        ~doc:
-          "Keep the GBDT cost model's trees across measurement batches and \
-           boost a few new trees on the grown dataset instead of refitting \
-           from scratch.  Faster fits, but the model (and therefore the \
-           tuning trajectory) differs from a from-scratch fit, so this is \
-           off by default.")
-
 let op_kind_arg =
   Arg.(
     value & opt string "c2d"
@@ -249,8 +238,7 @@ let system_arg =
 let tune_op_cmd =
   let run machine budget seed jobs kind batch channels out_channels spatial
       kernel stride system fault_rate fault_seed retries watchdog checkpoint
-      resume backend_sel exec_warmup exec_repeats exec_domains
-      warm_start trace metrics =
+      resume backend_sel exec_warmup exec_repeats exec_domains trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
@@ -268,8 +256,7 @@ let tune_op_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let r =
-      Tuner.tune_op ~seed ~jobs ~warm_start ?checkpoint ?resume ~system
-        ~budget task
+      Tuner.tune_op ~seed ~jobs ?checkpoint ?resume ~system ~budget task
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     (* the summary below prints from the metrics registry: the task's
@@ -341,7 +328,7 @@ let tune_op_cmd =
       $ stride_arg $ system_arg $ fault_rate_arg $ fault_seed_arg
       $ retries_arg $ watchdog_arg $ checkpoint_arg $ resume_arg
       $ backend_arg $ exec_warmup_arg $ exec_repeats_arg $ exec_domains_arg
-      $ warm_start_arg $ trace_arg $ metrics_arg)
+      $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tune-model                                                         *)
@@ -376,10 +363,7 @@ let zoo_spec model ~batch =
   | m -> Fmt.failwith "unknown model %S" m
 
 let policy_enum =
-  [
-    ("gradient", Scheduler.Gradient); ("roundrobin", Scheduler.Roundrobin);
-    ("static", Scheduler.Static);
-  ]
+  [ ("gradient", Scheduler.Gradient); ("static", Scheduler.Static) ]
 
 let scheduler_arg =
   Arg.(
@@ -388,14 +372,14 @@ let scheduler_arg =
     & info [ "scheduler" ] ~docv:"POLICY"
         ~doc:
           "Trial allocation policy: gradient (expected-gain with \
-           ε-round-robin heartbeat), roundrobin, or static (the fixed \
-           per-task split).  Defaults to static for tune-model and to \
-           gradient for schedule.")
+           ε-round-robin heartbeat and cross-task cost-model transfer) or \
+           static (the fixed per-task split).  Defaults to static for \
+           tune-model and to gradient for schedule.")
 
 let tune_model_cmd =
   let run machine budget seed jobs model batch system scheduler fault_rate
       fault_seed retries backend_sel exec_warmup exec_repeats
-      exec_domains warm_start trace metrics =
+      exec_domains trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
@@ -410,7 +394,7 @@ let tune_model_cmd =
       Machine.pp machine budget;
     let tg =
       Graph_tuner.tune_graph ~seed ~jobs ~faults ~retries ~backend
-        ~warm_start ?scheduler ~system ~machine ~budget spec.Zoo.graph
+        ?scheduler ~system ~machine ~budget spec.Zoo.graph
     in
     let r = Graph_tuner.run tg ~machine in
     Fmt.pr "end-to-end latency: %.4f ms@." r.Compile.latency_ms;
@@ -426,7 +410,7 @@ let tune_model_cmd =
       $ batch_arg $ gsystem_arg $ scheduler_arg $ fault_rate_arg
       $ fault_seed_arg $ retries_arg $ backend_arg
       $ exec_warmup_arg $ exec_repeats_arg $ exec_domains_arg
-      $ warm_start_arg $ trace_arg $ metrics_arg)
+      $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* schedule                                                           *)
@@ -441,19 +425,9 @@ let models_arg =
           "Comma-separated zoo to tune under one global budget \
            (r18, mv2, bb, bt, r3d).")
 
-let transfer_arg =
-  Arg.(
-    value
-    & opt (some bool) None
-    & info [ "transfer" ] ~docv:"BOOL"
-        ~doc:
-          "Cross-task cost-model transfer: warm-start a task's first GBDT \
-           fit from the latest ensemble of a similar task.  Defaults to \
-           true under the gradient policy, false otherwise.")
-
 let schedule_cmd =
-  let run machine budget seed jobs models batch system policy transfer
-      fault_rate fault_seed retries warm_start trace metrics =
+  let run machine budget seed jobs models batch system policy fault_rate
+      fault_seed retries trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
@@ -472,8 +446,8 @@ let schedule_cmd =
       (Scheduler.policy_name policy)
       Machine.pp machine budget;
     let report, tuned =
-      Graph_tuner.tune_models ~seed ~jobs ~faults ~retries ~warm_start
-        ?transfer ~policy ~system ~machine ~budget graphs
+      Graph_tuner.tune_models ~seed ~jobs ~faults ~retries ~policy ~system
+        ~machine ~budget graphs
     in
     Fmt.pr
       "tasks: %d unique (share %d), %d/%d trials in %d picks (%d \
@@ -509,9 +483,8 @@ let schedule_cmd =
           gradient task scheduler.")
     Term.(
       const run $ machine_arg $ budget_arg $ seed_arg $ jobs_arg $ models_arg
-      $ batch_arg $ gsystem_arg $ scheduler_arg $ transfer_arg
-      $ fault_rate_arg $ fault_seed_arg $ retries_arg
-      $ warm_start_arg $ trace_arg $ metrics_arg)
+      $ batch_arg $ gsystem_arg $ scheduler_arg $ fault_rate_arg
+      $ fault_seed_arg $ retries_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* show-op                                                            *)

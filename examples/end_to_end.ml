@@ -26,7 +26,7 @@ let () =
     List.map
       (fun sys ->
         let tg = compile_model ~system:sys ~machine ~budget g in
-        let r = run_model tg ~machine in
+        let r = Graph_tuner.run tg ~machine in
         Fmt.pr "%-8s latency=%8.3f ms  (tasks=%d, measurements=%d, \
                 conversions=%d, fused=%d)@."
           (Graph_tuner.gsystem_name sys)

@@ -76,48 +76,21 @@ module Zoo = Alt_models.Zoo
 (** Jointly tune layouts and loops of a single operator with ALT's
     two-stage tuner.  [budget] counts simulated on-device measurements;
     30% goes to the joint stage and 70% to the loop-only stage, as in the
-    paper's single-operator setup.  [jobs] parallelizes the measurements
-    without changing the result (see DESIGN.md §7).  [faults]/[retries]
-    configure fault injection and recovery, [checkpoint]/[resume] the
-    round journal (see DESIGN.md §8). *)
+    paper's single-operator setup.  [max_points] caps each measurement's
+    simulated iteration points.  {!Tuner.tune_alt} takes the remaining
+    settings (seed, jobs, checkpoints). *)
 let tune_operator ?(machine = Machine.intel_cpu) ?(budget = 200)
-    ?(max_points = 40_000) ?seed ?jobs ?levels ?faults ?retries
-    ?watchdog_points ?backend ?warm_start ?checkpoint ?resume (op : Opdef.t) :
-    Tuner.result =
-  let task =
-    Measure.make_task ~machine ~max_points ?faults ?retries ?watchdog_points
-      ?backend op
-  in
-  Tuner.tune_alt ?seed ?jobs ?levels ?warm_start ?checkpoint ?resume
-    ~joint_budget:(budget * 3 / 10)
-    ~loop_budget:(budget * 7 / 10)
-    task
+    ?(max_points = 40_000) (op : Opdef.t) : Tuner.result =
+  let task = Measure.make_task ~machine ~max_points op in
+  Tuner.tune_alt ~joint_budget:(budget * 3 / 10)
+    ~loop_budget:(budget * 7 / 10) task
 
-(** Tune and compile an end-to-end model through the task scheduler
-    (DESIGN.md §14).  [scheduler] picks the trial allocation policy;
-    the default [Static] gives each unique task a fixed slice of
-    [budget], the paper's setup. *)
+(** Tune and compile an end-to-end model with the paper's fixed per-task
+    split of [budget] (DESIGN.md §14); {!Graph_tuner.run} executes the
+    result.  {!Graph_tuner.tune_models} tunes a whole zoo under the
+    gradient task scheduler. *)
 let compile_model ?(system = Graph_tuner.Galt) ?(machine = Machine.intel_cpu)
-    ?(budget = 400) ?max_points ?seed ?jobs ?levels ?faults ?retries
-    ?backend ?warm_start ?scheduler (g : Graph.t) : Graph_tuner.tuned_graph =
-  Graph_tuner.tune_graph ?seed ?jobs ?levels ?max_points ?faults ?retries
-    ?backend ?warm_start ?scheduler ~system ~machine ~budget g
-
-(** Tune a whole zoo of named models under one global trial budget with
-    the gradient task scheduler (DESIGN.md §14), sharing tuning runs and
-    cost models across structurally identical tasks. *)
-let tune_zoo ?(system = Graph_tuner.Galt) ?(machine = Machine.intel_cpu)
-    ?(budget = 400) ?(policy = Scheduler.Gradient) ?max_points ?seed ?jobs
-    ?levels ?faults ?retries ?backend ?warm_start ?transfer
-    (graphs : (string * Graph.t) list) :
-    Scheduler.report * (string * Graph_tuner.tuned_graph) list =
-  Graph_tuner.tune_models ?seed ?jobs ?levels ?max_points ?faults ?retries
-    ?backend ?warm_start ?transfer ~policy ~system ~machine ~budget graphs
-
-(** Execute a tuned model on its machine model and report the simulated
-    end-to-end latency. *)
-let run_model ?max_points (tg : Graph_tuner.tuned_graph)
-    ~(machine : Machine.t) : Compile.exec_result =
-  Graph_tuner.run ?max_points tg ~machine
+    ?(budget = 400) ?seed (g : Graph.t) : Graph_tuner.tuned_graph =
+  Graph_tuner.tune_graph ?seed ~system ~machine ~budget g
 
 let version = "0.1.0"

@@ -44,10 +44,12 @@ type wall = {
 
 val measure : ?cfg:cfg -> Program.t -> bufs:float array array -> wall
 (** Compile [prog] against [bufs] and measure it.  Non-input buffers are
-    re-zeroed (untimed) before every run, warmup or timed — [Reduce]
-    accumulates, so without the reset each rerun would compute different
-    values.  After [measure] returns, [bufs] holds the outputs of the
-    final run, element-wise equal to a single interpreter execution.
+    re-zeroed (untimed) before every run, warmup or timed, so every run
+    starts from the same state: lowered programs initialize what they
+    reduce into, but a hand-built nest without an init store would
+    accumulate into the previous run's outputs.  After [measure] returns,
+    [bufs] holds the outputs of the final run, element-wise equal to a
+    single interpreter execution.
     Raises [Invalid_argument] if [repeats < 1], [warmup < 0] or
     [domains < 1], or on a buffer shape mismatch (see
     {!Kernel.compile}). *)

@@ -65,9 +65,3 @@ let decide t ~key =
   end
 
 let backoff_ms ~attempt = 10.0 *. (2.0 ** float_of_int attempt)
-
-let pp_mode ppf = function
-  | Crash -> Fmt.string ppf "crash"
-  | Timeout -> Fmt.string ppf "timeout"
-  | Flaky k -> Fmt.pf ppf "flaky(%d)" k
-  | Persistent -> Fmt.string ppf "persistent"

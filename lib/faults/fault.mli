@@ -47,5 +47,3 @@ val decide : t -> key:string -> mode option
 val backoff_ms : attempt:int -> float
 (** Deterministic exponential backoff schedule charged (as simulated
     milliseconds, not wall-clock sleep) before retry [attempt + 1]. *)
-
-val pp_mode : mode Fmt.t

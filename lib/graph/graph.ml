@@ -112,9 +112,6 @@ let tensor_shape g name =
 let complex_nodes g =
   Array.to_list g.nodes |> List.filter (fun n -> n.op.Opdef.complex)
 
-let total_flops g =
-  Array.fold_left (fun acc n -> acc + Opdef.flops n.op) 0 g.nodes
-
 (* ------------------------------------------------------------------ *)
 (* Reference execution                                                *)
 (* ------------------------------------------------------------------ *)

@@ -37,7 +37,6 @@ val is_input : t -> string -> bool
 val is_param : t -> string -> bool
 val tensor_shape : t -> string -> Shape.t
 val complex_nodes : t -> node list
-val total_flops : t -> int
 
 (** {1 Execution} *)
 

@@ -472,23 +472,6 @@ let pad3d ~name ~inp ~out ~n ~c ~d ~h ~w ~pad ?pad_hi () =
     ~spatial:[| vn; vc; vd; vh; vw |]
     ~reduce:[] ~combiner:Opdef.Assign ~init:0.0 ~body ()
 
-let pad1d ~name ~inp ~out ~n ~c ~w ~pad () =
-  let vn = fv "n" and vc = fv "c" and vw = fv "w" in
-  let ww = w + (2 * pad) in
-  let ew = Ixexpr.sub (iv vw) (ic pad) in
-  let body =
-    Sexpr.select
-      (Sexpr.And
-         (Sexpr.Cmp (Sexpr.Cge, ew, ic 0), Sexpr.Cmp (Sexpr.Clt, ew, ic w)))
-      (Sexpr.load inp [| iv vn; iv vc; ew |])
-      (Sexpr.fconst 0.0)
-  in
-  Opdef.make ~name
-    ~inputs:[ (inp, [| n; c; w |]) ]
-    ~out_name:out ~out_shape:[| n; c; ww |]
-    ~spatial:[| vn; vc; vw |]
-    ~reduce:[] ~combiner:Opdef.Assign ~init:0.0 ~body ()
-
 let maxpool2d ~name ~inp ~out ~n ~c ~h ~w ~k ?(stride = 2) () =
   let hi = conv_in_extent ~out:h ~kernel:k ~stride ~dilation:1 in
   let wi = conv_in_extent ~out:w ~kernel:k ~stride ~dilation:1 in

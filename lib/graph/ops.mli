@@ -104,10 +104,6 @@ val pad3d :
   name:string -> inp:string -> out:string -> n:int -> c:int -> d:int ->
   h:int -> w:int -> pad:int -> ?pad_hi:int -> unit -> Opdef.t
 
-val pad1d :
-  name:string -> inp:string -> out:string -> n:int -> c:int -> w:int ->
-  pad:int -> unit -> Opdef.t
-
 (** {1 Pooling and reductions} *)
 
 val maxpool2d :

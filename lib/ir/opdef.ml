@@ -122,10 +122,6 @@ let flops t =
   let red = List.fold_left (fun p (_, e) -> p * e) 1 t.reduce in
   Shape.num_elements t.out_shape * red * (per_point + acc)
 
-let total_points t =
-  let red = List.fold_left (fun p (_, e) -> p * e) 1 t.reduce in
-  Shape.num_elements t.out_shape * red
-
 (* Naive interpreter over logical row-major buffers. *)
 let reference_eval t (inputs : (string * float array) list) : float array =
   List.iter

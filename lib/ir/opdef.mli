@@ -75,9 +75,6 @@ val window_fn : t -> Alt_tensor.Layout.window
 val flops : t -> int
 (** Total arithmetic work (for accounting). *)
 
-val total_points : t -> int
-(** Spatial x reduction iteration count. *)
-
 val reference_eval : t -> (string * float array) list -> float array
 (** Naive interpretation over logical row-major buffers. *)
 

@@ -31,8 +31,6 @@ let ( +. ) a b = Bin (Badd, a, b)
 let ( -. ) a b = Bin (Bsub, a, b)
 let ( *. ) a b = Bin (Bmul, a, b)
 let ( /. ) a b = Bin (Bdiv, a, b)
-let fmax a b = Bin (Bmax, a, b)
-let fmin a b = Bin (Bmin, a, b)
 let relu a = Un (Urelu, a)
 let select c a b = Select (c, a, b)
 

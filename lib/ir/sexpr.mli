@@ -33,8 +33,6 @@ val ( +. ) : t -> t -> t
 val ( -. ) : t -> t -> t
 val ( *. ) : t -> t -> t
 val ( /. ) : t -> t -> t
-val fmax : t -> t -> t
-val fmin : t -> t -> t
 val relu : t -> t
 val select : cond -> t -> t -> t
 

@@ -74,9 +74,4 @@ let arm_cpu =
 
 let all = [ intel_cpu; nvidia_gpu; arm_cpu ]
 
-let by_name n =
-  match List.find_opt (fun m -> m.name = n) all with
-  | Some m -> m
-  | None -> invalid_arg (Fmt.str "Machine.by_name: unknown machine %s" n)
-
 let pp ppf m = Fmt.string ppf m.name

@@ -20,5 +20,4 @@ val intel_cpu : t
 val nvidia_gpu : t
 val arm_cpu : t
 val all : t list
-val by_name : string -> t
 val pp : t Fmt.t

@@ -78,19 +78,21 @@ let result_of_wall ~(machine : Machine.t) (p : Program.t)
     scale = 1.0;
   }
 
+(* The one dispatch on the measuring device: every measurement, the
+   tuner's and the convenience runtime's, goes through here. *)
+let measure ~(machine : Machine.t) ?max_points (backend : backend)
+    (p : Program.t) ~(bufs : float array array) : Profiler.result =
+  match backend with
+  | Sim -> Profiler.run ~machine ?max_points p ~bufs
+  | Exec cfg -> result_of_wall ~machine p (Alt_exec.Exec.measure ~cfg p ~bufs)
+
 (* Run a program end to end on logical inputs; returns the logical contents
    of every non-input slot plus the profiler result. *)
 let run_logical ?(machine = Machine.intel_cpu) ?max_points ?(backend = Sim)
     (p : Program.t) ~(inputs : (string * float array) list) :
     (string * float array) list * Profiler.result =
   let bufs = alloc_bufs p ~inputs in
-  let r =
-    match backend with
-    | Sim -> Profiler.run ~machine ?max_points p ~bufs
-    | Exec cfg ->
-        let w = Alt_exec.Exec.measure ~cfg p ~bufs in
-        result_of_wall ~machine p w
-  in
+  let r = measure ~machine ?max_points backend p ~bufs in
   let outs =
     Array.to_list p.Program.slots
     |> List.filter (fun (s : Program.slot) -> s.Program.role <> Program.Input)

@@ -27,11 +27,16 @@ val backend_tag : backend -> string
     The [:dN] suffix is omitted at [domains = 1] so fingerprints from
     before the knob existed remain valid. *)
 
-val result_of_wall :
-  machine:Machine.t -> Program.t -> Alt_exec.Exec.wall -> Profiler.result
-(** Present an exec measurement as a profiler result ([latency_ms] is
-    the median wall time; counter fields are zero, [sampled] is false)
-    so caches, checkpoints and tuners consume it unchanged. *)
+val measure :
+  machine:Machine.t -> ?max_points:int -> backend -> Program.t ->
+  bufs:float array array -> Profiler.result
+(** Measure a program over per-slot physical buffers on [backend].  [Sim]
+    is {!Profiler.run}, whose [max_points] caps the simulated iteration
+    points.  [Exec] times the compiled kernels with {!Alt_exec.Exec.measure}
+    and presents the wall clock as a profiler result ([latency_ms] is
+    the median wall time; counter fields are zero, [sampled] is false),
+    so caches, checkpoints and tuners consume it unchanged; it always
+    runs the full program. *)
 
 val run_logical :
   ?machine:Machine.t -> ?max_points:int -> ?backend:backend ->

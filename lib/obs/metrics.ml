@@ -246,8 +246,6 @@ let set_output path =
         | None -> ())
   end
 
-let output_path () = !out_path
-
 let configure_from_env () =
   match Sys.getenv_opt "ALT_METRICS" with
   | Some path when path <> "" -> set_output path

@@ -83,7 +83,5 @@ val set_output : string -> unit
 (** Enable collection and write the final snapshot to the given path at
     process exit (the [--metrics FILE] CLI knob). *)
 
-val output_path : unit -> string option
-
 val configure_from_env : unit -> unit
 (** Honour [ALT_METRICS=FILE]: like {!set_output} when set. *)

@@ -96,9 +96,6 @@ let validate (records : record list) : (unit, string) result =
   in
   go 0 0 0 [] records
 
-let validate_file path =
-  Result.bind (parse_file path) validate
-
 (* Timestamp- and seq-free projection of a record stream.  Two runs of the
    same deterministic computation must agree on this projection exactly —
    across repeats and across --jobs values.  Beyond "seq"/"ts" this also

@@ -18,8 +18,6 @@ val validate : record list -> (unit, string) result
     backwards, and every ["E"] closes the innermost open ["B"] of the
     same name with nothing left open at the end. *)
 
-val validate_file : string -> (unit, string) result
-
 val normalize : record list -> string list
 (** Timestamp- and seq-free projection (one canonical JSON string per
     record); attributes carrying wall-clock readings ([gbdt_fit_ms])

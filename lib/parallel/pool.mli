@@ -18,7 +18,7 @@
       backtrace.  With [jobs = 1] no domain is spawned, tasks run in
       submission order on the calling domain, and the first failure
       propagates immediately (later tasks never run).
-    - {!map_result} / {!map_array_result} never raise (beyond
+    - {!map_result} never raises (beyond
       [Nested_pool]): each task's exception is captured and surfaced as
       its own [Error] outcome in submission order, and {e every} task runs
       for {e every} [jobs] value — the result list is identical for
@@ -72,8 +72,6 @@ val map_result : t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 (** Parallel map surfacing each task's exception as a per-task [Error]
     outcome, in submission order.  Every task runs; never raises except
     [Nested_pool]. *)
-
-val map_array_result : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 
 (** {1 Lifecycle}
 

@@ -104,8 +104,6 @@ let create cfg =
     rounds_stepped = 0;
   }
 
-let active_count t = Queue.length t.active
-let waiting_count t = Queue.length t.waiting
 let completed_count t = t.completed
 let shed_count t = t.shed
 let rounds_stepped t = t.rounds_stepped

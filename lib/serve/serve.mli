@@ -95,8 +95,6 @@ val json_of_tuner_result : Tuner.result -> Json.t
 
 (** {1 Counters} *)
 
-val active_count : t -> int
-val waiting_count : t -> int
 val completed_count : t -> int
 val shed_count : t -> int
 

@@ -56,8 +56,6 @@ let create ?(shards = 16) () =
     slock = Mutex.create ();
   }
 
-let shard_count t = Array.length t.shards
-
 let locked lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f

@@ -23,8 +23,6 @@ type stats = {
 val create : ?shards:int -> unit -> t
 (** Default 16 shards; raises [Invalid_argument] below 1. *)
 
-val shard_count : t -> int
-
 val view : t -> ctx:string -> Measure.shared_store
 (** The store as seen by one measurement context — pass the session's
     {!Workload.context_key}. *)

@@ -10,11 +10,6 @@ type t = { layout : Layout.t; data : float array }
 let create layout =
   { layout; data = Array.make (Layout.num_physical_elements layout) 0.0 }
 
-let of_logical layout (src : float array) =
-  { layout; data = Layout.pack layout src }
-
-let to_logical t = Layout.unpack t.layout t.data
-
 let layout t = t.layout
 let data t = t.data
 let logical_shape t = Layout.logical_shape t.layout

@@ -6,12 +6,6 @@ type t = { layout : Layout.t; data : float array }
 val create : Layout.t -> t
 (** Zero-initialized physical buffer. *)
 
-val of_logical : Layout.t -> float array -> t
-(** Packs logical row-major data through the layout. *)
-
-val to_logical : t -> float array
-(** Unpacks back to logical row-major data. *)
-
 val layout : t -> Layout.t
 val data : t -> float array
 val logical_shape : t -> Shape.t

@@ -116,8 +116,6 @@ let rec subst (f : Var.t -> t option) e =
   | Min (a, b) -> min_ (subst f a) (subst f b)
   | Max (a, b) -> max_ (subst f a) (subst f b)
 
-let subst_var v repl e = subst (fun w -> if Var.equal v w then Some repl else None) e
-
 let rec eval (env : Var.t -> int) = function
   | Const n -> n
   | Var v -> env v
@@ -358,10 +356,6 @@ let equal ?(bounds = no_bounds) a b =
   compare_lin (to_lin bounds a) (to_lin bounds b) = 0
 
 let range ?(bounds = no_bounds) e = range_of_lin bounds (to_lin bounds e)
-
-let is_const e = match simplify e with Const _ -> true | _ -> false
-
-let to_const_opt e = match simplify e with Const n -> Some n | _ -> None
 
 (* Coefficient of [v] when [e] is affine in [v] at the top level (i.e. [v]
    does not occur under div/mod/min/max/opaque atoms).  Used by the unfold

@@ -44,7 +44,6 @@ val sum : t list -> t
 
 val vars : t -> Var.Set.t
 val subst : (Var.t -> t option) -> t -> t
-val subst_var : Var.t -> t -> t -> t
 val eval : (Var.t -> int) -> t -> int
 val pp : t Fmt.t
 val to_string : t -> string
@@ -69,9 +68,6 @@ val equal : ?bounds:bounds -> t -> t -> bool
 
 val range : ?bounds:bounds -> t -> (int * int) option
 (** Inclusive value range, if derivable. *)
-
-val is_const : t -> bool
-val to_const_opt : t -> int option
 
 val coeff_of : ?bounds:bounds -> t -> Var.t -> int option
 (** Coefficient of a variable when the expression is affine in it at top

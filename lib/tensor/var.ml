@@ -22,8 +22,6 @@ let hash v = v.id
 
 let pp ppf v = Fmt.pf ppf "%s#%d" v.name v.id
 
-let renamed v name = { v with name }
-
 module Map = Map.Make (struct
   type nonrec t = t
 

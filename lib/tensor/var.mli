@@ -12,8 +12,5 @@ val compare : t -> t -> int
 val hash : t -> int
 val pp : t Fmt.t
 
-val renamed : t -> string -> t
-(** [renamed v name] is [v] with a different display name (same identity). *)
-
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -108,8 +108,8 @@ let assemble ~(system : gsystem) ~(results : (string * Tuner.result) list)
    Static policy every task runs on exactly its fixed slice; the gradient
    surplus [total - share] extends the final loop-only phase, where extra
    trials refine the already-chosen layout. *)
-let tuner_factory ~seed ~levels ?warm_start ~(machine : Machine.t)
-    ~(system : gsystem) : Scheduler.make_tuner =
+let tuner_factory ~seed ~levels ~(machine : Machine.t) ~(system : gsystem) :
+    Scheduler.make_tuner =
  fun ~pool ~share ~total ~transfer ~stop ~on_progress task ->
   let op = task.Measure.op in
   let blocked =
@@ -119,21 +119,20 @@ let tuner_factory ~seed ~levels ?warm_start ~(machine : Machine.t)
   | Gvendor -> Tuner.tune_vendor ~pool ~stop ~on_progress task
   | Gautotvm ->
       (* NeoCPU-style: fixed blocked layout, restricted loop space *)
-      Tuner.tune_loop_only ~seed ~pool ?warm_start ~stop ~on_progress
-        ?transfer ~explorer:Tuner.Restricted ~budget:total
+      Tuner.tune_loop_only ~seed ~pool ~stop ~on_progress ?transfer
+        ~explorer:Tuner.Restricted ~budget:total
         ~layouts:(Lazy.force blocked) task
   | Gansor ->
-      Tuner.tune_loop_only ~seed ~pool ?warm_start ~stop ~on_progress
-        ?transfer ~explorer:Tuner.Guided ~budget:total
+      Tuner.tune_loop_only ~seed ~pool ~stop ~on_progress ?transfer
+        ~explorer:Tuner.Guided ~budget:total
         ~layouts:(Lazy.force blocked) task
   | Galt_ol ->
-      Tuner.tune_loop_only ~seed ~pool ?warm_start ~stop ~on_progress
-        ?transfer ~explorer:Tuner.Guided ~budget:total
+      Tuner.tune_loop_only ~seed ~pool ~stop ~on_progress ?transfer
+        ~explorer:Tuner.Guided ~budget:total
         ~layouts:[ Templates.channels_last_choice op ]
         task
   | Galt | Galt_wp ->
-      Tuner.tune_alt ~seed ~pool ~levels ?warm_start ~stop ~on_progress
-        ?transfer
+      Tuner.tune_alt ~seed ~pool ~levels ~stop ~on_progress ?transfer
         ~joint_budget:(share * 4 / 10)
         ~loop_budget:((share * 6 / 10) + (total - share))
         task
@@ -141,8 +140,7 @@ let tuner_factory ~seed ~levels ?warm_start ~(machine : Machine.t)
 (* Tune a whole zoo of named graphs under one global budget, then
    assemble every model from the shared task results. *)
 let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
-    ?faults ?retries ?backend ?warm_start ?transfer ?epsilon_period
-    ?slope_window ?(policy = Scheduler.Gradient)
+    ?faults ?retries ?backend ?(policy = Scheduler.Gradient)
     ~(system : gsystem) ~(machine : Machine.t) ~(budget : int)
     (graphs : (string * Graph.t) list) :
     Scheduler.report * (string * tuned_graph) list =
@@ -157,10 +155,9 @@ let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
     Measure.make_task ~fused:fused_ops ~max_points ?faults ?retries ?backend
       ~machine e.Taskset.node.Graph.op
   in
-  let make_tuner = tuner_factory ~seed ~levels ?warm_start ~machine ~system in
+  let make_tuner = tuner_factory ~seed ~levels ~machine ~system in
   let report =
-    Scheduler.tune_models ~jobs ?transfer ?epsilon_period ?slope_window
-      ~policy ~make_task ~make_tuner ~budget graphs
+    Scheduler.tune_models ~jobs ~policy ~make_task ~make_tuner ~budget graphs
   in
   let results =
     List.map
@@ -171,16 +168,16 @@ let tune_models ?(seed = 0) ?(jobs = 1) ?(levels = 1) ?(max_points = 30_000)
   (report, List.map (fun (name, g) -> (name, assemble ~system ~results g)) graphs)
 
 let tune_graph ?seed ?jobs ?levels ?max_points ?faults ?retries ?backend
-    ?warm_start ?(scheduler = Scheduler.Static) ~(system : gsystem)
-    ~(machine : Machine.t) ~(budget : int) (g : Graph.t) : tuned_graph =
+    ?(scheduler = Scheduler.Static) ~(system : gsystem) ~(machine : Machine.t)
+    ~(budget : int) (g : Graph.t) : tuned_graph =
   let _, tuned =
     tune_models ?seed ?jobs ?levels ?max_points ?faults ?retries ?backend
-      ?warm_start ~policy:scheduler ~system ~machine ~budget [ ("model", g) ]
+      ~policy:scheduler ~system ~machine ~budget [ ("model", g) ]
   in
   snd (List.hd tuned)
 
 (* Run the tuned graph end to end on the machine model. *)
-let run ?(max_points = 60_000) ?(seed = 5) (tg : tuned_graph)
-    ~(machine : Machine.t) : Compile.exec_result =
-  let feeds = Graph.random_feeds ~seed tg.compiled.Compile.graph in
+let run ?(max_points = 60_000) (tg : tuned_graph) ~(machine : Machine.t) :
+    Compile.exec_result =
+  let feeds = Graph.random_feeds ~seed:5 tg.compiled.Compile.graph in
   Compile.execute ~machine ~max_points tg.compiled ~feeds

@@ -33,8 +33,7 @@ type tuned_graph = {
 val tune_graph :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
   ?faults:Alt_faults.Fault.t -> ?retries:int ->
-  ?backend:Alt_machine.Runtime.backend ->
-  ?warm_start:bool -> ?scheduler:Scheduler.policy ->
+  ?backend:Alt_machine.Runtime.backend -> ?scheduler:Scheduler.policy ->
   system:gsystem -> machine:Machine.t -> budget:int ->
   Graph.t -> tuned_graph
 (** {!tune_models} on the one graph with policy [scheduler] (default
@@ -44,24 +43,18 @@ val tune_graph :
     concurrent measurements; results are identical for every value (see
     {!Tuner}).  [faults] and [retries] configure each per-task
     measurement pipeline (see {!Measure}), [backend] the measuring
-    device (see {!Measure.make_task}).  [warm_start] keeps each task's
-    cost model across batches (off by default; changes trajectories —
-    see {!Tuner.tune_alt}). *)
+    device (see {!Measure.make_task}). *)
 
 val tune_models :
   ?seed:int -> ?jobs:int -> ?levels:int -> ?max_points:int ->
   ?faults:Alt_faults.Fault.t -> ?retries:int ->
-  ?backend:Alt_machine.Runtime.backend -> ?warm_start:bool ->
-  ?transfer:bool -> ?epsilon_period:int -> ?slope_window:int ->
-  ?policy:Scheduler.policy ->
+  ?backend:Alt_machine.Runtime.backend -> ?policy:Scheduler.policy ->
   system:gsystem -> machine:Machine.t -> budget:int ->
   (string * Graph.t) list -> Scheduler.report * (string * tuned_graph) list
 (** Tune a zoo of named graphs under one global [budget] (DESIGN.md §14):
     tasks are deduplicated across all models ({!Taskset.of_graphs}), the
     scheduler ([policy], default [Gradient]) allocates trials round by
-    round, and every model is assembled from the shared task results.
-    [transfer]/[epsilon_period]/[slope_window] are forwarded to
-    {!Scheduler.tune_models}. *)
+    round, and every model is assembled from the shared task results. *)
 
 val assemble :
   system:gsystem -> results:(string * Tuner.result) list -> Graph.t ->
@@ -72,7 +65,6 @@ val assemble :
     [Invalid_argument] if one of the graph's tasks is missing. *)
 
 val run :
-  ?max_points:int -> ?seed:int -> tuned_graph -> machine:Machine.t ->
-  Compile.exec_result
-(** Execute the tuned graph on random feeds, returning the simulated
+  ?max_points:int -> tuned_graph -> machine:Machine.t -> Compile.exec_result
+(** Execute the tuned graph on fixed random feeds, returning the simulated
     end-to-end latency and per-stage profiles. *)

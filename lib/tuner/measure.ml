@@ -19,10 +19,10 @@
      budget, so the tuning trajectory is identical with and without the
      cache.
 
-   - Batched, optionally parallel simulation ([measure_programs] /
-     [measure_batch]).  Lowering and all mutation of the task (budget,
-     cache, stats) happen on the calling domain in submission order; only
-     the profiler runs of cache misses fan out over a {!Alt_parallel.Pool}.
+   - Batched, optionally parallel simulation ([measure_programs]).
+     Lowering and all mutation of the task (budget, cache, stats) happen
+     on the calling domain in submission order; only the profiler runs of
+     cache misses fan out over a {!Alt_parallel.Pool}.
      Since the profiler is deterministic and touches no shared state, the
      results — and therefore the whole tuning trajectory — are
      byte-identical for any pool size.
@@ -533,12 +533,8 @@ let simulate (t : task) (prog : Program.t) : Profiler.result =
   Fun.protect
     ~finally:(fun () -> release_bufs t prog bufs)
     (fun () ->
-      match t.backend with
-      | Runtime.Sim ->
-          Profiler.run ~machine:t.machine ~max_points:t.max_points prog ~bufs
-      | Runtime.Exec cfg ->
-          let w = Alt_exec.Exec.measure ~cfg prog ~bufs in
-          Runtime.result_of_wall ~machine:t.machine prog w)
+      Runtime.measure ~machine:t.machine ~max_points:t.max_points t.backend
+        prog ~bufs)
 
 (* Iteration points of a program — what the watchdog compares against its
    hard cap. *)
@@ -747,11 +743,6 @@ let measure_programs ?pool ?(on_result = fun _ _ -> ()) (t : task)
       on_result i results.(i))
     keys;
   results
-
-let measure_batch ?pool (t : task)
-    (cands : (Propagate.choice * Schedule.t) list) : outcome array =
-  measure_programs ?pool t
-    (Array.of_list (List.map (fun (c, s) -> program_of t c s) cands))
 
 let measure (t : task) (choice : Propagate.choice) (schedule : Schedule.t) :
     outcome =

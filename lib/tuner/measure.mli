@@ -186,11 +186,6 @@ val measure_programs :
     no budget and report {!Lower_error}; every other entry costs one unit
     whatever its outcome. *)
 
-val measure_batch :
-  ?pool:Pool.t ->
-  task -> (Propagate.choice * Schedule.t) list -> outcome array
-(** [measure_programs] over freshly lowered candidates, in order. *)
-
 val measure : task -> Propagate.choice -> Schedule.t -> outcome
 (** Lower, pack inputs, simulate (through the cache and the recovery
     policy).  Consumes one unit of budget unless lowering fails. *)

@@ -8,7 +8,6 @@
    - Static: run the fibers to completion in first-seen order, each capped
      at its static per-task share — the paper's fixed budget split, and
      the policy behind Graph_tuner.tune_graph;
-   - Roundrobin: step the least-recently-picked unfinished fiber;
    - Gradient: Ansor-style expected-gain allocation.  A task's weight is
      its zoo latency share (occurrence count x best-so-far latency) times
      the recent improvement slope of its own trajectory; every
@@ -25,7 +24,7 @@
    deterministic function of the simulated measurements, and no RNG is
    drawn, so trajectories are byte-identical for every --jobs value
    (Pool results are submission-ordered).  Cross-task cost-model transfer
-   (on by default under Gradient) registers every fitted GBDT under its
+   (on exactly under Gradient) registers every fitted GBDT under its
    Taskset.transfer_key; a task's first fit warm-starts from the latest
    ensemble published by a similar task, via Gbdt.refit. *)
 
@@ -37,18 +36,9 @@ let src = Logs.Src.create "alt.scheduler" ~doc:"ALT gradient task scheduler"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type policy = Gradient | Roundrobin | Static
+type policy = Gradient | Static
 
-let policy_name = function
-  | Gradient -> "gradient"
-  | Roundrobin -> "roundrobin"
-  | Static -> "static"
-
-let policy_of_string = function
-  | "gradient" -> Some Gradient
-  | "roundrobin" -> Some Roundrobin
-  | "static" -> Some Static
-  | _ -> None
+let policy_name = function Gradient -> "gradient" | Static -> "static"
 
 type make_tuner =
   pool:Pool.t ->
@@ -63,8 +53,8 @@ type make_tuner =
    of the global budget (the phase split — e.g. ALT's joint stage — is
    derived from it, so Static is exactly the fixed per-task split);
    [total] caps the fiber's own budget and exceeds [share]
-   under Gradient/Roundrobin so the scheduler may keep feeding a
-   well-improving task past its share. *)
+   under Gradient so the scheduler may keep feeding a well-improving task
+   past its share. *)
 
 type task_report = {
   signature : string;
@@ -104,6 +94,12 @@ type tstate = {
 
 let warmup_steps = 2
 
+(* every [epsilon_period]-th Gradient pick is a round-robin heartbeat; the
+   improvement slope is estimated over a task's last [slope_window]
+   rounds *)
+let epsilon_period = 7
+let slope_window = 5
+
 (* Improvement per trial over the task's recent own-step history, clamped
    at zero: the scheduler only ever rewards improvement.  A task whose
    window straddles the first finite measurement gets an infinite slope —
@@ -126,8 +122,7 @@ let m_eps_picks = Alt_obs.Metrics.counter "scheduler.eps_picks"
 let m_rounds = Alt_obs.Metrics.counter "scheduler.rounds"
 let g_tasks = Alt_obs.Metrics.gauge "scheduler.tasks"
 
-let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
-    ?(slope_window = 5) ~(policy : policy)
+let tune_models ?(jobs = 1) ~(policy : policy)
     ~(make_task : Taskset.entry -> Measure.task)
     ~(make_tuner : make_tuner) ~(budget : int)
     (graphs : (string * Graph.t) list) : report =
@@ -135,15 +130,10 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
   let entries = Taskset.of_graphs graphs in
   let n = List.length entries in
   let share = max 8 (budget / max 1 n) in
-  let transfer_on =
-    match transfer with Some b -> b | None -> policy = Gradient
-  in
-  let total = match policy with Static -> share | _ -> budget in
-  let pool, own_pool =
-    match pool with Some p -> (p, false) | None -> (Pool.create ~jobs (), true)
-  in
-  Fun.protect ~finally:(fun () -> if own_pool then Pool.shutdown pool)
-  @@ fun () ->
+  let transfer_on = policy = Gradient in
+  let total = match policy with Static -> share | Gradient -> budget in
+  let pool = Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   (* the transfer registry: latest fitted ensemble per transfer key *)
   let registry : (string, Gbdt.t) Hashtbl.t = Hashtbl.create 16 in
   let states =
@@ -255,7 +245,6 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
   let choose run =
     match policy with
     | Static -> List.hd run
-    | Roundrobin -> lru run
     | Gradient -> (
         match List.filter (fun i -> states.(i).steps < warmup_steps) run with
         | i :: _ -> i (* implicit warmup: every task measures first *)
@@ -282,8 +271,7 @@ let tune_models ?(jobs = 1) ?pool ?transfer ?(epsilon_period = 7)
     &&
     match policy with
     | Static -> true
-    | Gradient | Roundrobin ->
-        total_spent () < budget && !picks < pick_cap
+    | Gradient -> total_spent () < budget && !picks < pick_cap
   in
   while continue () do
     let run = runnable () in

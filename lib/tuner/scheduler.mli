@@ -6,10 +6,9 @@
     scheduler repeatedly picks a fiber and steps it one measurement
     round.  Under [Gradient], picks maximize expected end-to-end gain
     (zoo latency share x recent improvement slope) with an
-    ε-round-robin heartbeat for starvation freedom; [Roundrobin] always
-    steps the least-recently-picked task; [Static] runs the tasks one
-    after another on the fixed per-task budget split, which is how
-    {!Graph_tuner.tune_graph} tunes a model.
+    ε-round-robin heartbeat for starvation freedom; [Static] runs the
+    tasks one after another on the fixed per-task budget split, which is
+    how {!Graph_tuner.tune_graph} tunes a model.
 
     No RNG is drawn and every scheduling input is a deterministic
     function of the simulated measurements, so trajectories are
@@ -18,10 +17,9 @@
 module Graph = Alt_graph.Graph
 module Pool = Alt_parallel.Pool
 
-type policy = Gradient | Roundrobin | Static
+type policy = Gradient | Static
 
 val policy_name : policy -> string
-val policy_of_string : string -> policy option
 
 type make_tuner =
   pool:Pool.t ->
@@ -37,8 +35,8 @@ type make_tuner =
     global budget — phase splits (e.g. ALT's joint stage) must be
     derived from it so that [Static] is exactly the fixed per-task
     split; [total] caps the fiber's own budget and exceeds
-    [share] under [Gradient]/[Roundrobin] so the scheduler may feed a
-    well-improving task past its share. *)
+    [share] under [Gradient] so the scheduler may feed a well-improving
+    task past its share. *)
 
 type task_report = {
   signature : string;
@@ -57,7 +55,9 @@ type report = {
   spent : int; (** trials actually charged across all tasks *)
   picks : int;
   eps_picks : int; (** picks taken by the ε-round-robin heartbeat *)
-  transfer : bool; (** cross-task cost-model transfer was active *)
+  transfer : bool;
+      (** cross-task cost-model transfer was active: exactly under
+          [Gradient] *)
   tasks : task_report list; (** first-seen order *)
   curves : (string * (int * float) list) list;
       (** per model, in zoo order: (global trials spent, estimated model
@@ -67,23 +67,18 @@ type report = {
 
 val tune_models :
   ?jobs:int ->
-  ?pool:Pool.t ->
-  ?transfer:bool ->
-  ?epsilon_period:int ->
-  ?slope_window:int ->
   policy:policy ->
   make_task:(Taskset.entry -> Measure.task) ->
   make_tuner:make_tuner ->
   budget:int ->
   (string * Graph.t) list ->
   report
-(** Tune a zoo of named graphs under one global [budget].  [transfer]
-    defaults to on under [Gradient] and off otherwise.  Every
-    [epsilon_period]-th pick (default 7) is a round-robin heartbeat;
-    the improvement slope is estimated over the last [slope_window]
-    (default 5) of the task's own rounds.  One shared measurement pool
-    drives all fibers ([pool] wins over [jobs]); trajectories are
-    byte-identical for every pool size.  Each fiber calls [make_task]
-    when it is first stepped and {!Measure.publish_obs} on its task when
-    its tuner returns; the scheduler keeps no reference to a task, so a
-    finished fiber's task is garbage. *)
+(** Tune a zoo of named graphs under one global [budget].  Cross-task
+    cost-model transfer is on under [Gradient] and off under [Static].
+    Under [Gradient], every 7th pick is a round-robin heartbeat and the
+    improvement slope is estimated over the last 5 of the task's own
+    rounds.  One measurement pool of [jobs] domains drives all fibers;
+    trajectories are byte-identical for every pool size.  Each fiber
+    calls [make_task] when it is first stepped and {!Measure.publish_obs}
+    on its task when its tuner returns; the scheduler keeps no reference
+    to a task, so a finished fiber's task is garbage. *)

@@ -11,30 +11,29 @@
     daemon shares one pool across all sessions); when given, [?jobs] is
     ignored.  Trajectories are identical either way.
 
-    Every tuner also takes the fault-tolerance/checkpoint triple (see
-    DESIGN.md §8):
+    Every tuner also takes the checkpoint pair (see DESIGN.md §8):
     - [?checkpoint:path] — journal the tuning state to [path] after every
       measurement round (atomic write);
     - [?resume:path] — before tuning, warm the measurement cache and
       quarantine table from the checkpoint at [path] (a missing file means
       a fresh start; a checkpoint from a differently-configured run is
       rejected with [Invalid_argument]).  Resuming replays the interrupted
-      trajectory byte-identically, then continues past the interruption;
-    - [?on_round:(round -> unit)] — hook fired after each round's
-      checkpoint is written; tests raise from it to simulate kills.
+      trajectory byte-identically, then continues past the interruption.
 
-    The scheduler triple (DESIGN.md §14) rides the same round boundary:
+    The scheduler hooks (DESIGN.md §14) ride the same round boundary:
     - [?stop:(unit -> bool)] — cooperative preemption probe, checked
       before every measurement round; when it returns [true] the tuner
       skips all remaining rounds and returns its best-so-far [result].
       The default never stops, leaving trajectories untouched;
-    - [?on_progress:(progress -> unit)] — fired after [on_round] (so the
-      round's checkpoint is already durable); {!Step} performs its
-      suspension effect from this hook;
-    - [?transfer] — cross-task cost-model transfer: the first GBDT fit
-      warm-starts from [donor ()] (if any) via [Gbdt.refit], and every
-      fitted model is handed to [publish].  Folded into the checkpoint
-      fingerprint as ":tx" since it changes the trajectory. *)
+    - [?on_progress:(progress -> unit)] — fired after each round's
+      checkpoint is written (so the round is already durable); {!Step}
+      performs its suspension effect from this hook, and tests raise from
+      it to simulate kills;
+    - [?transfer] ([tune_alt] and [tune_loop_only]) — cross-task
+      cost-model transfer: the first GBDT fit warm-starts from
+      [donor ()] (if any) via [Gbdt.refit], and every fitted model is
+      handed to [publish].  Folded into the checkpoint fingerprint as
+      ":tx" since it changes the trajectory.  The scheduler sets it. *)
 
 module Schedule = Alt_ir.Schedule
 module Machine = Alt_machine.Machine
@@ -83,26 +82,19 @@ val actor_input_dim : int
 val tune_alt :
   ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?levels:int ->
   ?layout_explorer:[ `Random | `Ppo_fresh | `Ppo of Ppo.t ] ->
-  ?seed_layouts:bool -> ?warm_start:bool -> ?checkpoint:string ->
-  ?resume:string -> ?on_round:(int -> unit) -> ?stop:(unit -> bool) ->
-  ?on_progress:(progress -> unit) -> ?transfer:transfer ->
-  joint_budget:int -> loop_budget:int -> Measure.task -> result
+  ?seed_layouts:bool -> ?checkpoint:string -> ?resume:string ->
+  ?stop:(unit -> bool) -> ?on_progress:(progress -> unit) ->
+  ?transfer:transfer -> joint_budget:int -> loop_budget:int ->
+  Measure.task -> result
 (** The ALT tuner.  The joint stage seeds with heuristic layouts, then
     cross-explores template layouts with the layout agent, assessing each
     by rounds of loop tuning; the loop-only stage greedily allocates the
-    remaining budget over the best-ranked layouts.
-
-    [warm_start] (default false) makes the cost model keep its trees
-    across batches and boost a few new ones on the grown dataset instead
-    of refitting from scratch (DESIGN.md §10).  Off by default because a
-    warm model ranks candidates differently than a from-scratch fit, so
-    the tuning trajectory diverges from the reference one — with it off,
-    trajectories are bit-identical to the pre-warm-start tuner. *)
+    remaining budget over the best-ranked layouts.  The cost model is
+    refit from scratch on every grown dataset (DESIGN.md §10). *)
 
 val tune_loop_only :
-  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?warm_start:bool ->
-  ?checkpoint:string ->
-  ?resume:string -> ?on_round:(int -> unit) -> ?stop:(unit -> bool) ->
+  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?checkpoint:string ->
+  ?resume:string -> ?stop:(unit -> bool) ->
   ?on_progress:(progress -> unit) -> ?transfer:transfer ->
   explorer:loop_explorer ->
   budget:int -> layouts:Propagate.choice list -> Measure.task -> result
@@ -122,17 +114,16 @@ type system =
 val system_name : system -> string
 
 val tune_vendor :
-  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?checkpoint:string ->
-  ?resume:string -> ?on_round:(int -> unit) -> ?stop:(unit -> bool) ->
+  ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?checkpoint:string ->
+  ?resume:string -> ?stop:(unit -> bool) ->
   ?on_progress:(progress -> unit) -> Measure.task -> result
 (** Vendor-library stand-in: a small set of expert schedules on a fixed
     blocked layout; no search. *)
 
 val tune_op :
-  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?warm_start:bool ->
-  ?checkpoint:string -> ?resume:string -> ?on_round:(int -> unit) ->
-  ?stop:(unit -> bool) -> ?on_progress:(progress -> unit) ->
-  ?transfer:transfer ->
+  ?seed:int -> ?jobs:int -> ?pool:Alt_parallel.Pool.t -> ?checkpoint:string ->
+  ?resume:string -> ?stop:(unit -> bool) ->
+  ?on_progress:(progress -> unit) ->
   system:system -> budget:int -> Measure.task -> result
 
 (** Resumable stepping over any tuning entry point — the suspension

@@ -112,7 +112,8 @@ let predictions_digest m rows =
    and [refit]'s predictions over the 256 training rows and 64 held-out
    rows are pinned to the values the per-node-allocating fitter produced
    before the workspace rewrite.  The refit boosts onto the fit with 64
-   more rows, as the tuner's warm path does after a batch. *)
+   more rows, as cross-task transfer boosts a donor model on a task's
+   first fit. *)
 let test_tied_features_pinned () =
   let rows = schedule_features ~n:(256 + 64 + 64) in
   let rng = Random.State.make [| 0xBEEF |] in
@@ -224,11 +225,9 @@ let small_c2d () =
   Ops.c2d ~name:"c2d" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
     ~kh:3 ~kw:3 ()
 
-let tune ?(warm_start = false) () =
+let tune () =
   let task = Measure.make_task ~machine:Machine.intel_cpu (small_c2d ()) in
-  let r =
-    Tuner.tune_alt ~seed:3 ~warm_start ~joint_budget:8 ~loop_budget:16 task
-  in
+  let r = Tuner.tune_alt ~seed:3 ~joint_budget:8 ~loop_budget:16 task in
   (task, r)
 
 (* Features.extract runs at most once per distinct (choice, schedule):
@@ -308,13 +307,6 @@ let test_memo_trajectory_neutral () =
   Alcotest.(check int) "later passes hit" (2 * List.length draws) !hits;
   Alcotest.(check bool) "hits cover lowered programs" true (!lowered > 0)
 
-(* Warm start completes and yields a finite result (its trajectory is
-   allowed to differ — that is why it is off by default). *)
-let test_warm_start_runs () =
-  let _, r = tune ~warm_start:true () in
-  Alcotest.(check bool) "finite best" true
-    (Float.is_finite r.Tuner.best_latency)
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -336,7 +328,6 @@ let () =
       ( "warm-start",
         [
           Alcotest.test_case "refit grows the ensemble" `Quick test_refit_grows;
-          Alcotest.test_case "tuner runs warm" `Quick test_warm_start_runs;
         ] );
       ( "memo-cache",
         [

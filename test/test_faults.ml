@@ -416,23 +416,24 @@ let test_checkpoint_rejects_garbage () =
 
 exception Killed
 
-(* A tuning run as a function of the checkpoint triple; each call builds
-   its own fresh task, as a restarted process would. *)
+(* A tuning run as a function of the checkpoint pair and the progress
+   hook; each call builds its own fresh task, as a restarted process
+   would. *)
 type runner = {
   run :
     checkpoint:string option ->
     resume:string option ->
-    on_round:(int -> unit) option ->
+    on_progress:(Tuner.progress -> unit) option ->
     Tuner.result;
 }
 
 let loop_runner ~faults =
   {
     run =
-      (fun ~checkpoint ~resume ~on_round ->
+      (fun ~checkpoint ~resume ~on_progress ->
         let op = tiny_c2d () in
         let task = make_task ?faults ~retries:1 op in
-        Tuner.tune_loop_only ~seed:11 ?checkpoint ?resume ?on_round
+        Tuner.tune_loop_only ~seed:11 ?checkpoint ?resume ?on_progress
           ~explorer:Tuner.Guided ~budget:30
           ~layouts:
             [ Templates.trivial_choice op; Templates.channels_last_choice op ]
@@ -442,30 +443,34 @@ let loop_runner ~faults =
 let alt_runner ~faults =
   {
     run =
-      (fun ~checkpoint ~resume ~on_round ->
+      (fun ~checkpoint ~resume ~on_progress ->
         let op = tiny_c2d () in
         let task = make_task ?faults ~retries:1 op in
         Tuner.tune_alt ~seed:4 ~layout_explorer:`Ppo_fresh ?checkpoint ?resume
-          ?on_round ~joint_budget:12 ~loop_budget:12 task);
+          ?on_progress ~joint_budget:12 ~loop_budget:28 task);
   }
 
-(* Kill a checkpointed run after round [kill_round] (the hook raising
-   stands in for a killed process), resume from the journal, and require
-   the exact result of the uninterrupted run. *)
+(* Kill a checkpointed run after round [kill_round] (the progress hook
+   raising stands in for a killed process), resume from the journal, and
+   require the exact result of the uninterrupted run.  The hook fires
+   after the round's checkpoint is saved, so the journal must hold exactly
+   [kill_round] rounds. *)
 let kill_and_resume ~kill_round { run } =
   with_tmp (fun path ->
-      let uninterrupted = run ~checkpoint:None ~resume:None ~on_round:None in
-      (try
-         ignore
-           (run ~checkpoint:(Some path) ~resume:None
-              ~on_round:(Some (fun r -> if r = kill_round then raise Killed))
-             : Tuner.result)
-       with Killed -> ());
-      Alcotest.(check bool)
-        "a checkpoint was written" true
-        (Checkpoint.load_opt ~path <> None);
+      let uninterrupted = run ~checkpoint:None ~resume:None ~on_progress:None in
+      let kill (p : Tuner.progress) =
+        if p.Tuner.rounds = kill_round then raise Killed
+      in
+      (match
+         run ~checkpoint:(Some path) ~resume:None ~on_progress:(Some kill)
+       with
+      | _ -> Alcotest.failf "the run ended before round %d" kill_round
+      | exception Killed -> ());
+      Alcotest.(check int)
+        "the checkpoint holds the killed round" kill_round
+        (Checkpoint.load ~path).Checkpoint.rounds;
       let resumed =
-        run ~checkpoint:(Some path) ~resume:(Some path) ~on_round:None
+        run ~checkpoint:(Some path) ~resume:(Some path) ~on_progress:None
       in
       Alcotest.(check bool)
         "resumed = uninterrupted" true
@@ -492,7 +497,7 @@ let test_fingerprint_mismatch_rejected () =
   with_tmp (fun path ->
       ignore
         ((loop_runner ~faults:None).run ~checkpoint:(Some path) ~resume:None
-           ~on_round:None
+           ~on_progress:None
           : Tuner.result);
       let op = tiny_c2d () in
       let task = make_task ~retries:1 op in
@@ -504,6 +509,35 @@ let test_fingerprint_mismatch_rejected () =
       with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ())
+
+(* The checkpoint fingerprint of every system on the task of [alt tune-op
+   --op c2d --channels 4 --out-channels 8 --spatial 6 --budget 16 --seed 1
+   --system S --checkpoint F].  It digests the task, the seed and each
+   tuner's structural tag, so a change to any of them, which would stop
+   existing checkpoints from resuming, fails here. *)
+let test_fingerprints_pinned () =
+  let op =
+    Ops.c2d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
+      ~kh:3 ~kw:3 ()
+  in
+  List.iter
+    (fun (system, expected) ->
+      with_tmp (fun path ->
+          let task = Measure.make_task ~machine:Machine.intel_cpu op in
+          ignore
+            (Tuner.tune_op ~seed:1 ~checkpoint:path ~system ~budget:16 task
+              : Tuner.result);
+          Alcotest.(check string)
+            (Tuner.system_name system) expected
+            (Checkpoint.load ~path).Checkpoint.fingerprint))
+    [
+      (Tuner.Alt, "0936e5b489ab285bb1301cc6f0975288");
+      (Tuner.Ansor_like, "c026d61a059db1f4988d647a10488ea4");
+      (Tuner.Autotvm_like, "fbc2466b9ded386bf5166887d9faea7d");
+      (Tuner.Flextensor_like, "9f6ae4fe68ec606f5cfae0bb07e8bf29");
+      (Tuner.Vendor, "92978dae611cf103bf236b2f81e44a38");
+      (Tuner.Alt_ol, "6585ad63eca9d248eeb7f81222cf9358");
+    ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -551,5 +585,7 @@ let () =
             `Quick test_kill_resume_alt_under_faults;
           Alcotest.test_case "foreign checkpoint rejected" `Quick
             test_fingerprint_mismatch_rejected;
+          Alcotest.test_case "fingerprints pinned (six systems)" `Quick
+            test_fingerprints_pinned;
         ] );
     ]

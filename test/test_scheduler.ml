@@ -74,8 +74,8 @@ let mixed_model () =
 
 let zoo () = [ ("convnet", conv_model ()); ("mlp", mlp_model ()) ]
 
-let tune ?(jobs = 1) ?transfer ~policy ~budget graphs =
-  Graph_tuner.tune_models ~jobs ~max_points:2_000 ?transfer ~policy
+let tune ?(jobs = 1) ~policy ~budget graphs =
+  Graph_tuner.tune_models ~jobs ~max_points:2_000 ~policy
     ~system:Graph_tuner.Galt ~machine:Machine.intel_cpu ~budget graphs
 
 (* --- task extraction across the zoo --- *)
@@ -460,8 +460,6 @@ let () =
         [
           Alcotest.test_case "gradient jobs=1 == jobs=4" `Quick
             (test_jobs_invariance Scheduler.Gradient);
-          Alcotest.test_case "roundrobin jobs=1 == jobs=4" `Quick
-            (test_jobs_invariance Scheduler.Roundrobin);
           QCheck_alcotest.to_alcotest prop_jobs_invariant;
         ] );
       ( "static",
