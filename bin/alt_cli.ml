@@ -455,7 +455,7 @@ let schedule_cmd =
       (List.length report.Scheduler.tasks)
       report.Scheduler.share report.Scheduler.spent report.Scheduler.budget
       report.Scheduler.picks report.Scheduler.eps_picks;
-    if report.Scheduler.transfer then
+    if report.Scheduler.policy = Scheduler.Gradient then
       Fmt.pr "transfer: %d of %d tasks warm-started from a donor model@."
         (List.length
            (List.filter

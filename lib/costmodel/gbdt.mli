@@ -10,8 +10,6 @@ type params = {
   learning_rate : float;
 }
 
-val default_params : params
-
 val fit : ?params:params -> float array array -> float array -> t
 (** Squared-error boosting of depth-limited trees with shrinkage, using
     the exact-greedy fitter over one workspace per fit.  Each feature

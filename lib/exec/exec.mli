@@ -22,9 +22,6 @@ type cfg = { warmup : int; repeats : int; clock : clock; domains : int }
     {!Kernel.compile}); outputs are bit-identical to [domains = 1]
     regardless. *)
 
-val default_cfg : cfg
-(** [{ warmup = 2; repeats = 5; clock = Wall; domains = 1 }]. *)
-
 (** One measurement: order statistics over the timed samples plus the
     kernel's compile-time coverage counters. *)
 type wall = {

@@ -21,10 +21,6 @@ type compiled = {
   stages : compiled_stage list;
 }
 
-val simple_schedule : rank:int -> nred:int -> Schedule.t
-(** Default schedule for simple stages (parallel outer + vectorized
-    innermost). *)
-
 val compile :
   ?schedules:(string * Schedule.t) list -> Graph.t -> Propagate.plan ->
   compiled

@@ -13,8 +13,6 @@
 module Shape = Alt_tensor.Shape
 module Opdef = Alt_ir.Opdef
 
-val conv_in_extent : out:int -> kernel:int -> stride:int -> dilation:int -> int
-
 (** {1 Complex operators} *)
 
 val c2d :
@@ -69,16 +67,8 @@ val bmm :
 
 (** {1 Elementwise operators} *)
 
-val unary :
-  name:string -> inp:string -> out:string -> shape:Shape.t ->
-  Alt_ir.Sexpr.unop -> Opdef.t
-
 val relu : name:string -> inp:string -> out:string -> shape:Shape.t -> unit -> Opdef.t
 val gelu : name:string -> inp:string -> out:string -> shape:Shape.t -> unit -> Opdef.t
-
-val binary :
-  name:string -> a:string -> b:string -> out:string -> shape:Shape.t ->
-  Alt_ir.Sexpr.binop -> Opdef.t
 
 val add :
   name:string -> a:string -> b:string -> out:string -> shape:Shape.t ->

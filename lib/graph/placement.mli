@@ -16,8 +16,6 @@ type t = {
   combined : string; (** name of the fused tensor *)
 }
 
-val combined_shape : Shape.t -> t -> Shape.t
-
 val apply : host_shape:Shape.t -> Opdef.t -> t -> Opdef.t
 (** Rewrite an operator to read the combined tensor wherever it reads the
     host or the guest (an operator may read only one of them, e.g. the

@@ -38,5 +38,4 @@ type plan = {
 val plan : ?mode:mode -> Graph.t -> choices:(string * choice) list -> plan
 (** [choices] maps complex-operator names to their tuned layouts. *)
 
-val pp_stage : stage Fmt.t
 val pp : plan Fmt.t

@@ -12,8 +12,17 @@
    constant stride V — the information the unfold rewrite (Eq. (1)) needs.
 
    The [reference_eval] interpreter computes the operator naively over
-   logical row-major buffers and serves as the correctness oracle for every
-   layout/loop transformation in the test suite. *)
+   logical row-major buffers and is the correctness oracle for every
+   layout/loop transformation: tests, examples, [Graph.reference_execute]
+   and the performance ledger all check against it.  Its contract:
+   - it compiles the operator into closures once per call, then visits
+     every point as a tree walk would, so its output is bit-identical to
+     the naive tree-walking interpreter the test suite keeps
+     (test/test_oracle.ml);
+   - it interprets the op's logical index expressions as written, with
+     no simplification or affine analysis;
+   - it shares nothing with what it checks: no layouts, lowering, loop
+     environments, programs, kernels or profiler. *)
 
 module Shape = Alt_tensor.Shape
 module Var = Alt_tensor.Var
@@ -122,7 +131,14 @@ let flops t =
   let red = List.fold_left (fun p (_, e) -> p * e) 1 t.reduce in
   Shape.num_elements t.out_shape * red * (per_point + acc)
 
-(* Naive interpreter over logical row-major buffers. *)
+(* The oracle (see the header for its contract).  Every spatial and
+   reduce iterator gets a slot in one [int array]; every index
+   expression, select condition and body node becomes a closure over it
+   that mirrors [Ixexpr.eval], [Sexpr.eval_cond] and [Sexpr.eval] case by
+   case, with the same [fdiv]/[fmod], [apply_binop] and [apply_unop];
+   every load resolves its buffer, shape and strides once.  Output points
+   are visited in row-major order and written at a running offset; each
+   one's reduction points are visited lexicographically from [init]. *)
 let reference_eval t (inputs : (string * float array) list) : float array =
   List.iter
     (fun (n, s) ->
@@ -134,52 +150,138 @@ let reference_eval t (inputs : (string * float array) list) : float array =
                t.name n (Array.length a) (Shape.num_elements s))
       | None -> invalid_arg (Fmt.str "reference_eval %s: missing input %s" t.name n))
     t.inputs;
+  (* One slot per iterator; an iterator bound twice shares its slot, so
+     the innermost binding wins, as in a variable environment. *)
+  let slots = Hashtbl.create 16 in
+  let slot v =
+    match Hashtbl.find_opt slots (Var.id v) with
+    | Some s -> s
+    | None ->
+        let s = Hashtbl.length slots in
+        Hashtbl.replace slots (Var.id v) s;
+        s
+  in
+  let spatial =
+    Array.to_list (Array.mapi (fun d ext -> (slot t.spatial.(d), ext)) t.out_shape)
+  in
+  let reduce = List.map (fun (v, ext) -> (slot v, ext)) t.reduce in
+  let env = Array.make (Hashtbl.length slots) 0 in
+  let rec ix (e : Ixexpr.t) : unit -> int =
+    match e with
+    | Const n -> fun () -> n
+    | Var v -> (
+        match Hashtbl.find_opt slots (Var.id v) with
+        | Some s -> fun () -> env.(s)
+        | None ->
+            fun () ->
+              invalid_arg (Fmt.str "reference_eval: unbound var %s" (Var.name v)))
+    | Add (a, b) ->
+        let a = ix a and b = ix b in
+        fun () -> a () + b ()
+    | Sub (a, b) ->
+        let a = ix a and b = ix b in
+        fun () -> a () - b ()
+    | Mul (a, b) ->
+        let a = ix a and b = ix b in
+        fun () -> a () * b ()
+    | Div (a, b) ->
+        let a = ix a and b = ix b in
+        fun () -> Ixexpr.fdiv (a ()) (b ())
+    | Mod (a, b) ->
+        let a = ix a and b = ix b in
+        fun () -> Ixexpr.fmod (a ()) (b ())
+    | Min (a, b) ->
+        let a = ix a and b = ix b in
+        fun () -> Int.min (a ()) (b ())
+    | Max (a, b) ->
+        let a = ix a and b = ix b in
+        fun () -> Int.max (a ()) (b ())
+  in
+  let rec cond (c : Sexpr.cond) : unit -> bool =
+    match c with
+    | Cmp (op, a, b) -> (
+        let a = ix a and b = ix b in
+        match op with
+        | Clt -> fun () -> a () < b ()
+        | Cle -> fun () -> a () <= b ()
+        | Cgt -> fun () -> a () > b ()
+        | Cge -> fun () -> a () >= b ()
+        | Ceq -> fun () -> a () = b ())
+    | And (a, b) ->
+        let a = cond a and b = cond b in
+        fun () -> a () && b ()
+    | Or (a, b) ->
+        let a = cond a and b = cond b in
+        fun () -> a () || b ()
+  in
+  let load name idx : unit -> float =
+    match List.assoc_opt name t.inputs with
+    | None ->
+        fun () -> invalid_arg (Fmt.str "Opdef %s: unknown input %s" t.name name)
+    | Some shape ->
+        let data = List.assoc name inputs in
+        let strides = Shape.strides shape in
+        let idx = Array.map ix idx in
+        let rank = Shape.rank shape in
+        if Array.length idx <> rank then fun () ->
+          invalid_arg
+            (Fmt.str "reference_eval %s: %d indices into rank-%d %s" t.name
+               (Array.length idx) rank name)
+        else fun () ->
+          let off = ref 0 in
+          for d = 0 to rank - 1 do
+            let x = idx.(d) () in
+            if x < 0 || x >= shape.(d) then
+              invalid_arg
+                (Fmt.str "reference_eval %s: index %d out of bounds for dim %d of %s%a"
+                   t.name x d name Shape.pp shape);
+            off := !off + (x * strides.(d))
+          done;
+          data.(!off)
+  in
+  let rec body (e : Sexpr.t) : unit -> float =
+    match e with
+    | Load (name, idx) -> load name idx
+    | Fconst f -> fun () -> f
+    | Bin (op, a, b) ->
+        let a = body a and b = body b in
+        fun () -> Sexpr.apply_binop op (a ()) (b ())
+    | Un (op, a) ->
+        let a = body a in
+        fun () -> Sexpr.apply_unop op (a ())
+    | Select (c, a, b) ->
+        let c = cond c and a = body a and b = body b in
+        fun () -> if c () then a () else b ()
+  in
+  let value = body t.body in
+  let acc = ref 0.0 in
+  let step =
+    match t.combiner with
+    | Assign -> fun () -> acc := value ()
+    | Sum -> fun () -> acc := !acc +. value ()
+    | Max -> fun () -> acc := Float.max !acc (value ())
+  in
+  (* [inner] at every point of [loops], the first one outermost *)
+  let nest loops inner =
+    List.fold_right
+      (fun (s, ext) inner () ->
+        for x = 0 to ext - 1 do
+          env.(s) <- x;
+          inner ()
+        done)
+      loops inner
+  in
+  let reduction = nest reduce step in
+  let acc0 = if t.combiner = Assign then 0.0 else t.init in
   let out = Array.make (Shape.num_elements t.out_shape) 0.0 in
-  let env_tbl = Hashtbl.create 16 in
-  let env v =
-    match Hashtbl.find_opt env_tbl (Var.id v) with
-    | Some x -> x
-    | None -> invalid_arg (Fmt.str "reference_eval: unbound var %s" (Var.name v))
+  let off = ref 0 in
+  let point () =
+    acc := acc0;
+    reduction ();
+    out.(!off) <- !acc;
+    incr off
   in
-  let lookup name idx env =
-    let shape = input_shape t name in
-    let data = List.assoc name inputs in
-    let concrete = Array.map (Ixexpr.eval env) idx in
-    data.(Shape.offset_of_index shape concrete)
-  in
-  let rank = Shape.rank t.out_shape in
-  let sp_idx = Array.make rank 0 in
-  let reduce = Array.of_list t.reduce in
-  let nred = Array.length reduce in
-  let rec spatial_loop d =
-    if d = rank then begin
-      let acc = ref (if t.combiner = Assign then 0.0 else t.init) in
-      let rec reduce_loop j =
-        if j = nred then begin
-          let v = Sexpr.eval ~lookup env t.body in
-          match t.combiner with
-          | Assign -> acc := v
-          | Sum -> acc := !acc +. v
-          | Max -> acc := Float.max !acc v
-        end
-        else
-          let rv, ext = reduce.(j) in
-          for x = 0 to ext - 1 do
-            Hashtbl.replace env_tbl (Var.id rv) x;
-            reduce_loop (j + 1)
-          done
-      in
-      reduce_loop 0;
-      out.(Shape.offset_of_index t.out_shape sp_idx) <- !acc
-    end
-    else
-      for x = 0 to t.out_shape.(d) - 1 do
-        sp_idx.(d) <- x;
-        Hashtbl.replace env_tbl (Var.id t.spatial.(d)) x;
-        spatial_loop (d + 1)
-      done
-  in
-  spatial_loop 0;
+  nest spatial point ();
   out
 
 let pp ppf t =

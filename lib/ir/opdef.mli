@@ -1,6 +1,13 @@
 (** Operator compute definitions: layout- and schedule-independent
     descriptions of tensor operators, plus a naive reference interpreter
-    used as the correctness oracle for every transformation. *)
+    used as the correctness oracle for every transformation.
+
+    The oracle, {!reference_eval}, compiles an operator once per call and
+    then evaluates it point by point.  It interprets the logical index
+    expressions as written (no simplifier, no affine analysis), shares
+    nothing with lowering, loop environments, layouts, programs, kernels
+    or the profiler, and is bit-identical to the tree-walking interpreter
+    kept in the test suite. *)
 
 module Shape = Alt_tensor.Shape
 module Var = Alt_tensor.Var
@@ -76,6 +83,9 @@ val flops : t -> int
 (** Total arithmetic work (for accounting). *)
 
 val reference_eval : t -> (string * float array) list -> float array
-(** Naive interpretation over logical row-major buffers. *)
+(** Naive interpretation over logical row-major buffers: every output
+    point in row-major order, its reduction points lexicographically from
+    [init].  Raises [Invalid_argument] on a missing or wrong-size input
+    and on any out-of-range read, checked per index at every point. *)
 
 val pp : t Fmt.t

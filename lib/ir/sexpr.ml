@@ -102,14 +102,6 @@ let rec map_cond_ix f = function
   | And (a, b) -> And (map_cond_ix f a, map_cond_ix f b)
   | Or (a, b) -> Or (map_cond_ix f a, map_cond_ix f b)
 
-(* Apply [f] to every index expression, including those in conditions. *)
-let rec map_ix f = function
-  | Load (n, idx) -> Load (n, Array.map f idx)
-  | Fconst _ as e -> e
-  | Bin (op, a, b) -> Bin (op, map_ix f a, map_ix f b)
-  | Un (op, a) -> Un (op, map_ix f a)
-  | Select (c, a, b) -> Select (map_cond_ix f c, map_ix f a, map_ix f b)
-
 let pp_binop ppf op =
   Fmt.string ppf
     (match op with

@@ -60,9 +60,6 @@ val map_loads : (string -> Ixexpr.t array -> t) -> t -> t
 
 val map_cond_ix : (Ixexpr.t -> Ixexpr.t) -> cond -> cond
 
-val map_ix : (Ixexpr.t -> Ixexpr.t) -> t -> t
-(** Apply a function to every index expression, including conditions. *)
-
 (** {1 Pretty-printing} *)
 
 val pp_binop : binop Fmt.t

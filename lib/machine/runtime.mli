@@ -10,9 +10,6 @@ val alloc_bufs :
 (** Inputs are packed through their slot layouts; non-inputs are
     zero-initialized. *)
 
-val output_logical : Program.t -> float array array -> string -> float array
-(** Unpack a non-input slot back to logical row-major data. *)
-
 (** Which device measures a program (DESIGN.md §12): [Sim] interprets it
     under the cache simulator (the default everywhere); [Exec] compiles
     it to macro-kernels and times real execution with the given

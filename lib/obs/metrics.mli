@@ -77,8 +77,6 @@ val reset : unit -> unit
 val to_json : unit -> Json.t
 (** [{"version":1,"metrics":[{"name":...,"kind":...,...},...]}]. *)
 
-val write_file : string -> unit
-
 val set_output : string -> unit
 (** Enable collection and write the final snapshot to the given path at
     process exit (the [--metrics FILE] CLI knob). *)

@@ -60,5 +60,4 @@ val flush_buffer : buffer option -> unit
 
 (** {1 Clocks} *)
 
-val now_ns : unit -> int
 val now_ms : unit -> float

@@ -4,10 +4,6 @@
 
 module Json = Alt_obs.Json
 
-val crash_exit_code : int
-(** Exit code (42) used by the [kill_after_rounds] crash-injection
-    hook, so harnesses can tell a simulated crash from a failure. *)
-
 val run_pipe :
   ?kill_after_rounds:int ->
   ?input:Unix.file_descr ->
@@ -20,8 +16,9 @@ val run_pipe :
     graceful drain: admitted sessions finish, then the loop returns
     (after closing the engine).  A [Shutdown] request aborts in-flight
     sessions at their last checkpoint and returns immediately.
-    [kill_after_rounds] exits the process with {!crash_exit_code} after
-    that many engine rounds — no drain, journals kept. *)
+    [kill_after_rounds] exits the process with code 42 after that many
+    engine rounds — no drain, journals kept — so harnesses can tell a
+    simulated crash from a failure. *)
 
 val run_socket : ?kill_after_rounds:int -> path:string -> Serve.t -> unit
 (** Serve any number of concurrent clients over a Unix-domain socket at

@@ -51,7 +51,6 @@ type request =
 
 val request_id : request -> string
 val request_to_json : request -> Json.t
-val request_of_json : Json.t -> (request, string) result
 val parse_request : string -> (request, string) result
 
 val error_response : id:string -> reason:string -> Json.t

@@ -22,10 +22,6 @@ type op_spec = {
 
 val default_op : op_spec
 
-val int_field : Json.t -> string -> int -> int
-(** [int_field j name dflt]: member [name] of [j] as an int, or [dflt]. *)
-
-val float_field : Json.t -> string -> float -> float
 val string_field : Json.t -> string -> string -> string
 
 val op_of_spec : op_spec -> Opdef.t
@@ -53,7 +49,6 @@ type tune_spec = {
 
 val default_tune_spec : tune_spec
 val machine_of_name : string -> Machine.t option
-val system_of_name : string -> Tuner.system option
 val systems : (string * Tuner.system) list
 
 val tune_spec_to_json : tune_spec -> Json.t

@@ -74,8 +74,6 @@ type window = Var.t -> int option
 (** Maps sliding-window variables (e.g. a convolution's output spatial
     iterators) to their constant stride V; used by the unfold rewrite. *)
 
-val no_window : window
-
 val forward_exprs :
   ?bounds:Ixexpr.bounds -> ?window:window -> t -> Ixexpr.t array ->
   Ixexpr.t array

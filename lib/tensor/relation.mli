@@ -70,9 +70,6 @@ val permute : Shape.t -> int array -> t
 val shift : Shape.t -> dim:int -> lo:int -> hi:int -> t
 val window : Shape.t -> dim:int -> tile:int -> stride:int -> t
 
-val apply_step : Shape.t -> step -> Shape.t
-(** Shape transform of one step (validated). *)
-
 (** {1 Algebra} *)
 
 val compose : t -> t -> t

@@ -73,7 +73,6 @@ type report = {
   spent : int;
   picks : int;
   eps_picks : int;
-  transfer : bool;
   tasks : task_report list; (* first-seen order *)
   curves : (string * (int * float) list) list;
       (* per model: (global trials spent, estimated model latency) *)
@@ -342,7 +341,6 @@ let tune_models ?(jobs = 1) ~(policy : policy)
     spent = total_spent ();
     picks = !picks;
     eps_picks = !eps_picks;
-    transfer = transfer_on;
     tasks;
     curves =
       Array.to_list

@@ -55,9 +55,6 @@ type report = {
   spent : int; (** trials actually charged across all tasks *)
   picks : int;
   eps_picks : int; (** picks taken by the ε-round-robin heartbeat *)
-  transfer : bool;
-      (** cross-task cost-model transfer was active: exactly under
-          [Gradient] *)
   tasks : task_report list; (** first-seen order *)
   curves : (string * (int * float) list) list;
       (** per model, in zoo order: (global trials spent, estimated model

@@ -33,16 +33,11 @@ type t = {
 
 exception Unsupported
 
-val conv_template : ?levels:int -> Opdef.t -> t
-(** C2D-family template: (spatial tiles, o_t, i_t, i'_t, o'_t); the input
-    is unfolded with tiles derived from the output tiling.  [levels = 2]
-    adds a second tiling level (Fig. 13). *)
-
-val matmul_template : ?levels:int -> Opdef.t -> t
-(** GMM/BMM template: (m_t, k_t, n_t). *)
-
 val for_op : ?levels:int -> Opdef.t -> t option
-(** Dispatch on the operator kind; [None] for simple operators. *)
+(** The template of an operator's kind; [None] for simple operators.
+    C2D family: (spatial tiles, o_t, i_t, i'_t, o'_t), with the input
+    unfolded by tiles derived from the output tiling; [levels = 2] adds
+    a second tiling level (Fig. 13).  GMM/BMM: (m_t, k_t, n_t). *)
 
 (** {1 Fixed layout choices} *)
 
