@@ -12,8 +12,12 @@
 
    For every workload and candidate the two engines are also compared
    counter-by-counter and output by output (the differential oracle); any
-   mismatch aborts the benchmark.  Results go to BENCH_profiler.json so
-   the perf trajectory is tracked across PRs.
+   mismatch aborts the benchmark.  The explored set also times packing
+   each candidate's input slots both ways, through the relation walk
+   ([Layout.pack]) and through the compiled conversion kernel
+   ([Kernel.pack], what measurement packs with), and aborts unless the
+   two agree bit for bit.  Results go to BENCH_profiler.json so the perf
+   trajectory is tracked across PRs.
 
    ALT_BENCH_SCALE=smoke|quick|full controls sizes and repetitions. *)
 
@@ -251,7 +255,53 @@ type explored_row = {
   scalar_pps : float;
   fgroups : int;
   sgroups : int;
+  pack_relation_s : float; (* CPU time to pack every candidate's inputs *)
+  pack_kernel_s : float;
 }
+
+let pack_repeats = pick ~smoke:2 ~quick:5 ~full:7
+
+(* Best CPU time of [pack_repeats] calls of [f]. *)
+let best_cpu f =
+  let best = ref Float.infinity in
+  for _ = 1 to pack_repeats do
+    let t0 = Sys.time () in
+    f ();
+    best := Float.min !best (Sys.time () -. t0)
+  done;
+  !best
+
+(* The candidates' input slots packed both ways: they must agree bit for
+   bit, and each way's best CPU time for one pass over the set is kept. *)
+let bench_packs kind cands =
+  let inputs =
+    List.concat_map
+      (fun c ->
+        List.filter_map
+          (fun (s : Program.slot) ->
+            if s.Program.role = Program.Input then
+              Some (s, List.assoc s.Program.sname c.feeds)
+            else None)
+          (Array.to_list c.prog.Program.slots))
+      cands
+  in
+  List.iter
+    (fun ((s : Program.slot), src) ->
+      if
+        not
+          (bits_equal (Kernel.pack s.Program.layout src)
+             (Layout.pack s.Program.layout src))
+      then
+        Fmt.failwith "%s: Kernel.pack / Layout.pack diverge on %s (%a)" kind
+          s.Program.sname Layout.pp s.Program.layout)
+    inputs;
+  let pass pack () =
+    List.iter
+      (fun ((s : Program.slot), src) ->
+        ignore (pack s.Program.layout src : float array))
+      inputs
+  in
+  (best_cpu (pass Layout.pack), best_cpu (pass Kernel.pack))
 
 let bench_explored machine kind =
   let cands = explored_candidates machine kind in
@@ -268,6 +318,7 @@ let bench_explored machine kind =
       with_bufs
   in
   let points = List.fold_left (fun a c -> a +. c.sim_points) 0.0 cands in
+  let pack_relation_s, pack_kernel_s = bench_packs kind cands in
   {
     kind;
     n = List.length cands;
@@ -277,6 +328,8 @@ let bench_explored machine kind =
     fgroups = List.fold_left (fun a (c : candidate) -> a + c.fast_groups) 0 cands;
     sgroups =
       List.fold_left (fun a (c : candidate) -> a + c.scalar_groups) 0 cands;
+    pack_relation_s;
+    pack_kernel_s;
   }
 
 (* Points per second over the whole set: total points over total time. *)
@@ -286,6 +339,12 @@ let set_pps rows pps =
 
 let share a b = if a + b = 0 then 0.0 else float_of_int a /. float_of_int (a + b)
 
+(* Microseconds to pack one candidate's input slots, over [rows]. *)
+let pack_us rows secs =
+  let n = List.fold_left (fun a r -> a + r.n) 0 rows in
+  1e6 *. List.fold_left (fun a r -> a +. secs r) 0.0 rows
+  /. float_of_int (max 1 n)
+
 let json_of_explored rows =
   let fg = List.fold_left (fun a r -> a + r.fgroups) 0 rows
   and sg = List.fold_left (fun a r -> a + r.sgroups) 0 rows in
@@ -293,20 +352,26 @@ let json_of_explored rows =
     Fmt.str
       "{\"kind\": %S, \"candidates\": %d, \"points\": %.0f, \
        \"fast_points_per_s\": %.0f, \"scalar_points_per_s\": %.0f, \
-       \"speedup\": %.3f, \"fast_groups\": %d, \"scalar_groups\": %d}"
+       \"speedup\": %.3f, \"fast_groups\": %d, \"scalar_groups\": %d, \
+       \"pack_relation_us\": %.1f, \"pack_kernel_us\": %.1f}"
       r.kind r.n r.points r.fast_pps r.scalar_pps (r.fast_pps /. r.scalar_pps)
       r.fgroups r.sgroups
+      (pack_us [ r ] (fun r -> r.pack_relation_s))
+      (pack_us [ r ] (fun r -> r.pack_kernel_s))
   in
   Fmt.str
     "{\"seed\": %d, \"max_points\": %d, \"candidates\": %d, \
      \"fast_points_per_s\": %.0f, \"scalar_points_per_s\": %.0f, \
      \"fast_group_share\": %.4f, \"scalar_group_share\": %.4f, \
+     \"pack_relation_us\": %.1f, \"pack_kernel_us\": %.1f, \
      \"kinds\": [\n    %s\n  ]}"
     explored_seed explored_max_points
     (List.fold_left (fun a r -> a + r.n) 0 rows)
     (set_pps rows (fun r -> r.fast_pps))
     (set_pps rows (fun r -> r.scalar_pps))
     (share fg sg) (share sg fg)
+    (pack_us rows (fun r -> r.pack_relation_s))
+    (pack_us rows (fun r -> r.pack_kernel_s))
     (String.concat ",\n    " (List.map row rows))
 
 let json_of_rows machine rows explored =
@@ -382,5 +447,15 @@ let () =
     (set_pps explored (fun r -> r.fast_pps) /. 1e6)
     (set_pps explored (fun r -> r.scalar_pps) /. 1e6)
     (100.0 *. share sg fg);
+  List.iter
+    (fun r ->
+      Fmt.pr "%-4s pack per candidate: relation %8.1f us, kernel %8.1f us@."
+        r.kind
+        (pack_us [ r ] (fun r -> r.pack_relation_s))
+        (pack_us [ r ] (fun r -> r.pack_kernel_s)))
+    explored;
+  Fmt.pr "explored set packs: relation %.1f us, kernel %.1f us per candidate@."
+    (pack_us explored (fun r -> r.pack_relation_s))
+    (pack_us explored (fun r -> r.pack_kernel_s));
   let json = json_of_rows machine rows explored in
   Bench_util.write_bench "BENCH_profiler.json" json

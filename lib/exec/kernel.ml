@@ -30,10 +30,12 @@
 
 module Var = Alt_tensor.Var
 module Ixexpr = Alt_tensor.Ixexpr
+module Shape = Alt_tensor.Shape
 module Layout = Alt_tensor.Layout
 module Program = Alt_ir.Program
 module Sexpr = Alt_ir.Sexpr
 module Loopenv = Alt_ir.Loopenv
+module Lower = Alt_ir.Lower
 module Team = Alt_parallel.Team
 
 type stats = {
@@ -452,3 +454,22 @@ let reset_non_inputs (k : t) =
       if s.Program.role <> Program.Input then
         Array.fill k.bufs.(i) 0 (Array.length k.bufs.(i)) 0.0)
     k.prog.Program.slots
+
+(* A pack is the conversion operator of Fig. 5a from the logical
+   row-major layout into [l], compiled and run once — the same kernels
+   that run a graph's conversion stages.  The nest covers the whole
+   physical space and stores a zero at every hole, so every element is
+   written; [Layout.pack], the relation walk, is the reference it is
+   pinned to. *)
+let pack (l : Layout.t) (src : float array) : float array =
+  let shape = Layout.logical_shape l in
+  let n = Shape.num_elements shape in
+  if Array.length src <> n then
+    raise
+      (Layout.Layout_error
+         (Fmt.str "pack: source size %d <> logical elements %d"
+            (Array.length src) n));
+  let prog = Lower.conversion ~src:(Layout.create shape) ~dst:l () in
+  let dst = Array.make (Layout.num_physical_elements l) 0.0 in
+  (compile prog ~bufs:[| src; dst |]).run ();
+  dst

@@ -83,3 +83,14 @@ val compile : ?domains:int -> Program.t -> bufs:float array array -> t
 val reset_non_inputs : t -> unit
 (** Zero every non-[Input] buffer, restoring the post-[alloc_bufs]
     state so [run] is repeatable. *)
+
+val pack : Alt_tensor.Layout.t -> float array -> float array
+(** [pack l src] materializes [l]'s physical buffer from logical
+    row-major [src] by compiling and running the conversion operator
+    from the identity layout into [l] ({!Alt_ir.Lower.conversion}).
+    Returns a fresh buffer with every physical element written: holes
+    (padding, unfold overhang) are zero, overlapped tiles are
+    duplicated.  Bit-identical to {!Alt_tensor.Layout.pack}, the
+    reference it is pinned to by test/test_exec.ml.  Raises
+    {!Alt_tensor.Layout.Layout_error} when [src] is not one element per
+    logical index, exactly as [Layout.pack] does. *)

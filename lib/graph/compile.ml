@@ -144,7 +144,8 @@ let execute ?(machine = Machine.intel_cpu) ?max_points (c : compiled)
   List.iter
     (fun (name, _) ->
       match List.assoc_opt name feeds with
-      | Some logical -> add name (storage name) (Layout.pack (storage name) logical)
+      | Some logical ->
+          add name (storage name) (Alt_exec.Kernel.pack (storage name) logical)
       | None -> invalid_arg (Fmt.str "Compile.execute: missing feed %s" name))
     (g.Graph.inputs @ g.Graph.params);
   let per_stage = ref [] in

@@ -35,6 +35,8 @@ type t = {
   tags : int array; (* sets * assoc; -1 = invalid *)
   stamp : int array; (* LRU stamps, same indexing *)
   pref : bool array; (* line was prefetched and not yet demand-touched *)
+  filled : int array; (* slots installed into since the last reset *)
+  mutable nfilled : int;
   mutable clock : int;
   mutable gen : int; (* bumped on every line install (demand or prefetch) *)
   st : stats;
@@ -60,6 +62,8 @@ let create cfg =
     tags = Array.make (sets * cfg.assoc) (-1);
     stamp = Array.make (sets * cfg.assoc) 0;
     pref = Array.make (sets * cfg.assoc) false;
+    filled = Array.make (sets * cfg.assoc) 0;
+    nfilled = 0;
     clock = 0;
     gen = 0;
     st =
@@ -74,10 +78,18 @@ let create cfg =
 
 let dump t = (Array.copy t.tags, Array.copy t.stamp)
 
+(* Only installs move a slot off [create]'s state (a hit or a touch needs
+   a valid way), and [install] records every slot it fills while invalid,
+   so clearing the recorded slots restores all of it: a reset costs the
+   ways a run filled, not the whole geometry. *)
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
-  Array.fill t.pref 0 (Array.length t.pref) false;
+  for i = 0 to t.nfilled - 1 do
+    let slot = t.filled.(i) in
+    t.tags.(slot) <- -1;
+    t.stamp.(slot) <- 0;
+    t.pref.(slot) <- false
+  done;
+  t.nfilled <- 0;
   t.clock <- 0;
   t.gen <- 0;
   t.st.accesses <- 0;
@@ -110,6 +122,10 @@ let probe t line =
   probe_from t.tags t.stamp line base (base + t.assoc - 1) base
 
 let install t slot line ~prefetched =
+  if t.tags.(slot) = -1 then begin
+    t.filled.(t.nfilled) <- slot;
+    t.nfilled <- t.nfilled + 1
+  end;
   t.tags.(slot) <- line;
   t.stamp.(slot) <- t.clock;
   t.pref.(slot) <- prefetched;

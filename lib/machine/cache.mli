@@ -35,7 +35,10 @@ val dump : t -> int array * int array
 
 val reset : t -> unit
 (** Invalidate all lines and zero the {!stats}: the state of a fresh
-    {!create}, so one cache can serve many simulations. *)
+    {!create}, so one cache can serve many simulations.  Costs only the
+    ways installed into since the last reset (each install into an
+    invalid way, demand or prefetch, records its slot once), not the
+    whole geometry. *)
 
 val access : t -> int -> bool
 (** [access t addr] returns [true] on hit; on miss the line is installed

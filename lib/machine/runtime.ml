@@ -18,7 +18,7 @@ let alloc_bufs (p : Program.t) ~(inputs : (string * float array) list) :
       match s.Program.role with
       | Program.Input -> (
           match List.assoc_opt s.Program.sname inputs with
-          | Some logical -> Layout.pack s.Program.layout logical
+          | Some logical -> Alt_exec.Kernel.pack s.Program.layout logical
           | None ->
               invalid_arg
                 (Fmt.str "Runtime.alloc_bufs: missing input %s" s.Program.sname))

@@ -105,7 +105,12 @@ val phys_index : t -> int array -> int
 
 val pack : t -> float array -> float array
 (** Materializes the physical buffer from logical row-major data (zero
-    fills padding; duplicates overlapped tiles). *)
+    fills padding; duplicates overlapped tiles) by walking the
+    relation's backward map.  This is the reference that
+    [Alt_exec.Kernel.pack] — the compiled conversion kernel every
+    production pack runs through — is pinned to bit for bit
+    (test/test_exec.ml).  Raises {!Layout_error} when the source is not
+    one element per logical index. *)
 
 val unpack : t -> float array -> float array
 (** Recovers logical row-major data from a physical buffer. *)

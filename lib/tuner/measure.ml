@@ -52,6 +52,7 @@ module Sexpr = Alt_ir.Sexpr
 module Machine = Alt_machine.Machine
 module Profiler = Alt_machine.Profiler
 module Runtime = Alt_machine.Runtime
+module Kernel = Alt_exec.Kernel
 module Propagate = Alt_graph.Propagate
 module Pool = Alt_parallel.Pool
 module Fault = Alt_faults.Fault
@@ -489,13 +490,13 @@ let acquire_bufs (t : task) (prog : Program.t) : float array array =
             | None ->
                 bc.bstats.buf_misses <- bc.bstats.buf_misses + 1;
                 let a =
-                  Layout.pack s.Program.layout
+                  Kernel.pack s.Program.layout
                     (List.assoc s.Program.sname t.feeds)
                 in
                 Hashtbl.replace bc.bc_packs key a;
                 a)
         | Program.Input ->
-            Layout.pack s.Program.layout (List.assoc s.Program.sname t.feeds)
+            Kernel.pack s.Program.layout (List.assoc s.Program.sname t.feeds)
         | Program.Output | Program.Temp -> (
             let n = Layout.num_physical_elements s.Program.layout in
             match Hashtbl.find_opt bc.bc_scratch n with

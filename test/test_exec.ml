@@ -689,6 +689,79 @@ let prop_relation_chains =
         ~inputs:[ ("convert.src", logical) ])
 
 (* ------------------------------------------------------------------ *)
+(* Compiled pack                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Runtime.alloc_bufs] packs through [Kernel.pack], so both sides of
+   every differential above read inputs the compiled pack wrote; only a
+   comparison with the relation walk can see a pack bug.  The source is
+   [i + 1], all nonzero, so a live element the kernel leaves unwritten
+   reads 0 where the reference holds a value. *)
+let pack_source l =
+  Array.init
+    (Shape.num_elements (Layout.logical_shape l))
+    (fun i -> float_of_int (i + 1))
+
+let pack_matches l =
+  let src = pack_source l in
+  bits_equal (Kernel.pack l src) (Layout.pack l src)
+
+let gen_pack_layout =
+  let open QCheck2.Gen in
+  let* rank = int_range 1 3 in
+  let* dims = list_repeat rank (oneofl [ 2; 3; 4; 6 ]) in
+  gen_layout_chain (Array.of_list dims)
+
+let prop_pack_chains =
+  QCheck2.Test.make ~count:chain_counts
+    ~name:"random primitive chains: Kernel.pack == Layout.pack"
+    ~print:(Fmt.to_to_string Layout.pp) gen_pack_layout pack_matches
+
+(* Directed layouts: every advanced-primitive corner, and a fuse after a
+   pad, whose conversion indexes the source through div/mod so the
+   kernel's generic (non-affine) path writes the buffer. *)
+let test_pack_directed () =
+  let base = trivial [| 3; 7 |] in
+  let cases =
+    [
+      ("identity", base);
+      ("overlapping unfold", Layout.unfold base ~dim:1 ~tile:3 ~stride:2);
+      ( "overhanging unfold",
+        Layout.unfold (trivial [| 3; 5 |]) ~dim:1 ~tile:3 ~stride:3 );
+      ("asymmetric pad", Layout.pad base ~dim:1 ~lo:1 ~hi:2);
+      ( "fuse after pad",
+        Layout.fuse (Layout.pad base ~dim:1 ~lo:2 ~hi:1) ~dim:0 ~count:2 );
+    ]
+  in
+  List.iter
+    (fun (name, l) -> Alcotest.(check bool) name true (pack_matches l))
+    cases;
+  let fused = List.assoc "fuse after pad" cases in
+  let conv =
+    Lower.conversion ~src:(trivial (Layout.logical_shape fused)) ~dst:fused ()
+  in
+  let k =
+    Kernel.compile conv
+      ~bufs:
+        [|
+          pack_source fused;
+          Array.make (Layout.num_physical_elements fused) 0.0;
+        |]
+  in
+  Alcotest.(check bool) "fuse after pad runs the generic path" true
+    (k.Kernel.stats.Kernel.generic_groups > 0);
+  let short = Array.make 20 1.0 in
+  let raises f =
+    match f base short with
+    | (_ : float array) -> false
+    | exception Layout.Layout_error _ -> true
+  in
+  Alcotest.(check bool) "wrong-size source: Layout.pack raises" true
+    (raises Layout.pack);
+  Alcotest.(check bool) "wrong-size source: Kernel.pack raises" true
+    (raises Kernel.pack)
+
+(* ------------------------------------------------------------------ *)
 (* Measurement discipline                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1212,6 +1285,12 @@ let () =
             test_generic_fallback;
         ] );
       ("chains", chain_cases);
+      ( "pack",
+        qsuite [ prop_pack_chains ]
+        @ [
+            Alcotest.test_case "directed: unfold/pad/fuse corners" `Quick
+              test_pack_directed;
+          ] );
       ("mac-alias", mac_alias_cases);
       ( "parallel",
         qsuite
