@@ -68,8 +68,9 @@ exec-smoke:
 	  --out-channels 8 --spatial 8 --budget 16 --seed 1 \
 	  --backend exec --exec-warmup 1 --exec-repeats 3
 
-# Relation-algebra gate: the QCheck2 round-trip/differential suite for
-# the layout relation algebra (DESIGN.md §16) at a reduced chain count.
+# Relation-algebra gate: the QCheck2 round-trip/differential suite that
+# checks the layout maps against the test-only relation oracle
+# (test/oracle, DESIGN.md §16) at a reduced chain count.
 # ALT_RELATION_COUNT scales every property (default 500 under
 # `dune runtest`, 60 here).
 relation-smoke:

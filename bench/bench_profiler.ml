@@ -13,7 +13,7 @@
    For every workload and candidate the two engines are also compared
    counter-by-counter and output by output (the differential oracle); any
    mismatch aborts the benchmark.  The explored set also times packing
-   each candidate's input slots both ways, through the relation walk
+   each candidate's input slots both ways, through the reference walk
    ([Layout.pack]) and through the compiled conversion kernel
    ([Kernel.pack], what measurement packs with), and aborts unless the
    two agree bit for bit.  Results go to BENCH_profiler.json so the perf
@@ -255,7 +255,7 @@ type explored_row = {
   scalar_pps : float;
   fgroups : int;
   sgroups : int;
-  pack_relation_s : float; (* CPU time to pack every candidate's inputs *)
+  pack_reference_s : float; (* CPU time to pack every candidate's inputs *)
   pack_kernel_s : float;
 }
 
@@ -318,7 +318,7 @@ let bench_explored machine kind =
       with_bufs
   in
   let points = List.fold_left (fun a c -> a +. c.sim_points) 0.0 cands in
-  let pack_relation_s, pack_kernel_s = bench_packs kind cands in
+  let pack_reference_s, pack_kernel_s = bench_packs kind cands in
   {
     kind;
     n = List.length cands;
@@ -328,7 +328,7 @@ let bench_explored machine kind =
     fgroups = List.fold_left (fun a (c : candidate) -> a + c.fast_groups) 0 cands;
     sgroups =
       List.fold_left (fun a (c : candidate) -> a + c.scalar_groups) 0 cands;
-    pack_relation_s;
+    pack_reference_s;
     pack_kernel_s;
   }
 
@@ -353,24 +353,24 @@ let json_of_explored rows =
       "{\"kind\": %S, \"candidates\": %d, \"points\": %.0f, \
        \"fast_points_per_s\": %.0f, \"scalar_points_per_s\": %.0f, \
        \"speedup\": %.3f, \"fast_groups\": %d, \"scalar_groups\": %d, \
-       \"pack_relation_us\": %.1f, \"pack_kernel_us\": %.1f}"
+       \"pack_reference_us\": %.1f, \"pack_kernel_us\": %.1f}"
       r.kind r.n r.points r.fast_pps r.scalar_pps (r.fast_pps /. r.scalar_pps)
       r.fgroups r.sgroups
-      (pack_us [ r ] (fun r -> r.pack_relation_s))
+      (pack_us [ r ] (fun r -> r.pack_reference_s))
       (pack_us [ r ] (fun r -> r.pack_kernel_s))
   in
   Fmt.str
     "{\"seed\": %d, \"max_points\": %d, \"candidates\": %d, \
      \"fast_points_per_s\": %.0f, \"scalar_points_per_s\": %.0f, \
      \"fast_group_share\": %.4f, \"scalar_group_share\": %.4f, \
-     \"pack_relation_us\": %.1f, \"pack_kernel_us\": %.1f, \
+     \"pack_reference_us\": %.1f, \"pack_kernel_us\": %.1f, \
      \"kinds\": [\n    %s\n  ]}"
     explored_seed explored_max_points
     (List.fold_left (fun a r -> a + r.n) 0 rows)
     (set_pps rows (fun r -> r.fast_pps))
     (set_pps rows (fun r -> r.scalar_pps))
     (share fg sg) (share sg fg)
-    (pack_us rows (fun r -> r.pack_relation_s))
+    (pack_us rows (fun r -> r.pack_reference_s))
     (pack_us rows (fun r -> r.pack_kernel_s))
     (String.concat ",\n    " (List.map row rows))
 
@@ -449,13 +449,13 @@ let () =
     (100.0 *. share sg fg);
   List.iter
     (fun r ->
-      Fmt.pr "%-4s pack per candidate: relation %8.1f us, kernel %8.1f us@."
+      Fmt.pr "%-4s pack per candidate: reference %8.1f us, kernel %8.1f us@."
         r.kind
-        (pack_us [ r ] (fun r -> r.pack_relation_s))
+        (pack_us [ r ] (fun r -> r.pack_reference_s))
         (pack_us [ r ] (fun r -> r.pack_kernel_s)))
     explored;
-  Fmt.pr "explored set packs: relation %.1f us, kernel %.1f us per candidate@."
-    (pack_us explored (fun r -> r.pack_relation_s))
+  Fmt.pr "explored set packs: reference %.1f us, kernel %.1f us per candidate@."
+    (pack_us explored (fun r -> r.pack_reference_s))
     (pack_us explored (fun r -> r.pack_kernel_s));
   let json = json_of_rows machine rows explored in
   Bench_util.write_bench "BENCH_profiler.json" json

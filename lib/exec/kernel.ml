@@ -459,7 +459,7 @@ let reset_non_inputs (k : t) =
    row-major layout into [l], compiled and run once — the same kernels
    that run a graph's conversion stages.  The nest covers the whole
    physical space and stores a zero at every hole, so every element is
-   written; [Layout.pack], the relation walk, is the reference it is
+   written; [Layout.pack], the primitive walk, is the reference it is
    pinned to. *)
 let pack (l : Layout.t) (src : float array) : float array =
   let shape = Layout.logical_shape l in

@@ -76,7 +76,10 @@ let create cfg =
       };
   }
 
-let dump t = (Array.copy t.tags, Array.copy t.stamp)
+let dump t =
+  ( Array.copy t.tags,
+    Array.copy t.stamp,
+    Array.mapi (fun i p -> p && t.tags.(i) >= 0) t.pref )
 
 (* Only installs move a slot off [create]'s state (a hit or a touch needs
    a valid way), and [install] records every slot it fills while invalid,

@@ -26,12 +26,14 @@ type t
 val create : cfg -> t
 (** Geometry must be power-of-two sets and line size. *)
 
-val dump : t -> int array * int array
-(** Snapshot of [(tags, stamps)], both [sets*assoc]-indexed; tag [-1] is
-    an invalid way.  Two caches whose tags agree and whose stamps induce
-    the same per-set recency order behave identically on any future
-    access sequence — the state-level oracle the fast-path differential
-    tests check beyond mere counter equality. *)
+val dump : t -> int array * int array * bool array
+(** Snapshot of [(tags, stamps, prefetched)], all [sets*assoc]-indexed;
+    tag [-1] is an invalid way, and [prefetched] marks the valid ways
+    installed by {!prefetch} and not yet demand-touched.  Two caches
+    whose tags and prefetched bits agree and whose stamps induce the same
+    per-set recency order behave identically on any future access
+    sequence, [prefetch_hits] included — the state-level oracle the
+    fast-path differential tests check beyond mere counter equality. *)
 
 val reset : t -> unit
 (** Invalidate all lines and zero the {!stats}: the state of a fresh

@@ -8,24 +8,15 @@
      implementing Table 1 and the unfold rule Eq. (1)),
    - reconstructing the loop nest of a producer ([inverse_exprs], the
      S_Y^{-1} of Section 6), and
-   - moving concrete data ([pack] / [unpack], used by conversion operators,
-     offline weight packing and test oracles).
+   - moving concrete data ([pack] / [unpack]).
 
-   Concrete index semantics (shape deduction, pack/unpack, forward/backward
-   point maps, strides, conversion cost) are expressed through the
-   {!Relation} algebra (DESIGN.md §16): every layout owns a canonical
-   index relation, derived incrementally as primitives are applied and
-   memoized per domain.  The record itself stays the seed
+   Every one of them walks the primitive list; only each layout's physical
+   shape is memoized (per domain).  The record itself stays the seed
    [{ logical; prims }] pair — candidate digests, fault-injection keys and
    checkpoints all [Marshal] values containing layouts, so the wire shape
-   must not change.  The symbolic rewrites ([forward_exprs],
-   [inverse_exprs], [logical_of_physical]) intentionally keep walking the
-   primitive list verbatim: canonicalized relations could emit different
-   (equivalent) index expressions and perturb tuning trajectories.
-
-   The seed implementations of the concrete maps are kept verbatim in
-   {!Reference} as the differential oracle (test/test_relation.ml proves
-   byte-identity).
+   must not change.  The index relation a layout denotes (DESIGN.md §16)
+   is its specification and lives with the tests (test/oracle), which pin
+   these walks to it.
 
    Physical buffers are always row-major over the physical shape.
 
@@ -82,16 +73,27 @@ let pp ppf t =
 
 let equal a b = Shape.equal a.logical b.logical && a.prims = b.prims
 
-(* Number of tiles in an unfolded dimension of extent [d]: ceil((d-B)/S)+1.
-   The last tile may overhang the tensor; overhanging positions zero-fill
-   on [pack] and are guarded on conversion, matching Section 4.1.2. *)
-let unfold_tiles ~d ~tile ~stride =
-  if tile > d then err "unfold: tile %d larger than extent %d" tile d;
-  Shape.cdiv (d - tile) stride + 1
-
 (* ------------------------------------------------------------------ *)
 (* Shape deduction.                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* The shape [p] maps [s] to, for a [p] already validated on [s].  An
+   unfolded dimension of extent [d] holds ceil((d-B)/S)+1 tiles; the last
+   may overhang the tensor, and overhanging positions zero-fill on [pack]
+   and are guarded on conversion, matching Section 4.1.2. *)
+let next_shape (s : Shape.t) p =
+  let splice dim n mid =
+    Array.concat
+      [ Array.sub s 0 dim; mid; Array.sub s (dim + n) (Shape.rank s - dim - n) ]
+  in
+  match p with
+  | Split { dim; factors } -> splice dim 1 (Array.of_list factors)
+  | Reorder perm -> Array.map (fun p -> s.(p)) perm
+  | Fuse { dim; count } ->
+      splice dim count [| Shape.prod_range s dim (dim + count - 1) |]
+  | Unfold { dim; tile; stride } ->
+      splice dim 1 [| Shape.cdiv (s.(dim) - tile) stride + 1; tile |]
+  | Pad { dim; lo; hi } -> splice dim 1 [| s.(dim) + lo + hi |]
 
 (* Ticks once per primitive validated: the regression test for the
    incremental [apply]/[of_prims]/[replay] path asserts an n-primitive
@@ -100,19 +102,14 @@ let m_validate = Alt_obs.Metrics.counter "layout.relation.validate"
 
 let shape_step (s : Shape.t) p =
   Alt_obs.Metrics.incr m_validate;
-  match p with
+  (match p with
   | Split { dim; factors } ->
       if dim < 0 || dim >= Shape.rank s then err "split: dim %d out of range" dim;
+      if factors = [] then err "split: no factors";
       let p = List.fold_left ( * ) 1 factors in
       if p <> s.(dim) then
         err "split: factors product %d <> extent %d (dim %d)" p s.(dim) dim;
-      if List.exists (fun f -> f <= 0) factors then err "split: factor <= 0";
-      Array.concat
-        [
-          Array.sub s 0 dim;
-          Array.of_list factors;
-          Array.sub s (dim + 1) (Shape.rank s - dim - 1);
-        ]
+      if List.exists (fun f -> f <= 0) factors then err "split: factor <= 0"
   | Reorder perm ->
       let n = Shape.rank s in
       if Array.length perm <> n then err "reorder: permutation rank mismatch";
@@ -121,91 +118,55 @@ let shape_step (s : Shape.t) p =
         (fun p ->
           if p < 0 || p >= n || seen.(p) then err "reorder: invalid permutation";
           seen.(p) <- true)
-        perm;
-      Array.map (fun p -> s.(p)) perm
+        perm
   | Fuse { dim; count } ->
       if count < 2 then err "fuse: count must be >= 2";
-      if dim < 0 || dim + count > Shape.rank s then err "fuse: range out of bounds";
-      Array.concat
-        [
-          Array.sub s 0 dim;
-          [| Shape.prod_range s dim (dim + count - 1) |];
-          Array.sub s (dim + count) (Shape.rank s - dim - count);
-        ]
+      if dim < 0 || dim + count > Shape.rank s then err "fuse: range out of bounds"
   | Unfold { dim; tile; stride } ->
       if dim < 0 || dim >= Shape.rank s then err "unfold: dim out of range";
-      let tiles = unfold_tiles ~d:s.(dim) ~tile ~stride in
-      Array.concat
-        [
-          Array.sub s 0 dim;
-          [| tiles; tile |];
-          Array.sub s (dim + 1) (Shape.rank s - dim - 1);
-        ]
+      if tile < 1 || stride < 1 then
+        err "unfold: tile %d and stride %d must be >= 1" tile stride;
+      if tile > s.(dim) then
+        err "unfold: tile %d larger than extent %d" tile s.(dim)
   | Pad { dim; lo; hi } ->
       if dim < 0 || dim >= Shape.rank s then err "pad: dim out of range";
-      if lo < 0 || hi < 0 then err "pad: negative padding";
-      let s' = Array.copy s in
-      s'.(dim) <- s.(dim) + lo + hi;
-      s'
+      if lo < 0 || hi < 0 then err "pad: negative padding");
+  next_shape s p
 
-(* Shapes before each primitive, plus the final shape (length = #prims+1). *)
-let shape_trace t : Shape.t list =
+(* Shapes before each primitive, plus the final shape (length =
+   #prims+1), each deduced by [step]: [shape_step] validates as it goes,
+   [next_shape] only reads a chain already proven legal. *)
+let shape_trace step t : Shape.t list =
   let rec go s = function
     | [] -> [ s ]
-    | p :: tl -> s :: go (shape_step s p) tl
+    | p :: tl -> s :: go (step s p) tl
   in
   go t.logical t.prims
 
-(* ------------------------------------------------------------------ *)
-(* Derived relation (memoized).                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The relation step of one primitive, given the shape it applies to
-   ([fuse] needs the extents it collapses). *)
-let prim_relation (s : Shape.t) = function
-  | Split { dim; factors } ->
-      Relation.decode s ~dim ~radices:(Array.of_list factors)
-  | Reorder perm -> Relation.permute s perm
-  | Fuse { dim; count } -> Relation.encode s ~dim ~radices:(Array.sub s dim count)
-  | Unfold { dim; tile; stride } -> Relation.window s ~dim ~tile ~stride
-  | Pad { dim; lo; hi } -> Relation.shift s ~dim ~lo ~hi
-
-type derived = { phys : Shape.t; rel : Relation.t }
-
-(* Per-domain memo of derived state, keyed structurally by the layout
-   itself.  [apply] extends the parent's entry, so growing a chain
-   validates each new primitive exactly once; worker domains re-derive
-   lazily on first use (the table is domain-local — no locking). *)
-let memo_key : (t, derived) Hashtbl.t Domain.DLS.key =
+(* Per-domain memo of each layout's physical shape, keyed structurally by
+   the layout itself.  [apply] extends the parent's entry, so growing a
+   chain validates each new primitive exactly once; worker domains
+   re-derive lazily on first use (the table is domain-local — no
+   locking). *)
+let memo_key : (t, Shape.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let memo_cap = 65536
 
-let memo_put t d =
+let memo_put t phys =
   let tbl = Domain.DLS.get memo_key in
   if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
-  Hashtbl.replace tbl t d
+  Hashtbl.replace tbl t phys
 
-let extend_derived d p =
-  (* validate against the cached physical shape — one [shape_step] — and
-     push the primitive's relation onto the canonical chain *)
-  let phys = shape_step d.phys p in
-  { phys; rel = Relation.compose d.rel (prim_relation d.phys p) }
-
-let derived t =
-  let tbl = Domain.DLS.get memo_key in
-  match Hashtbl.find_opt tbl t with
-  | Some d -> d
+let physical_shape t =
+  match Hashtbl.find_opt (Domain.DLS.get memo_key) t with
+  | Some phys -> phys
   | None ->
-      let d0 = { phys = t.logical; rel = Relation.id t.logical } in
-      let d = List.fold_left extend_derived d0 t.prims in
-      memo_put t d;
-      d
+      let phys = List.fold_left shape_step t.logical t.prims in
+      memo_put t phys;
+      phys
 
-let physical_shape t = (derived t).phys
-let relation t = (derived t).rel
-let phys_strides t = Relation.range_strides (derived t).rel
-let conversion_cost t = Relation.conversion_cost (derived t).rel
+let phys_strides t = Shape.strides (physical_shape t)
 
 (* ------------------------------------------------------------------ *)
 (* Primitive constructors (validated against the current shape).       *)
@@ -214,10 +175,10 @@ let conversion_cost t = Relation.conversion_cost (derived t).rel
 let apply t p =
   (* Validation happens eagerly so misuse fails at schedule-construction
      time, not deep inside lowering; only the new primitive is checked —
-     the memoized parent relation already proves the prefix. *)
-  let d = extend_derived (derived t) p in
+     the memoized parent shape already proves the prefix. *)
+  let phys = shape_step (physical_shape t) p in
   let t' = { t with prims = t.prims @ [ p ] } in
-  memo_put t' d;
+  memo_put t' phys;
   t'
 
 let split t ~dim ~factors = apply t (Split { dim; factors })
@@ -347,7 +308,7 @@ let inverse_exprs ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
     Ixexpr.t array =
   if not (invertible t) then
     err "inverse_exprs: layout %a contains advanced primitives" pp t;
-  let trace = Array.of_list (shape_trace t) in
+  let trace = Array.of_list (shape_trace shape_step t) in
   let prims = Array.of_list t.prims in
   let n = Array.length prims in
   let cur = ref idx in
@@ -389,7 +350,7 @@ let inverse_exprs ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
    in-bounds condition).  Used to generate conversion-operator programs. *)
 let logical_of_physical ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
     Ixexpr.t array * (Ixexpr.t * int) list =
-  let trace = Array.of_list (shape_trace t) in
+  let trace = Array.of_list (shape_trace shape_step t) in
   let prims = Array.of_list t.prims in
   let n = Array.length prims in
   let cur = ref idx in
@@ -445,230 +406,110 @@ let logical_of_physical ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
     List.map (fun (e, d) -> (Ixexpr.simplify ~bounds e, d)) !conds )
 
 (* ------------------------------------------------------------------ *)
-(* Concrete data movement (relation-backed, seed kept as oracle).      *)
+(* Concrete data movement.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The seed implementations, verbatim: per-primitive backward/forward
-   walks over the primitive list.  They are the differential oracle the
-   QCheck2 suite pins the relation path against. *)
-module Reference = struct
-  let physical_shape t = List.fold_left shape_step t.logical t.prims
+(* Map a physical multi-index to its logical source (total even for unfold
+   and pad; pad out-of-range positions return None => zero fill).  The
+   chain must already be proven legal (by [physical_shape]): its shapes
+   are read with [next_shape], so a walk never ticks [m_validate]. *)
+let concrete_logical_of_physical t : int array -> int array option =
+  let trace = Array.of_list (shape_trace next_shape t) in
+  let prims = Array.of_list t.prims in
+  let n = Array.length prims in
+  fun phys ->
+    let cur = ref (Array.copy phys) in
+    let ok = ref true in
+    (try
+       for i = n - 1 downto 0 do
+         let shape_before = trace.(i) in
+         let idx = !cur in
+         (cur :=
+            match prims.(i) with
+            | Split { dim; factors } ->
+                let sizes = Array.of_list factors in
+                let m = Array.length sizes in
+                let v = ref 0 in
+                for j = 0 to m - 1 do
+                  v := (!v * sizes.(j)) + idx.(dim + j)
+                done;
+                Array.concat
+                  [
+                    Array.sub idx 0 dim;
+                    [| !v |];
+                    Array.sub idx (dim + m) (Array.length idx - dim - m);
+                  ]
+            | Reorder perm ->
+                let out = Array.make (Array.length idx) 0 in
+                Array.iteri (fun i pdim -> out.(pdim) <- idx.(i)) perm;
+                out
+            | Fuse { dim; count } ->
+                let sizes = Array.sub shape_before dim count in
+                let out = Array.make count 0 in
+                let v = ref idx.(dim) in
+                for j = count - 1 downto 0 do
+                  out.(j) <- !v mod sizes.(j);
+                  v := !v / sizes.(j)
+                done;
+                Array.concat
+                  [
+                    Array.sub idx 0 dim;
+                    out;
+                    Array.sub idx (dim + 1) (Array.length idx - dim - 1);
+                  ]
+            | Unfold { dim; tile = _; stride } ->
+                let v = (idx.(dim) * stride) + idx.(dim + 1) in
+                if v >= shape_before.(dim) then raise Exit;
+                Array.concat
+                  [
+                    Array.sub idx 0 dim;
+                    [| v |];
+                    Array.sub idx (dim + 2) (Array.length idx - dim - 2);
+                  ]
+            | Pad { dim; lo; hi = _ } ->
+                let v = idx.(dim) - lo in
+                if v < 0 || v >= shape_before.(dim) then raise Exit;
+                let idx' = Array.copy idx in
+                idx'.(dim) <- v;
+                idx')
+       done
+     with Exit -> ok := false);
+    if !ok then Some !cur else None
 
-  (* Map a physical multi-index to its logical source (total even for unfold
-     and pad; pad out-of-range positions return None => zero fill). *)
-  let concrete_logical_of_physical t : int array -> int array option =
-    let trace = Array.of_list (shape_trace t) in
-    let prims = Array.of_list t.prims in
-    let n = Array.length prims in
-    fun phys ->
-      let cur = ref (Array.copy phys) in
-      let ok = ref true in
-      (try
-         for i = n - 1 downto 0 do
-           let shape_before = trace.(i) in
-           let idx = !cur in
-           (cur :=
-              match prims.(i) with
-              | Split { dim; factors } ->
-                  let sizes = Array.of_list factors in
-                  let m = Array.length sizes in
-                  let v = ref 0 in
-                  for j = 0 to m - 1 do
-                    v := (!v * sizes.(j)) + idx.(dim + j)
-                  done;
-                  Array.concat
-                    [
-                      Array.sub idx 0 dim;
-                      [| !v |];
-                      Array.sub idx (dim + m) (Array.length idx - dim - m);
-                    ]
-              | Reorder perm ->
-                  let out = Array.make (Array.length idx) 0 in
-                  Array.iteri (fun i pdim -> out.(pdim) <- idx.(i)) perm;
-                  out
-              | Fuse { dim; count } ->
-                  let sizes = Array.sub shape_before dim count in
-                  let out = Array.make count 0 in
-                  let v = ref idx.(dim) in
-                  for j = count - 1 downto 0 do
-                    out.(j) <- !v mod sizes.(j);
-                    v := !v / sizes.(j)
-                  done;
-                  Array.concat
-                    [
-                      Array.sub idx 0 dim;
-                      out;
-                      Array.sub idx (dim + 1) (Array.length idx - dim - 1);
-                    ]
-              | Unfold { dim; tile = _; stride } ->
-                  let v = (idx.(dim) * stride) + idx.(dim + 1) in
-                  if v >= shape_before.(dim) then raise Exit;
-                  Array.concat
-                    [
-                      Array.sub idx 0 dim;
-                      [| v |];
-                      Array.sub idx (dim + 2) (Array.length idx - dim - 2);
-                    ]
-              | Pad { dim; lo; hi = _ } ->
-                  let v = idx.(dim) - lo in
-                  if v < 0 || v >= shape_before.(dim) then raise Exit;
-                  let idx' = Array.copy idx in
-                  idx'.(dim) <- v;
-                  idx')
-         done
-       with Exit -> ok := false);
-      if !ok then Some !cur else None
+(* [f off loff] for every physical offset [off] that has a logical source,
+   at logical offset [loff]. *)
+let iter_sources t f =
+  let phys = physical_shape t in
+  let back = concrete_logical_of_physical t in
+  let lstrides = Shape.strides t.logical in
+  for off = 0 to Shape.num_elements phys - 1 do
+    match back (Shape.index_of_offset phys off) with
+    | None -> () (* padding / overrun *)
+    | Some lidx ->
+        let loff = ref 0 in
+        Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
+        f off !loff
+  done
 
-  let pack t (src : float array) : float array =
-    if Array.length src <> Shape.num_elements t.logical then
-      err "pack: source size %d <> logical elements %d" (Array.length src)
-        (Shape.num_elements t.logical);
-    let phys = physical_shape t in
-    let dst = Array.make (Shape.num_elements phys) 0.0 in
-    let back = concrete_logical_of_physical t in
-    let lstrides = Shape.strides t.logical in
-    for off = 0 to Array.length dst - 1 do
-      let pidx = Shape.index_of_offset phys off in
-      match back pidx with
-      | None -> () (* zero fill (padding / overrun) *)
-      | Some lidx ->
-          let loff = ref 0 in
-          Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-          dst.(off) <- src.(!loff)
-    done;
-    dst
-
-  let unpack t (src : float array) : float array =
-    (* Defined for any layout: every physical element maps back to a logical
-       position; duplicated (unfolded) elements agree by construction. *)
-    let phys = physical_shape t in
-    if Array.length src <> Shape.num_elements phys then
-      err "unpack: source size %d <> physical elements %d" (Array.length src)
-        (Shape.num_elements phys);
-    let dst = Array.make (Shape.num_elements t.logical) 0.0 in
-    let back = concrete_logical_of_physical t in
-    let lstrides = Shape.strides t.logical in
-    for off = 0 to Array.length src - 1 do
-      let pidx = Shape.index_of_offset phys off in
-      match back pidx with
-      | None -> ()
-      | Some lidx ->
-          let loff = ref 0 in
-          Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-          dst.(!loff) <- src.(off)
-    done;
-    dst
-
-  (* Concrete logical index -> physical index; rejects unfold (one-to-many).
-     Used by reference executors and [unpack] round-trip tests. *)
-  let eval_fwd t : int array -> int array =
-    if List.exists (function Unfold _ -> true | _ -> false) t.prims then
-      err "eval_fwd: layout has unfold (one-to-many mapping)";
-    let prims = t.prims in
-    let trace = shape_trace t in
-    fun lidx ->
-      let rec go idx shapes prims =
-        match (shapes, prims) with
-        | _, [] -> idx
-        | shape :: shapes', p :: prims' ->
-            let idx' =
-              match p with
-              | Split { dim; factors } ->
-                  let sizes = Array.of_list factors in
-                  let m = Array.length sizes in
-                  let out = Array.make m 0 in
-                  let v = ref idx.(dim) in
-                  for j = m - 1 downto 0 do
-                    out.(j) <- !v mod sizes.(j);
-                    v := !v / sizes.(j)
-                  done;
-                  Array.concat
-                    [
-                      Array.sub idx 0 dim;
-                      out;
-                      Array.sub idx (dim + 1) (Array.length idx - dim - 1);
-                    ]
-              | Reorder perm -> Array.map (fun pdim -> idx.(pdim)) perm
-              | Fuse { dim; count } ->
-                  let sizes = Array.sub shape dim count in
-                  let v = ref 0 in
-                  for j = 0 to count - 1 do
-                    v := (!v * sizes.(j)) + idx.(dim + j)
-                  done;
-                  Array.concat
-                    [
-                      Array.sub idx 0 dim;
-                      [| !v |];
-                      Array.sub idx (dim + count) (Array.length idx - dim - count);
-                    ]
-              | Pad { dim; lo; hi = _ } ->
-                  let idx' = Array.copy idx in
-                  idx'.(dim) <- idx.(dim) + lo;
-                  idx'
-              | Unfold _ -> assert false
-            in
-            go idx' shapes' prims'
-        | [], _ :: _ -> assert false
-      in
-      go (Array.copy lidx) trace prims
-
-  let phys_index t =
-    let fwd = eval_fwd t in
-    let phys = physical_shape t in
-    fun lidx -> Shape.offset_of_index phys (fwd lidx)
-end
+let num_physical_elements t = Shape.num_elements (physical_shape t)
 
 let pack t (src : float array) : float array =
   if Array.length src <> Shape.num_elements t.logical then
     err "pack: source size %d <> logical elements %d" (Array.length src)
       (Shape.num_elements t.logical);
-  let d = derived t in
-  let phys = d.phys in
-  let dst = Array.make (Shape.num_elements phys) 0.0 in
-  let back = Relation.compile_bwd d.rel in
-  let lstrides = Shape.strides t.logical in
-  for off = 0 to Array.length dst - 1 do
-    let pidx = Shape.index_of_offset phys off in
-    match back pidx with
-    | None -> () (* zero fill (padding / overrun) *)
-    | Some lidx ->
-        let loff = ref 0 in
-        Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-        dst.(off) <- src.(!loff)
-  done;
+  let dst = Array.make (num_physical_elements t) 0.0 in
+  iter_sources t (fun off loff -> dst.(off) <- src.(loff));
   dst
 
 let unpack t (src : float array) : float array =
-  let d = derived t in
-  let phys = d.phys in
-  if Array.length src <> Shape.num_elements phys then
+  (* Defined for any layout: every physical element maps back to a logical
+     position; duplicated (unfolded) elements agree by construction. *)
+  if Array.length src <> num_physical_elements t then
     err "unpack: source size %d <> physical elements %d" (Array.length src)
-      (Shape.num_elements phys);
+      (num_physical_elements t);
   let dst = Array.make (Shape.num_elements t.logical) 0.0 in
-  let back = Relation.compile_bwd d.rel in
-  let lstrides = Shape.strides t.logical in
-  for off = 0 to Array.length src - 1 do
-    let pidx = Shape.index_of_offset phys off in
-    match back pidx with
-    | None -> ()
-    | Some lidx ->
-        let loff = ref 0 in
-        Array.iteri (fun i x -> loff := !loff + (x * lstrides.(i))) lidx;
-        dst.(!loff) <- src.(off)
-  done;
+  iter_sources t (fun off loff -> dst.(loff) <- src.(off));
   dst
-
-let eval_fwd t : int array -> int array =
-  if List.exists (function Unfold _ -> true | _ -> false) t.prims then
-    err "eval_fwd: layout has unfold (one-to-many mapping)";
-  Relation.compile_fwd (relation t)
-
-let phys_index t =
-  let fwd = eval_fwd t in
-  let phys = physical_shape t in
-  fun lidx -> Shape.offset_of_index phys (fwd lidx)
-
-let num_physical_elements t = Shape.num_elements (physical_shape t)
 
 let expansion_ratio t =
   float_of_int (num_physical_elements t)
@@ -684,7 +525,7 @@ let replay shape src =
   if Shape.equal shape src.logical then
     (* Same logical shape: the source chain is already proven legal, and
        the copy is structurally equal to [src], so it shares the memoized
-       relation — zero re-validation.  (This is what layout propagation
+       physical shape — zero re-validation.  (This is what layout propagation
        does for every consumer of a chosen layout.) *)
     { logical = shape; prims = src.prims }
   else of_prims shape src.prims

@@ -8,10 +8,11 @@
     ({!Alt_graph.Placement}).  Physical buffers are row-major over
     [physical_shape].
 
-    Concrete index semantics are carried by a canonical {!Relation}
-    (DESIGN.md §16), derived incrementally as primitives are applied;
-    the seed per-primitive implementations survive verbatim in
-    {!Reference} as the differential oracle. *)
+    Every map below walks the primitive sequence; only each layout's
+    physical shape is memoized.  The index relation a layout denotes is
+    its specification (DESIGN.md §16): it lives in the test-only oracle
+    library (test/oracle), whose differential suites pin these walks to
+    it. *)
 
 exception Layout_error of string
 
@@ -32,19 +33,9 @@ val physical_shape : t -> Shape.t
 val prims : t -> prim list
 val is_trivial : t -> bool
 
-val relation : t -> Relation.t
-(** The layout's index relation: domain = [logical_shape], range =
-    [physical_shape], steps = the canonicalized primitive chain.
-    Memoized; derived incrementally by {!apply}. *)
-
 val phys_strides : t -> int array
-(** Row-major element strides of the physical shape, read from the
-    relation's range — what lowering and the exec backend's
-    affine-profile extraction use. *)
-
-val conversion_cost : t -> int
-(** {!Relation.conversion_cost} of the layout's relation: one read per
-    logical element + one write per physical element. *)
+(** Row-major element strides of the physical shape — what lowering and
+    the exec backend's affine-profile extraction use. *)
 
 val has_advanced : t -> bool
 (** True if the primitive sequence contains [unfold] or [pad] — the
@@ -55,6 +46,9 @@ val invertible : t -> bool
     primitives); required of output-tensor layouts. *)
 
 val apply : t -> prim -> t
+(** Appends a primitive, validated against the current physical shape;
+    raises {!Layout_error} if it is illegal there (such as an unfold
+    tile or stride below 1, or a tile larger than the extent). *)
 
 val split : t -> dim:int -> factors:int list -> t
 (** Factors must multiply to the current extent of [dim]. *)
@@ -93,27 +87,19 @@ val logical_of_physical :
     [0 <= expr < extent] that guard padded / overhanging positions.  Used to
     generate conversion-operator programs. *)
 
-val eval_fwd : t -> int array -> int array
-(** Concrete logical index -> physical index; rejects layouts with
-    [unfold] (one-to-many). *)
-
-val phys_index : t -> int array -> int
-(** Concrete logical index -> physical {e offset} (row-major over
-    [physical_shape]); rejects layouts with [unfold] like {!eval_fwd}.
-    Pinned byte-identical to {!Reference.phys_index} by the QCheck2
-    differential suite. *)
-
 val pack : t -> float array -> float array
 (** Materializes the physical buffer from logical row-major data (zero
-    fills padding; duplicates overlapped tiles) by walking the
-    relation's backward map.  This is the reference that
-    [Alt_exec.Kernel.pack] — the compiled conversion kernel every
+    fills padding; duplicates overlapped tiles) by walking the primitive
+    chain backward from every physical index.  It reads the memoized
+    physical shape and validates nothing more.  This is the reference
+    that [Alt_exec.Kernel.pack] — the compiled conversion kernel every
     production pack runs through — is pinned to bit for bit
     (test/test_exec.ml).  Raises {!Layout_error} when the source is not
     one element per logical index. *)
 
 val unpack : t -> float array -> float array
-(** Recovers logical row-major data from a physical buffer. *)
+(** Recovers logical row-major data from a physical buffer, by the same
+    walk as {!pack}. *)
 
 val num_physical_elements : t -> int
 
@@ -132,18 +118,6 @@ val replay : Shape.t -> t -> t
 (** [replay shape src] copies [src]'s primitive chain onto a tensor of
     [shape] — how layout propagation duplicates a chosen layout onto
     consumers.  When [shape] equals [src]'s logical shape (the common
-    case) the already-proven relation is shared and nothing is
+    case) the already-proven physical shape is shared and nothing is
     re-validated; otherwise it falls back to {!of_prims} (which raises
     {!Layout_error} if the chain is illegal for [shape]). *)
-
-(** The seed implementations of the concrete maps, kept verbatim as the
-    differential oracle: the QCheck2 suite in test/test_relation.ml pins
-    the relation-backed [pack]/[unpack]/[eval_fwd]/[phys_index] above
-    byte-identical to these. *)
-module Reference : sig
-  val physical_shape : t -> Shape.t
-  val pack : t -> float array -> float array
-  val unpack : t -> float array -> float array
-  val eval_fwd : t -> int array -> int array
-  val phys_index : t -> int array -> int
-end

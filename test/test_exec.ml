@@ -980,7 +980,7 @@ let test_relation_noninjective_fallback () =
   let src = Layout.unfold (trivial [| d |]) ~dim:0 ~tile ~stride in
   Alcotest.(check bool)
     "overlapped window relation is non-injective" false
-    (Relation.injective (Layout.relation src));
+    (Layout_oracle.(Relation.injective (Oracle.relation_of src)));
   let tiles = (Layout.physical_shape src).(0) in
   let t = Var.fresh "t" and r = Var.fresh "r" in
   let prog =

@@ -252,8 +252,10 @@ let test_bulk_state_oracle () =
     fs.Cache.prefetch_installs;
   Alcotest.(check int) "prefetch hits" es.Cache.prefetch_hits
     fs.Cache.prefetch_hits;
-  let ftags, fstamps = Cache.dump fast and etags, estamps = Cache.dump elem in
+  let ftags, fstamps, fpref = Cache.dump fast
+  and etags, estamps, epref = Cache.dump elem in
   Alcotest.(check bool) "tags identical" true (ftags = etags);
+  Alcotest.(check bool) "prefetched bits identical" true (fpref = epref);
   let recency tags stamps =
     List.init sets (fun s ->
         List.init cfg.Cache.assoc (fun w -> w)
@@ -369,6 +371,24 @@ let test_reset_is_create () =
       done)
     [ ("tiny", cfg); ("intel L2", Machine.intel_cpu.Machine.l2) ]
 
+(* A prefetched line and a demand-missed one leave the same tags and
+   stamps, but only the prefetched one counts a prefetch hit on its next
+   access, so the dump must tell the two caches apart. *)
+let test_dump_prefetch_bits () =
+  let cfg = { Cache.size_bytes = 1024; assoc = 2; line_bytes = 64 } in
+  let prefetched = Cache.create cfg and missed = Cache.create cfg in
+  ignore (Cache.prefetch prefetched 0 : bool);
+  ignore (Cache.access missed 0 : bool);
+  Alcotest.(check bool) "dumps differ" false
+    (Cache.dump prefetched = Cache.dump missed);
+  ignore (Cache.access prefetched 0 : bool);
+  ignore (Cache.access missed 0 : bool);
+  Alcotest.(check (pair int int)) "prefetch hits" (1, 0)
+    ( (Cache.stats prefetched).Cache.prefetch_hits,
+      (Cache.stats missed).Cache.prefetch_hits );
+  Alcotest.(check bool) "dumps agree once touched" true
+    (Cache.dump prefetched = Cache.dump missed)
+
 let conv_prog () =
   let op =
     Ops.c2d ~name:"c" ~inp:"X" ~ker:"K" ~out:"Y" ~n:1 ~i:4 ~o:8 ~h:6 ~w:6
@@ -432,6 +452,8 @@ let () =
             test_bulk_state_oracle;
           Alcotest.test_case "cursor residency" `Quick test_cursor_residency;
           Alcotest.test_case "reset = create" `Quick test_reset_is_create;
+          Alcotest.test_case "dump keeps prefetch bits" `Quick
+            test_dump_prefetch_bits;
           Alcotest.test_case "reused caches leak nothing" `Quick
             test_reused_caches_leak_nothing;
         ] );

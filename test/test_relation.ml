@@ -1,15 +1,16 @@
 (* The proof burden of the layout algebra (DESIGN.md §16).
 
    Random layout primitive chains (depth <= 8, all five single-tensor
-   primitives, padded/unfolded/fused shapes) drive the relation laws:
+   primitives, padded/unfolded/fused shapes) drive the relation laws on
+   the oracle's [Oracle.relation_of]:
 
    - backward o forward = id on every in-domain point,
    - forward o backward = id on the live range (holes are zero-filled),
    - compose = sequential application at every chain split point,
    - canonicalization is idempotent,
-   - the relation-backed [Layout.pack]/[unpack]/[eval_fwd]/[phys_index]
-     are byte-identical to the kept-verbatim seed implementations in
-     [Layout.Reference] (the differential oracle),
+   - [Layout.pack]/[unpack]/[physical_shape], the primitive walks lib
+     runs, are byte-identical to the relation-backed oracle, and so are
+     the seed [eval_fwd]/[phys_index] in [Oracle.Reference],
    - strides/extents/conversion-cost read off the relation agree with
      the physical shape,
 
@@ -17,12 +18,13 @@
    window/shift guards, and the incremental-validation fix (an
    n-primitive chain costs exactly n validations, counted by the
    [layout.relation.validate] metric — the seed re-validated the whole
-   prefix per step, n(n+1)/2).
+   prefix per step, n(n+1)/2), which the pack/unpack walks never tick.
 
    ALT_RELATION_COUNT scales the per-property chain count (default 500,
    the ISSUE floor; `make relation-smoke` runs a reduced count). *)
 
 open Alt_tensor
+open Layout_oracle
 
 let counts =
   match Sys.getenv_opt "ALT_RELATION_COUNT" with
@@ -118,7 +120,7 @@ let src_of l =
 let prop_bwd_fwd_id =
   QCheck2.Test.make ~count:counts ~name:"backward o forward = id (domain)"
     ~print:print_layout (gen_chain ()) (fun l ->
-      let r = Layout.relation l in
+      let r = Oracle.relation_of l in
       let dom = Relation.domain r in
       let bwd = Relation.compile_bwd r in
       let ok = ref true in
@@ -134,7 +136,7 @@ let prop_bwd_fwd_id =
 let prop_fwd_bwd_id =
   QCheck2.Test.make ~count:counts ~name:"forward o backward = id (range)"
     ~print:print_layout (gen_chain ()) (fun l ->
-      let r = Layout.relation l in
+      let r = Oracle.relation_of l in
       let rng = Relation.range r in
       let bwd = Relation.compile_bwd r in
       let packed = Layout.pack l (src_of l) in
@@ -164,8 +166,10 @@ let prop_compose_sequential =
       let drop n xs = List.filteri (fun i _ -> i >= n) xs in
       let l1 = Layout.of_prims (Layout.logical_shape l) (take k ps) in
       let l2 = Layout.of_prims (Layout.physical_shape l1) (drop k ps) in
-      let r = Layout.relation l
-      and r12 = Relation.compose (Layout.relation l1) (Layout.relation l2) in
+      let r = Oracle.relation_of l
+      and r12 =
+        Relation.compose (Oracle.relation_of l1) (Oracle.relation_of l2)
+      in
       if not (Shape.equal (Relation.domain r) (Relation.domain r12)) then false
       else if not (Shape.equal (Relation.range r) (Relation.range r12)) then
         false
@@ -184,7 +188,7 @@ let prop_compose_sequential =
 let prop_canonicalize_idempotent =
   QCheck2.Test.make ~count:counts ~name:"canonicalization idempotent"
     ~print:print_layout (gen_chain ()) (fun l ->
-      let r = Layout.relation l in
+      let r = Oracle.relation_of l in
       let c = Relation.canonicalize r in
       Relation.equal r c && Relation.equal c (Relation.canonicalize c))
 
@@ -193,7 +197,7 @@ let prop_inverse_roundtrip =
     ~print:print_layout
     (gen_chain ~basic_only:true ())
     (fun l ->
-      let r = Layout.relation l in
+      let r = Oracle.relation_of l in
       if not (Relation.bijective r) then false
       else begin
         let inv = Relation.inverse r in
@@ -217,13 +221,14 @@ let prop_inverse_roundtrip =
 
 let prop_pack_differential =
   QCheck2.Test.make ~count:counts
-    ~name:"pack/unpack/physical_shape = Reference (byte-identical)"
+    ~name:"pack/unpack/physical_shape = relation oracle (byte-identical)"
     ~print:print_layout (gen_chain ()) (fun l ->
       let src = src_of l in
-      let packed = Layout.pack l src and packed_ref = Layout.Reference.pack l src in
+      let packed = Layout.pack l src and packed_ref = Oracle.pack l src in
       packed = packed_ref
-      && Layout.unpack l packed = Layout.Reference.unpack l packed_ref
-      && Layout.physical_shape l = Layout.Reference.physical_shape l)
+      && Layout.unpack l packed = Oracle.unpack l packed_ref
+      && Layout.physical_shape l = Relation.range (Oracle.relation_of l)
+      && Layout.physical_shape l = Oracle.Reference.physical_shape l)
 
 let prop_phys_index_differential =
   QCheck2.Test.make ~count:counts
@@ -242,8 +247,8 @@ let prop_phys_index_differential =
          else l)
        (gen_chain ()))
     (fun l ->
-      let fwd = Layout.eval_fwd l and fwd_ref = Layout.Reference.eval_fwd l in
-      let pix = Layout.phys_index l and pix_ref = Layout.Reference.phys_index l in
+      let fwd = Oracle.eval_fwd l and fwd_ref = Oracle.Reference.eval_fwd l in
+      let pix = Oracle.phys_index l and pix_ref = Oracle.Reference.phys_index l in
       let dom = Layout.logical_shape l in
       let ok = ref true in
       for off = 0 to Shape.num_elements dom - 1 do
@@ -256,15 +261,14 @@ let prop_phys_index_differential =
 let prop_strides_and_cost =
   QCheck2.Test.make ~count:counts ~name:"strides/extents/cost from relation"
     ~print:print_layout (gen_chain ()) (fun l ->
-      let r = Layout.relation l in
-      let phys = Layout.Reference.physical_shape l in
+      let r = Oracle.relation_of l in
+      let phys = Oracle.Reference.physical_shape l in
       Layout.phys_strides l = Shape.strides phys
       && Relation.range_strides r = Shape.strides phys
       && Relation.num_range_elements r = Shape.num_elements phys
       && Relation.expansion r >= 1.0
       && Relation.conversion_cost r
-         = Shape.num_elements (Layout.logical_shape l) + Shape.num_elements phys
-      && Layout.conversion_cost l = Relation.conversion_cost r)
+         = Shape.num_elements (Layout.logical_shape l) + Shape.num_elements phys)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned canonicalization / guard regressions                        *)
@@ -359,7 +363,7 @@ let test_inverse_pinned () =
   let l = Layout.create s in
   let l = Layout.split l ~dim:1 ~factors:[ 2; 3 ] in
   let l = Layout.reorder l [| 2; 0; 1 |] in
-  let r = Layout.relation l in
+  let r = Oracle.relation_of l in
   let inv = Relation.inverse r in
   Alcotest.(check bool) "bijective" true (Relation.bijective r);
   Alcotest.(check bool)
@@ -429,6 +433,32 @@ let test_incremental_validation_count () =
     (validate_count () >= 1);
   Alt_obs.Metrics.disable ()
 
+(* The pack/unpack walks read the memoized physical shape and never
+   validate: on memoized layouts, the counter the ledger reports as
+   [tensor.relation_validates] stays put. *)
+let test_walks_do_not_validate () =
+  Alt_obs.Metrics.enable ();
+  let layouts =
+    [
+      Layout.pad (Layout.create [| 3; 4 |]) ~dim:1 ~lo:1 ~hi:2;
+      Layout.unfold (Layout.create [| 2; 7 |]) ~dim:1 ~tile:3 ~stride:2;
+      Layout.fuse
+        (Layout.split (Layout.create [| 4; 6 |]) ~dim:1 ~factors:[ 2; 3 ])
+        ~dim:0 ~count:2;
+    ]
+  in
+  Alt_obs.Metrics.reset ();
+  List.iter
+    (fun l ->
+      let packed = Layout.pack l (src_of l) in
+      Alcotest.(check bool)
+        (Fmt.str "%a round-trips" Layout.pp l)
+        true
+        (Layout.unpack l packed = src_of l))
+    layouts;
+  check_int "no validation" 0 (validate_count ());
+  Alt_obs.Metrics.disable ()
+
 let test_compose_metrics () =
   Alt_obs.Metrics.enable ();
   Alt_obs.Metrics.reset ();
@@ -476,6 +506,8 @@ let () =
             test_incremental_validation_count;
           Alcotest.test_case "compose/simplify metrics" `Quick
             test_compose_metrics;
+          Alcotest.test_case "pack/unpack walks do not validate" `Quick
+            test_walks_do_not_validate;
         ] );
       qsuite "roundtrip-props"
         [

@@ -10,11 +10,14 @@
    on unfold by design), and every primitive retains at least one
    pinned regression — blocked NOHW + fuse/split/reorder (split,
    reorder, fuse), unfold array example + ragged tail + Eq.(1) x2
-   (unfold), pad (pad) — 12 pinned cases in the "layout" section.
-   Deeper relation laws (inverse composition, canonicalization,
-   differential vs the seed reference) live in test_relation.ml. *)
+   (unfold), pad (pad) — 13 pinned cases in the "layout" section.
+   The concrete maps [eval_fwd] and the relation come from the test-only
+   oracle library (test/oracle); deeper relation laws (inverse
+   composition, canonicalization, the differential of lib's walks against
+   the oracle) live in test_relation.ml. *)
 
 open Alt_tensor
+open Layout_oracle
 
 let check_int = Alcotest.(check int)
 let check_ints = Alcotest.(check (list int))
@@ -190,7 +193,7 @@ let test_paper_blocked_layout () =
   check_ints "physical" [ 2; 2; 4; 4; 4 ]
     (Array.to_list (Layout.physical_shape l));
   (* index map: logical (n,o,h,w) -> (n, o/ot, h, w, o mod ot) *)
-  let idx = Layout.eval_fwd l [| 1; 6; 2; 3 |] in
+  let idx = Oracle.eval_fwd l [| 1; 6; 2; 3 |] in
   check_ints "fwd idx" [ 1; 1; 2; 3; 2 ] (Array.to_list idx)
 
 let test_paper_fuse_split_example () =
@@ -261,7 +264,7 @@ let test_forward_exprs_match_eval_fwd () =
     for j = 0 to 5 do
       let env w = if Var.equal w a then i else j in
       let sym = Array.map (Ixexpr.eval env) exprs in
-      let conc = Layout.eval_fwd l [| i; j |] in
+      let conc = Oracle.eval_fwd l [| i; j |] in
       check_ints
         (Fmt.str "idx %d %d" i j)
         (Array.to_list conc) (Array.to_list sym)
@@ -286,7 +289,7 @@ let test_inverse_exprs_roundtrip () =
       find 0
     in
     let lidx = Array.map (Ixexpr.eval env) inv in
-    let fwd = Layout.eval_fwd l lidx in
+    let fwd = Oracle.eval_fwd l lidx in
     check_ints "roundtrip" (Array.to_list pidx) (Array.to_list fwd)
   done
 
@@ -371,7 +374,36 @@ let test_layout_validation () =
   raises (fun () -> Layout.reorder l [| 0; 0 |]);
   raises (fun () -> Layout.fuse l ~dim:1 ~count:3);
   raises (fun () -> Layout.unfold l ~dim:0 ~tile:5 ~stride:2);
-  raises (fun () -> Layout.pad l ~dim:0 ~lo:(-1) ~hi:0)
+  raises (fun () -> Layout.pad l ~dim:0 ~lo:(-1) ~hi:0);
+  raises (fun () -> Layout.split (Layout.create [| 1; 3 |]) ~dim:0 ~factors:[])
+
+(* Unfold needs a tile and a stride of at least 1, however the chain
+   arrives: applied, rebuilt from a primitive list, or replayed from a
+   layout that skipped the constructors (an unmarshalled one, as in a
+   checkpoint). *)
+let test_unfold_validation () =
+  let shape = [| 2; 5 |] in
+  let raises what f =
+    Alcotest.(check bool) what true
+      (try
+         ignore (f ());
+         false
+       with Layout.Layout_error _ -> true)
+  in
+  List.iter
+    (fun (tile, stride) ->
+      let p = Layout.Unfold { dim = 1; tile; stride } in
+      let what how = Fmt.str "%a via %s" Layout.pp_prim p how in
+      raises (what "unfold") (fun () ->
+          Layout.unfold (Layout.create shape) ~dim:1 ~tile ~stride);
+      raises (what "of_prims") (fun () -> Layout.of_prims shape [ p ]);
+      let unchecked : Layout.t =
+        Marshal.from_string (Marshal.to_string (shape, [ p ]) []) 0
+      in
+      raises (what "replay") (fun () -> Layout.replay [| 3; 5 |] unchecked);
+      raises (what "same-shape replay") (fun () ->
+          Layout.physical_shape (Layout.replay shape unchecked)))
+    [ (3, 0); (3, -1); (0, 1); (-1, 1) ]
 
 let test_invertible_flags () =
   let l = Layout.create [| 4; 4 |] in
@@ -461,7 +493,7 @@ let prop_relation_roundtrip =
       let src =
         Array.init (Shape.num_elements shape) (fun i -> float_of_int (i + 1))
       in
-      let rel = Layout.relation l in
+      let rel = Oracle.relation_of l in
       Layout.unpack l (Layout.pack l src) = src
       && Shape.equal (Relation.domain rel) shape
       && Shape.equal (Relation.range rel) (Layout.physical_shape l)
@@ -530,7 +562,7 @@ let prop_forward_matches_concrete =
           find 0
         in
         let sym = Array.map (Ixexpr.eval env) exprs in
-        let conc = Layout.eval_fwd l lidx in
+        let conc = Oracle.eval_fwd l lidx in
         if sym <> conc then ok := false;
         off := !off + step
       done;
@@ -580,6 +612,8 @@ let () =
           Alcotest.test_case "unfold rejects non-window" `Quick
             test_unfold_rejects_non_window;
           Alcotest.test_case "validation" `Quick test_layout_validation;
+          Alcotest.test_case "unfold rejects tile/stride < 1" `Quick
+            test_unfold_validation;
           Alcotest.test_case "invertibility flags" `Quick test_invertible_flags;
         ] );
       qsuite "layout-props"
