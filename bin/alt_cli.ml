@@ -47,6 +47,9 @@ let jobs_arg =
            tuning result is identical for every value; only wall-clock time \
            changes.")
 
+(* "a, b, c": the names of an enum table, for option docs. *)
+let names table = String.concat ", " (List.map fst table)
+
 let resolve_jobs jobs = if jobs <= 0 then Pool.default_jobs () else jobs
 
 let fault_rate_arg =
@@ -222,18 +225,11 @@ let make_op kind ~batch ~channels ~out_channels ~spatial ~kernel ~stride =
 (* ------------------------------------------------------------------ *)
 
 let system_arg =
-  let all =
-    [
-      ("vendor", Tuner.Vendor); ("autotvm", Tuner.Autotvm_like);
-      ("flextensor", Tuner.Flextensor_like); ("ansor", Tuner.Ansor_like);
-      ("alt", Tuner.Alt); ("alt-ol", Tuner.Alt_ol);
-    ]
-  in
   Arg.(
     value
-    & opt (enum all) Tuner.Alt
+    & opt (enum Tuner.systems) Tuner.Alt
     & info [ "system" ] ~docv:"SYS"
-        ~doc:"Tuner: vendor, autotvm, flextensor, ansor, alt, alt-ol.")
+        ~doc:("Tuner: " ^ names Tuner.systems ^ "."))
 
 let tune_op_cmd =
   let run machine budget seed jobs kind batch channels out_channels spatial
@@ -340,18 +336,11 @@ let model_arg =
     & info [ "model" ] ~docv:"NAME" ~doc:"Model: r18, mv2, bb, bt, r3d.")
 
 let gsystem_arg =
-  let all =
-    [
-      ("vendor", Graph_tuner.Gvendor); ("autotvm", Graph_tuner.Gautotvm);
-      ("ansor", Graph_tuner.Gansor); ("alt", Graph_tuner.Galt);
-      ("alt-ol", Graph_tuner.Galt_ol); ("alt-wp", Graph_tuner.Galt_wp);
-    ]
-  in
   Arg.(
     value
-    & opt (enum all) Graph_tuner.Galt
+    & opt (enum Graph_tuner.gsystems) Graph_tuner.Galt
     & info [ "system" ] ~docv:"SYS"
-        ~doc:"System: vendor, autotvm, ansor, alt, alt-ol, alt-wp.")
+        ~doc:("System: " ^ names Graph_tuner.gsystems ^ "."))
 
 let zoo_spec model ~batch =
   match model with
@@ -362,13 +351,10 @@ let zoo_spec model ~batch =
   | "r3d" -> Zoo.resnet3d_18 ~batch ()
   | m -> Fmt.failwith "unknown model %S" m
 
-let policy_enum =
-  [ ("gradient", Scheduler.Gradient); ("static", Scheduler.Static) ]
-
 let scheduler_arg =
   Arg.(
     value
-    & opt (some (enum policy_enum)) None
+    & opt (some (enum Scheduler.policies)) None
     & info [ "scheduler" ] ~docv:"POLICY"
         ~doc:
           "Trial allocation policy: gradient (expected-gain with \
@@ -491,10 +477,12 @@ let schedule_cmd =
 (* ------------------------------------------------------------------ *)
 
 let layout_preset_arg =
+  let presets = List.map (fun p -> (p, p)) Templates.presets in
   Arg.(
-    value & opt string "alt"
+    value
+    & opt (enum presets) "alt"
     & info [ "layout" ] ~docv:"PRESET"
-        ~doc:"Layout preset: default, channels-last, blocked, alt.")
+        ~doc:("Layout preset: " ^ names presets ^ "."))
 
 let show_op_cmd =
   let run machine kind batch channels out_channels spatial kernel stride
@@ -503,25 +491,9 @@ let show_op_cmd =
     let op =
       make_op kind ~batch ~channels ~out_channels ~spatial ~kernel ~stride
     in
-    let choice =
-      match preset with
-      | "default" -> Templates.trivial_choice op
-      | "channels-last" -> Templates.channels_last_choice op
-      | "blocked" -> Templates.blocked_choice op ~block:(2 * machine.Machine.lanes)
-      | "alt" -> (
-          match Templates.for_op op with
-          | Some tpl ->
-              tpl.Templates.decode
-                (Array.make (Array.length tpl.Templates.knobs) 0.4)
-          | None -> Templates.trivial_choice op)
-      | p -> Fmt.failwith "unknown preset %S" p
-    in
+    (* the --layout enum admits only known presets *)
+    let choice, sched = Option.get (Templates.preset machine op preset) in
     let task = Measure.make_task ~machine op in
-    let rank = Shape.rank (Layout.physical_shape choice.Propagate.out_layout) in
-    let sched =
-      Schedule.vectorize
-        (Schedule.default ~rank ~nred:(List.length op.Opdef.reduce))
-    in
     match Measure.program_of task choice sched with
     | None -> Fmt.epr "this layout/schedule combination does not lower@."
     | Some prog ->

@@ -87,7 +87,7 @@ let compile ?(schedules : (string * Schedule.t) list = []) (g : Graph.t)
             let layouts name = storage name in
             let prog =
               if op.Opdef.combiner = Opdef.Assign then
-                Lower.lower_assign_to ~op ~layouts ~out_layout ~parallel:1 ()
+                Lower.lower_assign_to ~op ~layouts ~out_layout
               else
                 Lower.lower ~op ~layouts ~out_layout
                   ~schedule:

@@ -50,17 +50,66 @@ let rec map_pexpr_ix f = function
       Program.Pselect (Sexpr.map_cond_ix f c, map_pexpr_ix f a, map_pexpr_ix f b)
 
 (* ------------------------------------------------------------------ *)
-(* Loop structure                                                     *)
+(* Loops and slots                                                    *)
 (* ------------------------------------------------------------------ *)
+
+let nest_loops loops body =
+  List.fold_right (fun l s -> Program.For (l, s)) loops body
+
+(* A program's slot table: [slot_of name layout role] is [name]'s slot,
+   registered with [layout] and [role] on first use; [slots ()] lists the
+   slots in registration order. *)
+let slot_table () =
+  let slots = ref [] in
+  let slot_of name layout role =
+    match List.find_index (fun s -> s.Program.sname = name) !slots with
+    | Some i -> i
+    | None ->
+        slots := !slots @ [ { Program.sname = name; layout; role } ];
+        List.length !slots - 1
+  in
+  (slot_of, fun () -> Array.of_list !slots)
+
+(* A load of tensor [name] stored in [layout] at logical index [idx]: the
+   index forwarded through the layout (Eq. (1) aware given [window]). *)
+let load_access slot_of ~bounds ?window role name layout idx =
+  let idx = Layout.forward_exprs ~bounds ?window layout idx in
+  { Program.slot = slot_of name layout role; idx }
+
+(* Substitution of variables by the expressions [tbl] maps their ids to,
+   then simplification. *)
+let substituter ~bounds tbl e =
+  Ixexpr.simplify ~bounds
+    (Ixexpr.subst (fun v -> Hashtbl.find_opt tbl (Var.id v)) e)
 
 type dim_loops = {
   outer : Program.loop option;
   inner : Program.loop option;
-  expr : Ixexpr.t; (* the physical coordinate in terms of loop vars *)
+  expr : Ixexpr.t; (* the coordinate in terms of loop vars *)
 }
 
-let nest_loops loops body =
-  List.fold_right (fun l s -> Program.For (l, s)) loops body
+(* The loops over one dimension of extent [e] with tile factor [f]: a
+   single loop when untiled (outer band) or tiled whole (inner band),
+   otherwise [e / f] outer tiles of an inner loop of [f].  [mk tag extent]
+   makes one loop. *)
+let tile_loops mk tag e f =
+  if f <= 1 || e = 1 then
+    let l = mk tag e in
+    { outer = Some l; inner = None; expr = Ixexpr.var l.Program.v }
+  else if f >= e then
+    let l = mk (tag ^ "i") e in
+    { outer = None; inner = Some l; expr = Ixexpr.var l.Program.v }
+  else
+    let o = mk (tag ^ "o") (e / f) in
+    let i = mk (tag ^ "i") f in
+    {
+      outer = Some o;
+      inner = Some i;
+      expr =
+        Ixexpr.add
+          (Ixexpr.mul (Ixexpr.var o.Program.v) (Ixexpr.const f))
+          (Ixexpr.var i.Program.v);
+    }
 
 let lower ~(op : Opdef.t) ~(layouts : string -> Layout.t)
     ~(out_layout : Layout.t) ?(fused = []) ~(schedule : Schedule.t) () :
@@ -101,96 +150,47 @@ let lower ~(op : Opdef.t) ~(layouts : string -> Layout.t)
     (fun f -> Array.iteri (fun i v -> bind v 0 (f.fop.Opdef.out_shape.(i) - 1)) f.fop.Opdef.spatial)
     fused;
 
-  (* Spatial loop variables per physical dimension. *)
-  let mk_loop tag extent kind =
+  (* Spatial loops per physical dimension, then reduction loops. *)
+  let mk_loop tag extent =
     let v = Var.fresh tag in
     bind v 0 (extent - 1);
-    { Program.v; extent; kind }
+    { Program.v; extent; kind = Program.Serial }
   in
   let dims =
     Array.init rank (fun d ->
-        let e = phys.(d) in
-        let f = schedule.sp_tiles.(d) in
-        if f <= 1 || e = 1 then
-          let l = mk_loop (Fmt.str "s%d" d) e Program.Serial in
-          { outer = Some l; inner = None; expr = Ixexpr.var l.Program.v }
-        else if f >= e then
-          let l = mk_loop (Fmt.str "s%di" d) e Program.Serial in
-          { outer = None; inner = Some l; expr = Ixexpr.var l.Program.v }
-        else
-          let o = mk_loop (Fmt.str "s%do" d) (e / f) Program.Serial in
-          let i = mk_loop (Fmt.str "s%di" d) f Program.Serial in
-          {
-            outer = Some o;
-            inner = Some i;
-            expr =
-              Ixexpr.add
-                (Ixexpr.mul (Ixexpr.var o.Program.v) (Ixexpr.const f))
-                (Ixexpr.var i.Program.v);
-          })
+        tile_loops mk_loop (Fmt.str "s%d" d) phys.(d) schedule.sp_tiles.(d))
+  in
+  let rdims =
+    Array.mapi
+      (fun j (_, e) ->
+        tile_loops mk_loop (Fmt.str "r%d" j) e schedule.r_tiles.(j))
+      reduce
+  in
+  let band pick dims = List.filter_map pick (Array.to_list dims) in
+  let reduce_loops =
+    band (fun d -> d.outer) rdims @ band (fun d -> d.inner) rdims
   in
   let d_exprs = Array.map (fun d -> d.expr) dims in
 
-  (* Reduction loop variables. *)
-  let r_subst = Hashtbl.create 8 in
-  let ro_loops = ref [] and ri_loops = ref [] in
-  Array.iteri
-    (fun j (rv, e) ->
-      let f = schedule.r_tiles.(j) in
-      if f <= 1 || e = 1 then begin
-        let l = mk_loop (Fmt.str "r%d" j) e Program.Serial in
-        ro_loops := l :: !ro_loops;
-        Hashtbl.replace r_subst (Var.id rv) (Ixexpr.var l.Program.v)
-      end
-      else if f >= e then begin
-        let l = mk_loop (Fmt.str "r%di" j) e Program.Serial in
-        ri_loops := l :: !ri_loops;
-        Hashtbl.replace r_subst (Var.id rv) (Ixexpr.var l.Program.v)
-      end
-      else begin
-        let o = mk_loop (Fmt.str "r%do" j) (e / f) Program.Serial in
-        let i = mk_loop (Fmt.str "r%di" j) f Program.Serial in
-        ro_loops := o :: !ro_loops;
-        ri_loops := i :: !ri_loops;
-        Hashtbl.replace r_subst (Var.id rv)
-          (Ixexpr.add
-             (Ixexpr.mul (Ixexpr.var o.Program.v) (Ixexpr.const f))
-             (Ixexpr.var i.Program.v))
-      end)
-    reduce;
-  let reduce_loops = List.rev !ro_loops @ List.rev !ri_loops in
-
   (* Logical output coordinates in terms of loop variables: S_Y^{-1}(L'). *)
-  let logical = Layout.inverse_exprs ~bounds out_layout d_exprs in
+  let logical, _ = Layout.logical_of_physical ~bounds out_layout d_exprs in
 
   (* Variable substitution: producer/consumer spatial vars -> logical
      coordinates; reduction vars -> their loop expressions. *)
   let subst_tbl = Hashtbl.create 32 in
+  let bind_spatial spatial =
+    Array.iteri
+      (fun k v -> Hashtbl.replace subst_tbl (Var.id v) logical.(k))
+      spatial
+  in
+  bind_spatial op.spatial;
+  List.iter (fun f -> bind_spatial f.fop.Opdef.spatial) fused;
   Array.iteri
-    (fun k v -> Hashtbl.replace subst_tbl (Var.id v) logical.(k))
-    op.spatial;
-  List.iter
-    (fun f ->
-      Array.iteri
-        (fun k v -> Hashtbl.replace subst_tbl (Var.id v) logical.(k))
-        f.fop.Opdef.spatial)
-    fused;
-  Hashtbl.iter (fun id e -> Hashtbl.replace subst_tbl id e) r_subst;
-  let substitute e =
-    Ixexpr.simplify ~bounds
-      (Ixexpr.subst (fun v -> Hashtbl.find_opt subst_tbl (Var.id v)) e)
-  in
+    (fun j (rv, _) -> Hashtbl.replace subst_tbl (Var.id rv) rdims.(j).expr)
+    reduce;
+  let substitute = substituter ~bounds subst_tbl in
 
-  (* Slot table. *)
-  let slots : Program.slot list ref = ref [] in
-  let slot_of name layout role =
-    let indexed = List.mapi (fun i s -> (i, s)) !slots in
-    match List.find_opt (fun (_, s) -> s.Program.sname = name) indexed with
-    | Some (i, _) -> i
-    | None ->
-        slots := !slots @ [ { Program.sname = name; layout; role } ];
-        List.length !slots - 1
-  in
+  let slot_of, slots = slot_table () in
   List.iter
     (fun (n, shape) ->
       let layout = layouts n in
@@ -205,12 +205,11 @@ let lower ~(op : Opdef.t) ~(layouts : string -> Layout.t)
      then substitute loop variables and simplify. *)
   let window = Opdef.window_fn op in
   let producer_load name idx =
-    let layout = layouts name in
-    let phys_idx = Layout.forward_exprs ~bounds ~window layout idx in
-    { Program.slot = slot_of name layout Program.Input; idx = phys_idx }
+    load_access slot_of ~bounds ~window Program.Input name (layouts name) idx
   in
-  let body0 = pexpr_of_sexpr ~load:producer_load op.body in
-  let body = map_pexpr_ix substitute body0 in
+  let body =
+    map_pexpr_ix substitute (pexpr_of_sexpr ~load:producer_load op.body)
+  in
   let out_access = { Program.slot = out_slot; idx = d_exprs } in
 
   (* Fused consumers: lowered at the same loop point.  A consumer load of a
@@ -224,16 +223,11 @@ let lower ~(op : Opdef.t) ~(layouts : string -> Layout.t)
         let cop = f.fop in
         let load name idx =
           match Hashtbl.find_opt produced name with
-          | Some lay ->
-              let phys_idx = Layout.forward_exprs ~bounds lay idx in
-              { Program.slot = slot_of name lay Program.Temp; idx = phys_idx }
+          | Some lay -> load_access slot_of ~bounds Program.Temp name lay idx
           | None ->
-              let lay = layouts name in
-              let phys_idx = Layout.forward_exprs ~bounds lay idx in
-              { Program.slot = slot_of name lay Program.Input; idx = phys_idx }
+              load_access slot_of ~bounds Program.Input name (layouts name) idx
         in
-        let b = pexpr_of_sexpr ~load cop.Opdef.body in
-        let b = map_pexpr_ix substitute b in
+        let b = map_pexpr_ix substitute (pexpr_of_sexpr ~load cop.Opdef.body) in
         let role =
           if ci = List.length fused - 1 then Program.Output else Program.Temp
         in
@@ -244,12 +238,8 @@ let lower ~(op : Opdef.t) ~(layouts : string -> Layout.t)
   in
 
   (* Assemble the loop nest. *)
-  let outer_band =
-    Array.to_list dims |> List.filter_map (fun d -> d.outer)
-  in
-  let inner_band =
-    Array.to_list dims |> List.filter_map (fun d -> d.inner)
-  in
+  let outer_band = band (fun d -> d.outer) dims in
+  let inner_band = band (fun d -> d.inner) dims in
   let outer_band =
     List.mapi
       (fun i l ->
@@ -302,71 +292,73 @@ let lower ~(op : Opdef.t) ~(layouts : string -> Layout.t)
   let flops =
     Opdef.flops op + List.fold_left (fun a f -> a + Opdef.flops f.fop) 0 fused
   in
-  {
-    Program.pname = op.name;
-    body = body_stmt;
-    slots = Array.of_list !slots;
-    flops;
-  }
+  { Program.pname = op.name; body = body_stmt; slots = slots (); flops }
 
 (* ------------------------------------------------------------------ *)
-(* Conversion operators                                               *)
+(* Destination nests: conversions and layout-writing elementwise ops  *)
 (* ------------------------------------------------------------------ *)
+
+(* The nest over [dst]'s whole physical space (Fig. 5): one loop per
+   physical dimension, named [tag] and its index, the innermost
+   vectorized and, when [parallel], the outermost parallel.  Returns the
+   bounds of the loop variables, their logical coordinates S^{-1}, and
+   [store slot value]: the nest around a store of [value] into [slot] that
+   writes zero instead wherever the coordinates fall outside the tensor
+   (pad margins, unfold overhang). *)
+let dest_nest ~tag ~parallel dst =
+  let phys = Layout.physical_shape dst in
+  let rank = Shape.rank phys in
+  let btbl = Hashtbl.create 16 in
+  let bounds v = Hashtbl.find_opt btbl (Var.id v) in
+  let loops =
+    List.init rank (fun d ->
+        let v = Var.fresh (Fmt.str "%s%d" tag d) in
+        Hashtbl.replace btbl (Var.id v) (0, phys.(d) - 1);
+        let kind =
+          if d = rank - 1 then Program.Vectorized
+          else if parallel && d = 0 then Program.Parallel
+          else Program.Serial
+        in
+        { Program.v; extent = phys.(d); kind })
+  in
+  let pvars =
+    Array.of_list (List.map (fun l -> Ixexpr.var l.Program.v) loops)
+  in
+  let logical, conds = Layout.logical_of_physical ~bounds dst pvars in
+  let in_bounds (e, d) =
+    Sexpr.And
+      ( Sexpr.Cmp (Sexpr.Cge, e, Ixexpr.const 0),
+        Sexpr.Cmp (Sexpr.Clt, e, Ixexpr.const d) )
+  in
+  let store slot value =
+    let value =
+      match conds with
+      | [] -> value
+      | c :: cs ->
+          let cond =
+            List.fold_left
+              (fun a c -> Sexpr.And (a, in_bounds c))
+              (in_bounds c) cs
+          in
+          Program.Pselect (cond, value, Program.Pconst 0.0)
+    in
+    nest_loops loops (Program.Store ({ Program.slot; idx = pvars }, value))
+  in
+  (bounds, logical, store)
 
 (* A conversion operator copies a tensor stored with [src] layout into
-   [dst] layout (Fig. 5a).  It iterates over the destination's physical
-   space; positions that fall outside the logical tensor (padding) are
-   zero-filled. *)
+   [dst] layout (Fig. 5a). *)
 let conversion ?(name = "convert") ~(src : Layout.t) ~(dst : Layout.t) () :
     Program.t =
   if not (Shape.equal (Layout.logical_shape src) (Layout.logical_shape dst))
   then err "conversion: logical shapes differ";
   if not (Layout.invertible src) then
     err "conversion: source layout must be invertible";
-  let phys = Layout.physical_shape dst in
-  let rank = Shape.rank phys in
-  let btbl = Hashtbl.create 16 in
-  let bounds v = Hashtbl.find_opt btbl (Var.id v) in
-  let loops =
-    Array.to_list
-      (Array.init rank (fun d ->
-           let v = Var.fresh (Fmt.str "c%d" d) in
-           Hashtbl.replace btbl (Var.id v) (0, phys.(d) - 1);
-           { Program.v; extent = phys.(d); kind = Program.Serial }))
-  in
-  let loops =
-    match List.rev loops with
-    | last :: rest ->
-        List.rev ({ last with Program.kind = Program.Vectorized } :: rest)
-    | [] -> []
-  in
-  let pvars = Array.of_list (List.map (fun l -> Ixexpr.var l.Program.v) loops) in
-  let logical, conds = Layout.logical_of_physical ~bounds dst pvars in
+  let bounds, logical, store = dest_nest ~tag:"c" ~parallel:false dst in
   let src_idx = Layout.forward_exprs ~bounds src logical in
-  let src_access = { Program.slot = 0; idx = src_idx } in
-  let dst_access = { Program.slot = 1; idx = pvars } in
-  let value =
-    match conds with
-    | [] -> Program.Pload src_access
-    | conds ->
-        let cond =
-          List.fold_left
-            (fun acc (e, d) ->
-              let c =
-                Sexpr.And
-                  ( Sexpr.Cmp (Sexpr.Cge, e, Ixexpr.const 0),
-                    Sexpr.Cmp (Sexpr.Clt, e, Ixexpr.const d) )
-              in
-              match acc with None -> Some c | Some a -> Some (Sexpr.And (a, c)))
-            None conds
-          |> Option.get
-        in
-        Program.Pselect (cond, Program.Pload src_access, Program.Pconst 0.0)
-  in
-  let body = nest_loops loops (Program.Store (dst_access, value)) in
   {
     Program.pname = name;
-    body;
+    body = store 1 (Program.Pload { Program.slot = 0; idx = src_idx });
     slots =
       [|
         { Program.sname = name ^ ".src"; layout = src; role = Program.Input };
@@ -375,106 +367,42 @@ let conversion ?(name = "convert") ~(src : Layout.t) ~(dst : Layout.t) () :
     flops = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Elementwise operator emitting an arbitrary output layout            *)
-(* ------------------------------------------------------------------ *)
-
 (* Lower an [Assign] operator so that it *writes* an output layout that may
    contain advanced primitives (pad / unfold).  This realizes Fig. 5b: when
    a layout is propagated backward onto a simple producer, that producer
    performs the conversion as part of its own work instead of a separate
-   conversion operator.  The loop nest covers the output's physical space;
-   positions that map outside the logical tensor (padding) store zero, and
-   overlapped (unfolded) positions are computed redundantly. *)
+   conversion operator.  Overlapped (unfolded) positions are computed
+   redundantly. *)
 let lower_assign_to ~(op : Opdef.t) ~(layouts : string -> Layout.t)
-    ~(out_layout : Layout.t) ?(vectorize = true) ?(parallel = 0) () :
-    Program.t =
+    ~(out_layout : Layout.t) : Program.t =
   if op.Opdef.combiner <> Opdef.Assign then
     err "lower_assign_to %s: operator is not elementwise" op.Opdef.name;
   if not (Shape.equal (Layout.logical_shape out_layout) op.Opdef.out_shape)
   then err "lower_assign_to %s: output layout shape mismatch" op.Opdef.name;
-  let phys = Layout.physical_shape out_layout in
-  let rank = Shape.rank phys in
-  let btbl = Hashtbl.create 16 in
-  let bounds v = Hashtbl.find_opt btbl (Var.id v) in
-  let loops =
-    Array.to_list
-      (Array.init rank (fun d ->
-           let v = Var.fresh (Fmt.str "e%d" d) in
-           Hashtbl.replace btbl (Var.id v) (0, phys.(d) - 1);
-           { Program.v; extent = phys.(d); kind = Program.Serial }))
-  in
-  let loops =
-    List.mapi
-      (fun i l ->
-        if i < parallel then { l with Program.kind = Program.Parallel } else l)
-      loops
-  in
-  let loops =
-    if not vectorize then loops
-    else
-      match List.rev loops with
-      | last :: rest ->
-          List.rev ({ last with Program.kind = Program.Vectorized } :: rest)
-      | [] -> []
-  in
-  let pvars = Array.of_list (List.map (fun l -> Ixexpr.var l.Program.v) loops) in
-  let logical, conds = Layout.logical_of_physical ~bounds out_layout pvars in
+  let bounds, logical, store = dest_nest ~tag:"e" ~parallel:true out_layout in
   (* Bind spatial vars to the recovered logical coordinates.  At padded
-     positions these can be out of range; the guard below keeps evaluation
-     inside the valid branch. *)
+     positions these can be out of range; the store's guard keeps
+     evaluation inside the valid branch. *)
   let subst_tbl = Hashtbl.create 16 in
   Array.iteri
     (fun k v -> Hashtbl.replace subst_tbl (Var.id v) logical.(k))
     op.Opdef.spatial;
-  let substitute e =
-    Ixexpr.simplify ~bounds
-      (Ixexpr.subst (fun v -> Hashtbl.find_opt subst_tbl (Var.id v)) e)
-  in
-  let slots : Program.slot list ref = ref [] in
-  let slot_of name layout role =
-    let indexed = List.mapi (fun i s -> (i, s)) !slots in
-    match List.find_opt (fun (_, s) -> s.Program.sname = name) indexed with
-    | Some (i, _) -> i
-    | None ->
-        slots := !slots @ [ { Program.sname = name; layout; role } ];
-        List.length !slots - 1
-  in
-  let load name idx =
-    let lay = layouts name in
-    let phys_idx = Layout.forward_exprs ~bounds lay idx in
-    { Program.slot = slot_of name lay Program.Input; idx = phys_idx }
-  in
+  let slot_of, slots = slot_table () in
   List.iter
     (fun (n, _) -> ignore (slot_of n (layouts n) Program.Input : int))
     op.Opdef.inputs;
-  let body0 = pexpr_of_sexpr ~load op.Opdef.body in
-  let body = map_pexpr_ix substitute body0 in
+  let load name idx =
+    load_access slot_of ~bounds Program.Input name (layouts name) idx
+  in
+  let body =
+    map_pexpr_ix
+      (substituter ~bounds subst_tbl)
+      (pexpr_of_sexpr ~load op.Opdef.body)
+  in
   let out_slot = slot_of op.Opdef.out_name out_layout Program.Output in
-  let value =
-    match conds with
-    | [] -> body
-    | conds ->
-        let cond =
-          List.fold_left
-            (fun acc (e, d) ->
-              let c =
-                Sexpr.And
-                  ( Sexpr.Cmp (Sexpr.Cge, e, Ixexpr.const 0),
-                    Sexpr.Cmp (Sexpr.Clt, e, Ixexpr.const d) )
-              in
-              match acc with None -> Some c | Some a -> Some (Sexpr.And (a, c)))
-            None conds
-          |> Option.get
-        in
-        Program.Pselect (cond, body, Program.Pconst 0.0)
-  in
-  let stmt =
-    nest_loops loops (Program.Store ({ Program.slot = out_slot; idx = pvars }, value))
-  in
   {
     Program.pname = op.Opdef.name;
-    body = stmt;
-    slots = Array.of_list !slots;
+    body = store out_slot body;
+    slots = slots ();
     flops = Opdef.flops op;
   }

@@ -31,8 +31,6 @@
 module Layout = Alt_tensor.Layout
 module Schedule = Alt_ir.Schedule
 module Program = Alt_ir.Program
-module Shape = Alt_tensor.Shape
-module Opdef = Alt_ir.Opdef
 module Propagate = Alt_graph.Propagate
 module Measure = Alt_tuner.Measure
 module Tuner = Alt_tuner.Tuner
@@ -308,34 +306,10 @@ let compile_response ~id ~(op : Workload.op_spec) ~machine ~preset : Json.t =
   | None -> Proto.error_response ~id ~reason:(Fmt.str "unknown machine %S" machine)
   | Some machine -> (
       let op = Workload.op_of_spec op in
-      let choice =
-        match preset with
-        | "default" -> Some (Templates.trivial_choice op)
-        | "channels-last" -> Some (Templates.channels_last_choice op)
-        | "blocked" ->
-            Some
-              (Templates.blocked_choice op
-                 ~block:(2 * machine.Alt_machine.Machine.lanes))
-        | "alt" ->
-            Some
-              (match Templates.for_op op with
-              | Some tpl ->
-                  tpl.Templates.decode
-                    (Array.make (Array.length tpl.Templates.knobs) 0.4)
-              | None -> Templates.trivial_choice op)
-        | _ -> None
-      in
-      match choice with
+      match Templates.preset machine op preset with
       | None -> Proto.error_response ~id ~reason:(Fmt.str "unknown preset %S" preset)
-      | Some choice -> (
+      | Some (choice, sched) -> (
           let task = Measure.make_task ~machine op in
-          let rank =
-            Shape.rank (Layout.physical_shape choice.Propagate.out_layout)
-          in
-          let sched =
-            Schedule.vectorize
-              (Schedule.default ~rank ~nred:(List.length op.Opdef.reduce))
-          in
           match Measure.program_of task choice sched with
           | None ->
               Proto.error_response ~id

@@ -157,17 +157,7 @@ let default_tune_spec =
 let machine_of_name name =
   List.find_opt (fun m -> m.Machine.name = name) Machine.all
 
-let systems =
-  [
-    ("vendor", Tuner.Vendor);
-    ("autotvm", Tuner.Autotvm_like);
-    ("flextensor", Tuner.Flextensor_like);
-    ("ansor", Tuner.Ansor_like);
-    ("alt", Tuner.Alt);
-    ("alt-ol", Tuner.Alt_ol);
-  ]
-
-let system_of_name name = List.assoc_opt name systems
+let system_of_name name = List.assoc_opt name Tuner.systems
 
 (* Canonical JSON: fixed field order, so rendering is a canonical
    serialization (the codec renders floats shortest-round-trip). *)

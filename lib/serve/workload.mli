@@ -49,7 +49,6 @@ type tune_spec = {
 
 val default_tune_spec : tune_spec
 val machine_of_name : string -> Machine.t option
-val systems : (string * Tuner.system) list
 
 val tune_spec_to_json : tune_spec -> Json.t
 (** Canonical: fixed field order, shortest-round-trip floats — rendering

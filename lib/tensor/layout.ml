@@ -6,12 +6,19 @@
    - deducing the physical shape ([physical_shape]),
    - rewriting access expressions during lowering ([forward_exprs],
      implementing Table 1 and the unfold rule Eq. (1)),
-   - reconstructing the loop nest of a producer ([inverse_exprs], the
-     S_Y^{-1} of Section 6), and
+   - mapping physical loop variables back to logical coordinates
+     ([logical_of_physical], the S_Y^{-1} of Section 6 and the guard of a
+     conversion), and
    - moving concrete data ([pack] / [unpack]).
 
-   Every one of them walks the primitive list; only each layout's physical
-   shape is memoized (per domain).  The record itself stays the seed
+   Each basic primitive's index rewrite is written once, as the forward
+   step; the backward walk applies it to the primitive's inverse (split
+   and fuse over the same extents swap, a reorder inverts its
+   permutation), and only unfold and pad have backward cases of their
+   own.  A chain is validated once, when [apply] extends it or
+   [physical_shape] misses its memo; every walk then reads intermediate
+   shapes with [next_shape].  Only each layout's physical shape is
+   memoized (per domain).  The record itself stays the seed
    [{ logical; prims }] pair — candidate digests, fault-injection keys and
    checkpoints all [Marshal] values containing layouts, so the wire shape
    must not change.  The index relation a layout denotes (DESIGN.md §16)
@@ -77,23 +84,23 @@ let equal a b = Shape.equal a.logical b.logical && a.prims = b.prims
 (* Shape deduction.                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* [a] with its [n] entries from [dim] on replaced by [mid]. *)
+let splice a dim n mid =
+  Array.concat
+    [ Array.sub a 0 dim; mid; Array.sub a (dim + n) (Array.length a - dim - n) ]
+
 (* The shape [p] maps [s] to, for a [p] already validated on [s].  An
    unfolded dimension of extent [d] holds ceil((d-B)/S)+1 tiles; the last
    may overhang the tensor, and overhanging positions zero-fill on [pack]
    and are guarded on conversion, matching Section 4.1.2. *)
-let next_shape (s : Shape.t) p =
-  let splice dim n mid =
-    Array.concat
-      [ Array.sub s 0 dim; mid; Array.sub s (dim + n) (Shape.rank s - dim - n) ]
-  in
-  match p with
-  | Split { dim; factors } -> splice dim 1 (Array.of_list factors)
+let next_shape (s : Shape.t) = function
+  | Split { dim; factors } -> splice s dim 1 (Array.of_list factors)
   | Reorder perm -> Array.map (fun p -> s.(p)) perm
   | Fuse { dim; count } ->
-      splice dim count [| Shape.prod_range s dim (dim + count - 1) |]
+      splice s dim count [| Shape.prod_range s dim (dim + count - 1) |]
   | Unfold { dim; tile; stride } ->
-      splice dim 1 [| Shape.cdiv (s.(dim) - tile) stride + 1; tile |]
-  | Pad { dim; lo; hi } -> splice dim 1 [| s.(dim) + lo + hi |]
+      splice s dim 1 [| Shape.cdiv (s.(dim) - tile) stride + 1; tile |]
+  | Pad { dim; lo; hi } -> splice s dim 1 [| s.(dim) + lo + hi |]
 
 (* Ticks once per primitive validated: the regression test for the
    incremental [apply]/[of_prims]/[replay] path asserts an n-primitive
@@ -133,13 +140,12 @@ let shape_step (s : Shape.t) p =
       if lo < 0 || hi < 0 then err "pad: negative padding");
   next_shape s p
 
-(* Shapes before each primitive, plus the final shape (length =
-   #prims+1), each deduced by [step]: [shape_step] validates as it goes,
-   [next_shape] only reads a chain already proven legal. *)
-let shape_trace step t : Shape.t list =
+(* Each primitive paired with the shape it applies to, read with
+   [next_shape]: the chain must already be proven legal. *)
+let steps t =
   let rec go s = function
-    | [] -> [ s ]
-    | p :: tl -> s :: go (step s p) tl
+    | [] -> []
+    | p :: tl -> (s, p) :: go (next_shape s p) tl
   in
   go t.logical t.prims
 
@@ -188,7 +194,7 @@ let unfold t ~dim ~tile ~stride = apply t (Unfold { dim; tile; stride })
 let pad t ~dim ~lo ~hi = apply t (Pad { dim; lo; hi })
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic forward rewriting (Table 1 and Eq. (1)).                   *)
+(* Symbolic rewriting: Table 1 and Eq. (1) forward, S^{-1} backward.   *)
 (* ------------------------------------------------------------------ *)
 
 type window = Var.t -> int option
@@ -217,192 +223,107 @@ let fuse_expr es sizes =
   done;
   !acc
 
+(* The forward index rewrite of [p] applied to shape [s] (Table 1, and
+   Eq. (1) for unfold). *)
+let forward_step ~bounds ~window (s : Shape.t) idx = function
+  | Split { dim; factors } ->
+      splice idx dim 1 (Array.of_list (split_exprs idx.(dim) factors))
+  | Reorder perm -> Array.map (fun pdim -> idx.(pdim)) perm
+  | Fuse { dim; count } ->
+      splice idx dim count
+        [| fuse_expr (Array.sub idx dim count) (Array.sub s dim count) |]
+  | Pad { dim; lo; hi = _ } ->
+      splice idx dim 1 [| Ixexpr.add idx.(dim) (Ixexpr.const lo) |]
+  | Unfold { dim; tile; stride } ->
+      (* Eq. (1): access V*i + r with window var i of stride V becomes
+         [ i / wpt ; V*i + r - stride * (i / wpt) ]
+         where wpt = floor((tile - M) / V) + 1 and M is the window
+         extent (max value of r, plus one). *)
+      let e = idx.(dim) in
+      let wvars = Var.Set.filter (fun v -> window v <> None) (Ixexpr.vars e) in
+      let wv =
+        match Var.Set.elements wvars with
+        | [ v ] -> v
+        | [] ->
+            err "unfold: access %a has no window variable (dim %d)" Ixexpr.pp e
+              dim
+        | _ -> err "unfold: access %a has several window variables" Ixexpr.pp e
+      in
+      let v_stride = Option.get (window wv) in
+      (match Ixexpr.coeff_of ~bounds e wv with
+      | Some c when c = v_stride -> ()
+      | Some c ->
+          err "unfold: window var %a has coefficient %d, stride is %d" Var.pp
+            wv c v_stride
+      | None -> err "unfold: access %a not affine in window var" Ixexpr.pp e);
+      let r = Option.get (Ixexpr.drop_var ~bounds e wv) in
+      let m =
+        match Ixexpr.range ~bounds r with
+        | Some (lo, hi) when lo >= 0 -> hi + 1
+        | _ -> err "unfold: cannot bound window extent of %a" Ixexpr.pp r
+      in
+      if m > tile then
+        err "unfold: window extent %d exceeds tile size %d" m tile;
+      let wpt = ((tile - m) / v_stride) + 1 in
+      let tile_ix =
+        Ixexpr.simplify ~bounds (Ixexpr.div (Ixexpr.var wv) (Ixexpr.const wpt))
+      in
+      let off =
+        Ixexpr.simplify ~bounds
+          (Ixexpr.sub e (Ixexpr.mul (Ixexpr.const stride) tile_ix))
+      in
+      splice idx dim 1 [| tile_ix; off |]
+
 let forward_exprs ?(bounds = Ixexpr.no_bounds) ?(window = no_window) t
     (idx : Ixexpr.t array) : Ixexpr.t array =
   if Array.length idx <> Shape.rank t.logical then
     err "forward_exprs: index rank %d <> logical rank %d" (Array.length idx)
       (Shape.rank t.logical);
-  let step (shape, idx) p =
-    let shape' = shape_step shape p in
-    let idx' =
-      match p with
-      | Split { dim; factors } ->
-          Array.concat
-            [
-              Array.sub idx 0 dim;
-              Array.of_list (split_exprs idx.(dim) factors);
-              Array.sub idx (dim + 1) (Array.length idx - dim - 1);
-            ]
-      | Reorder perm -> Array.map (fun pdim -> idx.(pdim)) perm
-      | Fuse { dim; count } ->
-          let sizes = Array.sub shape dim count in
-          let es = Array.sub idx dim count in
-          Array.concat
-            [
-              Array.sub idx 0 dim;
-              [| fuse_expr es sizes |];
-              Array.sub idx (dim + count) (Array.length idx - dim - count);
-            ]
-      | Pad { dim; lo; hi = _ } ->
-          let idx' = Array.copy idx in
-          idx'.(dim) <- Ixexpr.add idx.(dim) (Ixexpr.const lo);
-          idx'
-      | Unfold { dim; tile; stride } ->
-          (* Eq. (1): access V*i + r with window var i of stride V becomes
-             [ i / wpt ; V*i + r - stride * (i / wpt) ]
-             where wpt = floor((tile - M) / V) + 1 and M is the window
-             extent (max value of r, plus one). *)
-          let e = idx.(dim) in
-          let wvars =
-            Var.Set.filter (fun v -> window v <> None) (Ixexpr.vars e)
-          in
-          let wv =
-            match Var.Set.elements wvars with
-            | [ v ] -> v
-            | [] ->
-                err "unfold: access %a has no window variable (dim %d)"
-                  Ixexpr.pp e dim
-            | _ -> err "unfold: access %a has several window variables" Ixexpr.pp e
-          in
-          let v_stride = Option.get (window wv) in
-          (match Ixexpr.coeff_of ~bounds e wv with
-          | Some c when c = v_stride -> ()
-          | Some c ->
-              err "unfold: window var %a has coefficient %d, stride is %d"
-                Var.pp wv c v_stride
-          | None -> err "unfold: access %a not affine in window var" Ixexpr.pp e);
-          let r = Option.get (Ixexpr.drop_var ~bounds e wv) in
-          let m =
-            match Ixexpr.range ~bounds r with
-            | Some (lo, hi) when lo >= 0 -> hi + 1
-            | _ -> err "unfold: cannot bound window extent of %a" Ixexpr.pp r
-          in
-          if m > tile then
-            err "unfold: window extent %d exceeds tile size %d" m tile;
-          let wpt = ((tile - m) / v_stride) + 1 in
-          let tile_ix =
-            Ixexpr.simplify ~bounds
-              (Ixexpr.div (Ixexpr.var wv) (Ixexpr.const wpt))
-          in
-          let off =
-            Ixexpr.simplify ~bounds
-              (Ixexpr.sub e (Ixexpr.mul (Ixexpr.const stride) tile_ix))
-          in
-          Array.concat
-            [
-              Array.sub idx 0 dim;
-              [| tile_ix; off |];
-              Array.sub idx (dim + 1) (Array.length idx - dim - 1);
-            ]
-    in
-    (shape', idx')
-  in
-  let _, out = List.fold_left step (t.logical, idx) t.prims in
-  Array.map (Ixexpr.simplify ~bounds) out
+  ignore (physical_shape t : Shape.t);
+  List.fold_left
+    (fun idx (s, p) -> forward_step ~bounds ~window s idx p)
+    idx (steps t)
+  |> Array.map (Ixexpr.simplify ~bounds)
 
-(* ------------------------------------------------------------------ *)
-(* Symbolic inverse rewriting: physical indices -> logical indices.    *)
-(* ------------------------------------------------------------------ *)
+(* The basic primitive undoing [p] applied to shape [s]; it applies to
+   [next_shape s p]. *)
+let inverse (s : Shape.t) = function
+  | Split { dim; factors } -> Fuse { dim; count = List.length factors }
+  | Reorder perm ->
+      let inv = Array.make (Array.length perm) 0 in
+      Array.iteri (fun i p -> inv.(p) <- i) perm;
+      Reorder inv
+  | Fuse { dim; count } ->
+      Split { dim; factors = Array.to_list (Array.sub s dim count) }
+  | Unfold _ | Pad _ -> invalid_arg "Layout.inverse: advanced primitive"
 
-let inverse_exprs ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
-    Ixexpr.t array =
-  if not (invertible t) then
-    err "inverse_exprs: layout %a contains advanced primitives" pp t;
-  let trace = Array.of_list (shape_trace shape_step t) in
-  let prims = Array.of_list t.prims in
-  let n = Array.length prims in
-  let cur = ref idx in
-  for i = n - 1 downto 0 do
-    let shape_before = trace.(i) in
-    let idx = !cur in
-    (cur :=
-       match prims.(i) with
-       | Split { dim; factors } ->
-           (* inverse of split = fuse of the produced dims *)
-           let sizes = Array.of_list factors in
-           let es = Array.sub idx dim (Array.length sizes) in
-           Array.concat
-             [
-               Array.sub idx 0 dim;
-               [| fuse_expr es sizes |];
-               Array.sub idx
-                 (dim + Array.length sizes)
-                 (Array.length idx - dim - Array.length sizes);
-             ]
-       | Reorder perm ->
-           let out = Array.make (Array.length idx) Ixexpr.zero in
-           Array.iteri (fun i pdim -> out.(pdim) <- idx.(i)) perm;
-           out
-       | Fuse { dim; count } ->
-           let sizes = Array.to_list (Array.sub shape_before dim count) in
-           Array.concat
-             [
-               Array.sub idx 0 dim;
-               Array.of_list (split_exprs idx.(dim) sizes);
-               Array.sub idx (dim + 1) (Array.length idx - dim - 1);
-             ]
-       | Unfold _ | Pad _ -> assert false)
-  done;
-  Array.map (Ixexpr.simplify ~bounds) !cur
-
-(* Physical index exprs -> logical index exprs, defined even for unfold
-   (logical = tile*stride + offset) and pad (logical = i - lo, with an
-   in-bounds condition).  Used to generate conversion-operator programs. *)
+(* Physical index exprs -> logical index exprs, walking the chain
+   backward: a basic primitive steps forward through its inverse, unfold
+   recovers [tile*stride + offset] and pad [i - lo], each guarded by an
+   in-bounds condition.  Used for S_Y^{-1} in lowering and to generate
+   conversion-operator programs. *)
 let logical_of_physical ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
     Ixexpr.t array * (Ixexpr.t * int) list =
-  let trace = Array.of_list (shape_trace shape_step t) in
-  let prims = Array.of_list t.prims in
-  let n = Array.length prims in
-  let cur = ref idx in
+  ignore (physical_shape t : Shape.t);
   let conds = ref [] in
-  for i = n - 1 downto 0 do
-    let shape_before = trace.(i) in
-    let idx = !cur in
-    (cur :=
-       match prims.(i) with
-       | Split { dim; factors } ->
-           let sizes = Array.of_list factors in
-           let es = Array.sub idx dim (Array.length sizes) in
-           Array.concat
-             [
-               Array.sub idx 0 dim;
-               [| fuse_expr es sizes |];
-               Array.sub idx
-                 (dim + Array.length sizes)
-                 (Array.length idx - dim - Array.length sizes);
-             ]
-       | Reorder perm ->
-           let out = Array.make (Array.length idx) Ixexpr.zero in
-           Array.iteri (fun i pdim -> out.(pdim) <- idx.(i)) perm;
-           out
-       | Fuse { dim; count } ->
-           let sizes = Array.to_list (Array.sub shape_before dim count) in
-           Array.concat
-             [
-               Array.sub idx 0 dim;
-               Array.of_list (split_exprs idx.(dim) sizes);
-               Array.sub idx (dim + 1) (Array.length idx - dim - 1);
-             ]
-       | Unfold { dim; tile = _; stride } ->
-           let t_ix = idx.(dim) and off = idx.(dim + 1) in
-           let logical =
-             Ixexpr.add (Ixexpr.mul t_ix (Ixexpr.const stride)) off
-           in
-           conds := (logical, shape_before.(dim)) :: !conds;
-           Array.concat
-             [
-               Array.sub idx 0 dim;
-               [| logical |];
-               Array.sub idx (dim + 2) (Array.length idx - dim - 2);
-             ]
-       | Pad { dim; lo; hi = _ } ->
-           let logical = Ixexpr.sub idx.(dim) (Ixexpr.const lo) in
-           conds := (logical, shape_before.(dim)) :: !conds;
-           let idx' = Array.copy idx in
-           idx'.(dim) <- logical;
-           idx')
-  done;
-  ( Array.map (Ixexpr.simplify ~bounds) !cur,
+  let guarded e extent =
+    conds := (e, extent) :: !conds;
+    [| e |]
+  in
+  let back (s, p) idx =
+    match p with
+    | Unfold { dim; tile = _; stride } ->
+        let e = Ixexpr.mul idx.(dim) (Ixexpr.const stride) in
+        splice idx dim 2 (guarded (Ixexpr.add e idx.(dim + 1)) s.(dim))
+    | Pad { dim; lo; hi = _ } ->
+        let e = Ixexpr.sub idx.(dim) (Ixexpr.const lo) in
+        splice idx dim 1 (guarded e s.(dim))
+    | Split _ | Reorder _ | Fuse _ ->
+        forward_step ~bounds ~window:no_window (next_shape s p) idx
+          (inverse s p)
+  in
+  let logical = List.fold_right back (steps t) idx in
+  ( Array.map (Ixexpr.simplify ~bounds) logical,
     List.map (fun (e, d) -> (Ixexpr.simplify ~bounds e, d)) !conds )
 
 (* ------------------------------------------------------------------ *)
@@ -414,7 +335,7 @@ let logical_of_physical ?(bounds = Ixexpr.no_bounds) t (idx : Ixexpr.t array) :
    chain must already be proven legal (by [physical_shape]): its shapes
    are read with [next_shape], so a walk never ticks [m_validate]. *)
 let concrete_logical_of_physical t : int array -> int array option =
-  let trace = Array.of_list (shape_trace next_shape t) in
+  let trace = Array.of_list (List.map fst (steps t)) in
   let prims = Array.of_list t.prims in
   let n = Array.length prims in
   fun phys ->

@@ -8,11 +8,12 @@
     ({!Alt_graph.Placement}).  Physical buffers are row-major over
     [physical_shape].
 
-    Every map below walks the primitive sequence; only each layout's
-    physical shape is memoized.  The index relation a layout denotes is
-    its specification (DESIGN.md §16): it lives in the test-only oracle
-    library (test/oracle), whose differential suites pin these walks to
-    it. *)
+    Every map below walks the primitive sequence, which is validated
+    once (when built, or on the first [physical_shape] of an
+    unmarshalled layout); only each layout's physical shape is memoized.
+    The index relation a layout denotes is its specification (DESIGN.md
+    §16): it lives in the test-only oracle library (test/oracle), whose
+    differential suites pin these walks to it. *)
 
 exception Layout_error of string
 
@@ -75,17 +76,16 @@ val forward_exprs :
     [unfold] the access must have the sliding form [V*i + r] with window
     variable [i] (Eq. (1)).  Raises {!Layout_error} otherwise. *)
 
-val inverse_exprs : ?bounds:Ixexpr.bounds -> t -> Ixexpr.t array -> Ixexpr.t array
-(** Physical index expressions -> logical; requires [invertible].  This is
-    the S_Y^{-1} used when reconstructing a producer's loop nest. *)
-
 val logical_of_physical :
   ?bounds:Ixexpr.bounds -> t -> Ixexpr.t array ->
   Ixexpr.t array * (Ixexpr.t * int) list
-(** Physical index expressions -> logical, total even for [unfold] and
-    [pad]; also returns in-bounds conditions [(expr, extent)] meaning
-    [0 <= expr < extent] that guard padded / overhanging positions.  Used to
-    generate conversion-operator programs. *)
+(** Physical index expressions -> logical ones, total even for [unfold]
+    and [pad]: the S_Y^{-1} used to reconstruct a producer's loop nest and
+    to generate conversion programs.  Walks the chain backward, stepping
+    each basic primitive's inverse through the forward rewrite.  Also
+    returns in-bounds conditions [(expr, extent)], meaning
+    [0 <= expr < extent], that guard padded and overhanging positions;
+    the list is empty exactly when the layout is [invertible]. *)
 
 val pack : t -> float array -> float array
 (** Materializes the physical buffer from logical row-major data (zero

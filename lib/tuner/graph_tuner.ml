@@ -32,13 +32,17 @@ type gsystem =
   | Galt_ol (* no joint stage; fixed channels-last layouts; fusion on *)
   | Galt_wp (* joint tuning but only adjacent propagation; fusion lost *)
 
-let gsystem_name = function
-  | Gvendor -> "vendor"
-  | Gautotvm -> "autotvm"
-  | Gansor -> "ansor"
-  | Galt -> "alt"
-  | Galt_ol -> "alt-ol"
-  | Galt_wp -> "alt-wp"
+let gsystems =
+  [
+    ("vendor", Gvendor);
+    ("autotvm", Gautotvm);
+    ("ansor", Gansor);
+    ("alt", Galt);
+    ("alt-ol", Galt_ol);
+    ("alt-wp", Galt_wp);
+  ]
+
+let gsystem_name s = fst (List.find (fun (_, s') -> s' = s) gsystems)
 
 let propagate_mode = function
   | Galt_wp -> Propagate.Adjacent

@@ -18,6 +18,9 @@ type gsystem =
   | Galt_ol (** no joint stage; fixed channels-last layouts; fusion on *)
   | Galt_wp (** joint tuning, adjacent-only propagation; fusion lost *)
 
+val gsystems : (string * gsystem) list
+(** Every system with its name, the one the CLI accepts. *)
+
 val gsystem_name : gsystem -> string
 
 type tuned_graph = {

@@ -38,7 +38,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type policy = Gradient | Static
 
-let policy_name = function Gradient -> "gradient" | Static -> "static"
+let policies = [ ("gradient", Gradient); ("static", Static) ]
+let policy_name p = fst (List.find (fun (_, p') -> p' = p) policies)
 
 type make_tuner =
   pool:Pool.t ->

@@ -19,6 +19,9 @@ module Pool = Alt_parallel.Pool
 
 type policy = Gradient | Static
 
+val policies : (string * policy) list
+(** Every policy with its name, the one the CLI accepts. *)
+
 val policy_name : policy -> string
 
 type make_tuner =

@@ -547,3 +547,30 @@ let layout_zoo (op : Opdef.t) : Propagate.choice list =
                 })
               in_variants)
           outs
+
+(* ------------------------------------------------------------------ *)
+(* Named presets                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let preset_choices =
+  [
+    ("default", fun ~lanes:_ op -> trivial_choice op);
+    ("channels-last", fun ~lanes:_ op -> channels_last_choice op);
+    ("blocked", fun ~lanes op -> blocked_choice op ~block:(2 * lanes));
+    ( "alt",
+      fun ~lanes:_ op ->
+        match for_op op with
+        | Some tpl -> tpl.decode (Array.make (Array.length tpl.knobs) 0.4)
+        | None -> trivial_choice op );
+  ]
+
+let presets = List.map fst preset_choices
+
+let preset (machine : Alt_machine.Machine.t) (op : Opdef.t) name =
+  Option.map
+    (fun choose ->
+      let choice = choose ~lanes:machine.Alt_machine.Machine.lanes op in
+      let rank = Shape.rank (Layout.physical_shape choice.Propagate.out_layout) in
+      let nred = List.length op.Opdef.reduce in
+      (choice, Alt_ir.Schedule.(vectorize (default ~rank ~nred))))
+    (List.assoc_opt name preset_choices)

@@ -63,3 +63,18 @@ val layout_zoo : Opdef.t -> Propagate.choice list
     KN/NK family of Fig. 1 with padded variants, convolutions the
     NOHW/NHWO x IHW/HWI grid.  Simple operators get the single trivial
     choice. *)
+
+(** {1 Named presets} *)
+
+val presets : string list
+(** The layout presets [alt show-op] and the service's compile request
+    accept: default, channels-last, blocked (blocks of twice the
+    machine's SIMD lanes) and alt (the template at every knob 0.4, or
+    the identity for simple operators). *)
+
+val preset :
+  Alt_machine.Machine.t -> Opdef.t -> string ->
+  (Propagate.choice * Alt_ir.Schedule.t) option
+(** The named preset's layout choice for the operator, with the
+    vectorized default schedule of its output rank; [None] for a name
+    not in {!presets}. *)

@@ -111,6 +111,9 @@ type system =
   | Alt
   | Alt_ol (** loop-only on fixed channels-last layouts *)
 
+val systems : (string * system) list
+(** Every system with its name, the one the CLI and the wire accept. *)
+
 val system_name : system -> string
 
 val tune_vendor :

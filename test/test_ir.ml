@@ -394,7 +394,7 @@ let test_assign_to_advanced_layout () =
   let prog =
     Lower.lower_assign_to ~op
       ~layouts:(layouts_of [ ("X", trivial [| 1; 4; 6; 6 |]) ])
-      ~out_layout ()
+      ~out_layout
   in
   let outs, _ = Runtime.run_logical prog ~inputs:[ ("X", x) ] in
   check_close "pad to blocked layout" expected (List.assoc "Xp" outs)
@@ -408,7 +408,7 @@ let test_assign_to_unfolded_layout () =
   let expected = Opdef.reference_eval op [ ("X", x) ] in
   let prog =
     Lower.lower_assign_to ~op ~layouts:(layouts_of [ ("X", trivial shape) ])
-      ~out_layout ()
+      ~out_layout
   in
   let bufs = Runtime.alloc_bufs prog ~inputs:[ ("X", x) ] in
   let _ = Profiler.run prog ~bufs in

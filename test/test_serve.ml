@@ -568,6 +568,8 @@ let test_pipe_daemon_end_to_end () =
           tune ~id:"t" s;
           Proto.Compile
             { id = "c"; op = gmm_op; machine = "intel-cpu"; preset = "alt" };
+          Proto.Compile
+            { id = "b"; op = gmm_op; machine = "intel-cpu"; preset = "bogus" };
         ]
   in
   let by_id id =
@@ -584,6 +586,11 @@ let test_pipe_daemon_end_to_end () =
   Alcotest.(check string) "compile ok" "ok" (status_of (by_id "c"));
   Alcotest.(check bool) "compile has program" true
     (Json.member "program" (by_id "c") <> None);
+  Alcotest.(check string) "unknown preset is an error" "error"
+    (status_of (by_id "b"));
+  Alcotest.(check (option string)) "unknown preset reason"
+    (Some {|unknown preset "bogus"|})
+    (Option.bind (Json.member "reason" (by_id "b")) Json.to_string_opt);
   Alcotest.(check string) "tune = solo over the pipe" (solo_json s)
     (ok_result (by_id "t"))
 

@@ -3,14 +3,15 @@
 
    Coverage accounting for the layout section (kept >= the pre-relation
    suite, which ran one basic-prims-only pack/unpack property at count
-   100 + 12 pinned cases): the generic relation round-trip property
-   below draws random chains over ALL FIVE primitives (split / reorder /
-   fuse / unfold / pad) at count 120, the symbolic-forward property
-   keeps its basic-prims generator at count 60 (eval_fwd is undefined
-   on unfold by design), and every primitive retains at least one
-   pinned regression — blocked NOHW + fuse/split/reorder (split,
-   reorder, fuse), unfold array example + ragged tail + Eq.(1) x2
-   (unfold), pad (pad) — 13 pinned cases in the "layout" section.
+   100 + 12 pinned cases): the generic relation round-trip property and
+   the symbolic backward-walk property below draw random chains over ALL
+   FIVE primitives (split / reorder / fuse / unfold / pad) at count 120,
+   the symbolic-forward property keeps its basic-prims generator at
+   count 60 (eval_fwd is undefined on unfold by design), and every
+   primitive retains at least one pinned regression — blocked NOHW +
+   fuse/split/reorder (split, reorder, fuse), unfold array example +
+   ragged tail + Eq.(1) x2 (unfold), pad (pad) — 12 pinned cases in the
+   "layout" section.
    The concrete maps [eval_fwd] and the relation come from the test-only
    oracle library (test/oracle); deeper relation laws (inverse
    composition, canonicalization, the differential of lib's walks against
@@ -271,28 +272,6 @@ let test_forward_exprs_match_eval_fwd () =
     done
   done
 
-let test_inverse_exprs_roundtrip () =
-  let shape = [| 4; 6; 2 |] in
-  let l = Layout.create shape in
-  let l = Layout.split l ~dim:0 ~factors:[ 2; 2 ] in
-  let l = Layout.reorder l [| 3; 0; 2; 1 |] in
-  let phys = Layout.physical_shape l in
-  (* inverse(concrete physical idx) must equal the logical source *)
-  let pvars = Array.init (Shape.rank phys) (fun i -> v (Fmt.str "p%d" i)) in
-  let inv = Layout.inverse_exprs l (Array.map Ixexpr.var pvars) in
-  for off = 0 to Shape.num_elements phys - 1 do
-    let pidx = Shape.index_of_offset phys off in
-    let env w =
-      let rec find k =
-        if Var.equal pvars.(k) w then pidx.(k) else find (k + 1)
-      in
-      find 0
-    in
-    let lidx = Array.map (Ixexpr.eval env) inv in
-    let fwd = Oracle.eval_fwd l lidx in
-    check_ints "roundtrip" (Array.to_list pidx) (Array.to_list fwd)
-  done
-
 let test_unfold_eq1_rewrite () =
   (* Sliding-window access: Inp[oh + rh] with oh in [0,4), rh in [0,2),
      input extent 5 = 4 + (2-1).  Unfold with tile = ht + KH - 1 = 3,
@@ -499,6 +478,50 @@ let prop_relation_roundtrip =
       && Shape.equal (Relation.range rel) (Layout.physical_shape l)
       && Relation.num_range_elements rel = Layout.num_physical_elements l)
 
+(* qcheck: the symbolic backward walk against the relation's backward
+   map, over the same chains of all five primitives.  At every physical
+   index with a logical source, every condition of [logical_of_physical]
+   holds and its expressions evaluate to that source; at a hole (pad
+   margin, unfold overhang) some condition fails; an invertible chain has
+   no condition at all.  The walk gets the loop-variable bounds lowering
+   gives it. *)
+let prop_backward_walk =
+  QCheck2.Test.make ~count:120
+    ~name:"backward walk = relation bwd map"
+    ~print:(Fmt.to_to_string Layout.pp) gen_full_layout
+    (fun l ->
+      let phys = Layout.physical_shape l in
+      let pvars = Array.map (fun _ -> v "p") phys in
+      let bounds =
+        bounds_of
+          (Array.to_list (Array.map2 (fun x d -> (x, (0, d - 1))) pvars phys))
+      in
+      let exprs, conds =
+        Layout.logical_of_physical ~bounds l (Array.map Ixexpr.var pvars)
+      in
+      let back = Relation.compile_bwd (Oracle.relation_of l) in
+      let at pidx =
+        let env w =
+          let rec find k =
+            if Var.equal pvars.(k) w then pidx.(k) else find (k + 1)
+          in
+          find 0
+        in
+        let holds (e, d) =
+          let x = Ixexpr.eval env e in
+          0 <= x && x < d
+        in
+        match back pidx with
+        | Some lidx ->
+            List.for_all holds conds
+            && Array.map (Ixexpr.eval env) exprs = lidx
+        | None -> not (List.for_all holds conds)
+      in
+      ((not (Layout.invertible l)) || conds = [])
+      && List.for_all
+           (fun off -> at (Shape.index_of_offset phys off))
+           (List.init (Shape.num_elements phys) Fun.id))
+
 (* qcheck: random basic layouts for the symbolic-forward property
    (eval_fwd is undefined on unfold, so this generator stays basic). *)
 let gen_basic_layout =
@@ -603,8 +626,6 @@ let () =
           Alcotest.test_case "pad" `Quick test_pad;
           Alcotest.test_case "forward exprs = concrete" `Quick
             test_forward_exprs_match_eval_fwd;
-          Alcotest.test_case "inverse exprs roundtrip" `Quick
-            test_inverse_exprs_roundtrip;
           Alcotest.test_case "unfold Eq.(1) stride 1" `Quick
             test_unfold_eq1_rewrite;
           Alcotest.test_case "unfold Eq.(1) stride 2" `Quick
@@ -617,5 +638,9 @@ let () =
           Alcotest.test_case "invertibility flags" `Quick test_invertible_flags;
         ] );
       qsuite "layout-props"
-        [ prop_relation_roundtrip; prop_forward_matches_concrete ];
+        [
+          prop_relation_roundtrip;
+          prop_backward_walk;
+          prop_forward_matches_concrete;
+        ];
     ]
