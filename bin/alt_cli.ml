@@ -182,10 +182,11 @@ let backend_of sel ~warmup ~repeats ~domains =
   | `Exec -> Runtime.Exec { Exec.warmup; repeats; clock = Exec.Wall; domains }
 
 let op_kind_arg =
+  let kinds = List.map (fun k -> (k, k)) Workload.op_kinds in
   Arg.(
-    value & opt string "c2d"
-    & info [ "op" ] ~docv:"KIND"
-        ~doc:"Operator: c2d, grp, dep, dil, c1d, c3d, gmm, t2d.")
+    value
+    & opt (enum kinds) "c2d"
+    & info [ "op" ] ~docv:"KIND" ~doc:("Operator: " ^ names kinds ^ "."))
 
 let batch_arg =
   Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc:"Batch size.")
@@ -330,10 +331,26 @@ let tune_op_cmd =
 (* tune-model                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The zoo, in help order: --model and --models take exactly these
+   names. *)
+let zoo =
+  [
+    ("r18", fun ~batch -> Zoo.resnet18 ~batch ());
+    ("mv2", fun ~batch -> Zoo.mobilenet_v2 ~batch ());
+    ("bb", fun ~batch -> Zoo.bert_base ~batch ());
+    ("bt", fun ~batch -> Zoo.bert_tiny ~batch ());
+    ("r3d", fun ~batch -> Zoo.resnet3d_18 ~batch ());
+  ]
+
+let model_names = List.map (fun (m, _) -> (m, m)) zoo
+let zoo_spec model ~batch = (List.assoc model zoo) ~batch
+
 let model_arg =
   Arg.(
-    value & opt string "r18"
-    & info [ "model" ] ~docv:"NAME" ~doc:"Model: r18, mv2, bb, bt, r3d.")
+    value
+    & opt (enum model_names) "r18"
+    & info [ "model" ] ~docv:"NAME"
+        ~doc:("Model: " ^ names model_names ^ "."))
 
 let gsystem_arg =
   Arg.(
@@ -341,15 +358,6 @@ let gsystem_arg =
     & opt (enum Graph_tuner.gsystems) Graph_tuner.Galt
     & info [ "system" ] ~docv:"SYS"
         ~doc:("System: " ^ names Graph_tuner.gsystems ^ "."))
-
-let zoo_spec model ~batch =
-  match model with
-  | "r18" -> Zoo.resnet18 ~batch ()
-  | "mv2" -> Zoo.mobilenet_v2 ~batch ()
-  | "bb" -> Zoo.bert_base ~batch ()
-  | "bt" -> Zoo.bert_tiny ~batch ()
-  | "r3d" -> Zoo.resnet3d_18 ~batch ()
-  | m -> Fmt.failwith "unknown model %S" m
 
 let scheduler_arg =
   Arg.(
@@ -402,14 +410,27 @@ let tune_model_cmd =
 (* schedule                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* "r18, mv2,,bt": blanks around names and empty items are ignored. *)
 let models_arg =
+  let model = Arg.(conv_parser (enum model_names)) in
+  let parse s =
+    String.split_on_char ',' s
+    |> List.map String.trim
+    |> List.filter (fun m -> m <> "")
+    |> List.fold_left
+         (fun acc m ->
+           Result.bind acc (fun ms -> Result.map (fun m -> m :: ms) (model m)))
+         (Ok [])
+    |> Result.map List.rev
+  in
   Arg.(
     value
-    & opt string "r18,mv2,bt,r3d"
+    & opt (conv (parse, Fmt.(list ~sep:(any ",") string)))
+        [ "r18"; "mv2"; "bt"; "r3d" ]
     & info [ "models" ] ~docv:"LIST"
         ~doc:
-          "Comma-separated zoo to tune under one global budget \
-           (r18, mv2, bb, bt, r3d).")
+          ("Comma-separated zoo to tune under one global budget ("
+          ^ names model_names ^ ")."))
 
 let schedule_cmd =
   let run machine budget seed jobs models batch system policy fault_rate
@@ -419,11 +440,7 @@ let schedule_cmd =
     let jobs = resolve_jobs jobs in
     let faults = faults_of ~rate:fault_rate ~seed:fault_seed in
     let policy = Option.value policy ~default:Scheduler.Gradient in
-    let specs =
-      String.split_on_char ',' models
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun m -> zoo_spec (String.trim m) ~batch)
-    in
+    let specs = List.map (fun m -> zoo_spec m ~batch) models in
     let graphs = List.map (fun s -> (s.Zoo.name, s.Zoo.graph)) specs in
     Fmt.pr "scheduling %d models (%s) with %s/%s on %a, global budget %d...@."
       (List.length graphs)
@@ -631,12 +648,6 @@ let max_queue_arg =
           "Admitted-but-waiting sessions; beyond it requests are shed \
            with a structured rejection and a retry-after hint.")
 
-let shards_arg =
-  Arg.(
-    value & opt int 16
-    & info [ "shards" ] ~docv:"N"
-        ~doc:"Shards of the cross-session measurement store.")
-
 let deadline_rounds_arg =
   Arg.(
     value & opt (some int) None
@@ -656,14 +667,14 @@ let kill_after_arg =
            journals.")
 
 let serve_cmd =
-  let run socket journal jobs max_active max_queue shards deadline_rounds
-      kill_after trace metrics =
+  let run socket journal jobs max_active max_queue deadline_rounds kill_after
+      trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
     let cfg =
-      Serve.default_config ~jobs ~max_active ~max_queue ~shards
-        ?journal_dir:journal ?default_deadline_rounds:deadline_rounds ()
+      Serve.default_config ~jobs ~max_active ~max_queue ?journal_dir:journal
+        ?default_deadline_rounds:deadline_rounds ()
     in
     let engine = Serve.create cfg in
     let recovered = Serve.recover engine in
@@ -680,7 +691,7 @@ let serve_cmd =
           with load shedding, deadlines, crash-safe recovery.")
     Term.(
       const run $ socket_arg $ journal_arg $ jobs_arg $ max_active_arg
-      $ max_queue_arg $ shards_arg $ deadline_rounds_arg $ kill_after_arg
+      $ max_queue_arg $ deadline_rounds_arg $ kill_after_arg
       $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)

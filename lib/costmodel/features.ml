@@ -6,11 +6,9 @@
    running them.  All features are cheap functions of the lowered program;
    none require simulation. *)
 
-module Var = Alt_tensor.Var
-module Shape = Alt_tensor.Shape
-module Ixexpr = Alt_tensor.Ixexpr
 module Layout = Alt_tensor.Layout
 module Program = Alt_ir.Program
+module Loopenv = Alt_ir.Loopenv
 module Machine = Alt_machine.Machine
 module Cache = Alt_machine.Cache
 
@@ -18,26 +16,13 @@ let dim = 24
 
 let log1p x = Float.log (1.0 +. x)
 
-(* Stride of [v] through the flattened offset of access [a]. *)
-let stride_of slots (a : Program.access) (v : Var.t) : int option =
-  let phys = Layout.physical_shape slots.(a.Program.slot).Program.layout in
-  let strides = Shape.strides phys in
-  let total = ref (Some 0) in
-  Array.iteri
-    (fun i e ->
-      match (!total, Ixexpr.coeff_of e v) with
-      | Some t, Some c -> total := Some (t + (c * strides.(i)))
-      | _ -> total := None)
-    a.Program.idx;
-  !total
-
 (* Approximate footprint (bytes) an access sweeps over the given loops:
    4 bytes times the extent of every loop the access depends on. *)
 let footprint slots (a : Program.access) (loops : Program.loop list) =
   let b = ref 4.0 in
   List.iter
     (fun (l : Program.loop) ->
-      match stride_of slots a l.Program.v with
+      match Loopenv.affine_stride slots a l.Program.v with
       | Some 0 -> ()
       | Some _ | None -> b := !b *. float_of_int l.Program.extent)
     loops;
@@ -63,7 +48,7 @@ let extract (machine : Machine.t) (p : Program.t) : float array =
         let c = ref 0 and s = ref 0 and i = ref 0 in
         List.iter
           (fun a ->
-            match stride_of slots a l.Program.v with
+            match Loopenv.affine_stride slots a l.Program.v with
             | Some 0 -> incr i
             | Some 1 -> incr c
             | Some _ | None -> incr s)

@@ -1,26 +1,28 @@
 (* Transport layer for the tuning service: owns the fds, the frame
-   decoding, and the event loop; all policy lives in Serve.
+   decoding and the one event loop; all policy lives in Serve.
 
-   Two transports:
+   One [select] loop serves both transports.  It decodes each client's
+   frames, answers synchronous requests at once, routes every tune reply
+   to the client that submitted its id, and steps the engine.  Input is
+   drained ahead of scheduling — every frame already readable is
+   admitted before the next engine step — so a run driven from a
+   pre-written request file is fully deterministic: admission depends
+   only on the file's order, never on read/step interleaving.  A
+   malformed frame is answered and ends that client's input; so does a
+   failed write (SIGPIPE is ignored while the loop runs).
 
-   - pipe mode: one client over stdin/stdout (or any fd pair).  Input
-     is drained ahead of scheduling — every frame already available is
-     admitted before the next engine step — so driving the daemon from
-     a pre-written request file is fully deterministic: admission
-     decisions depend only on the file's order, never on read/step
-     interleaving.  EOF on input starts a graceful drain: admitted
-     sessions run to completion, then the loop exits.
+   The transports differ in three things only: where clients come from
+   (pipe: one, over stdin/stdout; socket: any number, accepted on a
+   Unix-domain listener), what end of input means (the pipe's admitted
+   sessions drain, then the engine closes; a socket client is dropped
+   and its ids orphaned — the sessions still complete and journal —
+   while the loop serves the others), and where a reply that no
+   connected client owns goes (a recovered session's, a repeated id's,
+   an orphan's: the pipe writes it out, the socket drops it).
 
-   - socket mode: a Unix-domain listener with any number of concurrent
-     clients.  Each connection carries its own frame decoder; tune
-     responses are routed back to the connection that submitted the
-     request id.  A client that disconnects mid-tune orphans its ids —
-     the session still completes (and journals) but the responses are
-     dropped.
-
-   Input is read as raw bytes straight from the fd into the incremental
-   frame decoder — never through a buffered channel, which would
-   swallow bytes that [select] can no longer see.
+   Input is read as raw bytes straight from the fd into the decoder —
+   never through a buffered channel, which would swallow bytes that
+   [select] can no longer see.
 
    [kill_after_rounds] is the crash-injection hook: after that many
    scheduler rounds the process exits immediately with code 42 — no
@@ -47,17 +49,14 @@ let send fd json =
   let frame = Proto.frame_json json in
   write_all fd frame 0 (String.length frame)
 
+(* [None] at end of input; a read error ends the input too. *)
 let read_chunk fd =
   let buf = Bytes.create 65536 in
   match Unix.read fd buf 0 (Bytes.length buf) with
   | 0 -> None
   | n -> Some (Bytes.sub_string buf 0 n)
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> Some ""
-
-let readable ?(timeout = 0.0) fd =
-  match Unix.select [ fd ] [] [] timeout with
-  | r, _, _ -> r <> []
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  | exception Unix.Unix_error _ -> None
 
 let maybe_crash engine = function
   | Some k when Serve.rounds_stepped engine >= k ->
@@ -67,153 +66,152 @@ let maybe_crash engine = function
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Pipe mode                                                          *)
+(* The event loop                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type client = {
+  input : Unix.file_descr;
+  output : Unix.file_descr;
+  frames : Proto.Frames.t;
+  accepted : bool; (* opened by the listener, so the loop closes it *)
+}
+
+(* [listener] accepts new clients; [clients] are connected from the
+   start; [unowned] takes each reply whose id no connected client owns.
+   Returns after a [Shutdown], or once no client, no listener and no
+   work is left — then it closes the engine. *)
+let serve ?kill_after_rounds ?listener ~clients ~unowned engine =
+  let clients = ref clients in
+  let owner : (string, client) Hashtbl.t = Hashtbl.create 16 in
+  let stop = ref false in
+  let connected c = List.memq c !clients in
+  (* the end of a client's input: orphan its ids *)
+  let drop c =
+    if connected c then begin
+      clients := List.filter (fun o -> o != c) !clients;
+      Hashtbl.filter_map_inplace
+        (fun _ o -> if o == c then None else Some o)
+        owner;
+      if c.accepted then try Unix.close c.input with Unix.Unix_error _ -> ()
+    end
+  in
+  let reply c json =
+    try send c.output json
+    with Unix.Unix_error (e, _, _) ->
+      Log.warn (fun m -> m "client write failed: %s" (Unix.error_message e));
+      drop c
+  in
+  let route (id, json) =
+    match Hashtbl.find_opt owner id with
+    | Some c ->
+        Hashtbl.remove owner id;
+        reply c json
+    | None -> unowned (id, json)
+  in
+  let dispatch c payload =
+    match Proto.parse_request payload with
+    | Error msg -> reply c (Proto.error_response ~id:"" ~reason:msg)
+    | Ok (Proto.Shutdown _ as req) ->
+        List.iter (fun (_, j) -> reply c j) (Serve.submit engine req);
+        List.iter route (Serve.shutdown engine);
+        stop := true
+    | Ok req -> (
+        match (req, Serve.submit engine req) with
+        | Proto.Tune { id; _ }, [] ->
+            Hashtbl.replace owner id c (* answered on completion *)
+        | _, replies -> List.iter (fun (_, j) -> reply c j) replies)
+  in
+  (* dispatch every complete frame [c] has buffered *)
+  let rec decode c =
+    if (not !stop) && connected c then
+      match Proto.Frames.next c.frames with
+      | Ok None -> ()
+      | Ok (Some payload) ->
+          dispatch c payload;
+          decode c
+      | Error msg ->
+          (* strict framing: a malformed stream is fatal *)
+          reply c (Proto.error_response ~id:"" ~reason:("bad frame: " ^ msg));
+          drop c
+  in
+  let accept l =
+    match Unix.accept l with
+    | fd, _ ->
+        let frames = Proto.Frames.create () in
+        clients :=
+          !clients @ [ { input = fd; output = fd; frames; accepted = true } ]
+    | exception Unix.Unix_error (e, _, _) ->
+        Log.warn (fun m -> m "accept failed: %s" (Unix.error_message e))
+  in
+  (* drain ahead of scheduling: admit every readable frame, then look
+     again, until nothing is readable *)
+  let rec admit ~block =
+    let fds = Option.to_list listener @ List.map (fun c -> c.input) !clients in
+    if (not !stop) && fds <> [] then
+      match Unix.select fds [] [] (if block then -1.0 else 0.0) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | [], _, _ -> ()
+      | ready, _, _ ->
+          List.iter
+            (fun c ->
+              if (not !stop) && connected c && List.mem c.input ready then
+                match read_chunk c.input with
+                | None -> drop c
+                | Some chunk ->
+                    Proto.Frames.feed c.frames chunk;
+                    decode c)
+            !clients;
+          (match listener with
+          | Some l when (not !stop) && List.mem l ready -> accept l
+          | _ -> ());
+          admit ~block:false
+  in
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter drop !clients;
+      Sys.set_signal Sys.sigpipe sigpipe)
+    (fun () ->
+      while
+        (not !stop)
+        && (listener <> None || !clients <> [] || Serve.has_work engine)
+      do
+        admit ~block:(not (Serve.has_work engine));
+        if (not !stop) && Serve.has_work engine then begin
+          List.iter route (Serve.step engine);
+          maybe_crash engine kill_after_rounds
+        end
+      done;
+      if not !stop then ignore (Serve.shutdown engine : (string * Json.t) list))
+
+(* ------------------------------------------------------------------ *)
+(* Transports                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let run_pipe ?kill_after_rounds ?(input = Unix.stdin) ?(output = Unix.stdout)
     engine =
   let frames = Proto.Frames.create () in
-  let eof = ref false in
-  let stop = ref false in
-  (* decode and dispatch everything already buffered *)
-  let rec dispatch () =
-    if !stop then ()
-    else
-      match Proto.Frames.next frames with
-      | Ok None -> ()
-      | Error msg ->
-          (* strict framing: a malformed stream is fatal — answer, then
-             treat the stream as closed and drain *)
-          send output (Proto.error_response ~id:"" ~reason:("bad frame: " ^ msg));
-          eof := true
-      | Ok (Some payload) ->
-          (match Proto.parse_request payload with
-          | Error msg -> send output (Proto.error_response ~id:"" ~reason:msg)
-          | Ok (Proto.Shutdown _ as req) ->
-              List.iter (fun (_, j) -> send output j) (Serve.submit engine req);
-              List.iter (fun (_, j) -> send output j) (Serve.shutdown engine);
-              stop := true
-          | Ok req ->
-              List.iter (fun (_, j) -> send output j) (Serve.submit engine req));
-          dispatch ()
-  in
-  (* drain the input ahead of scheduling: admit every frame already
-     available before stepping, so file-driven runs are deterministic *)
-  let rec slurp ~block =
-    if (not !eof) && (not !stop)
-       && readable ~timeout:(if block then -1.0 else 0.0) input
-    then begin
-      (match read_chunk input with
-      | None -> eof := true
-      | Some chunk -> Proto.Frames.feed frames chunk);
-      dispatch ();
-      slurp ~block:false
-    end
-  in
-  while not !stop && ((not !eof) || Serve.has_work engine) do
-    slurp ~block:(not (Serve.has_work engine));
-    if (not !stop) && Serve.has_work engine then begin
-      List.iter (fun (_, j) -> send output j) (Serve.step engine);
-      maybe_crash engine kill_after_rounds
-    end
-  done;
-  if not !stop then ignore (Serve.shutdown engine : (string * Json.t) list)
-
-(* ------------------------------------------------------------------ *)
-(* Socket mode                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type conn = { fd : Unix.file_descr; frames : Proto.Frames.t }
+  serve ?kill_after_rounds
+    ~clients:[ { input; output; frames; accepted = false } ]
+    ~unowned:(fun (_, json) ->
+      try send output json with Unix.Unix_error _ -> ())
+    engine
 
 let run_socket ?kill_after_rounds ~path engine =
   if Sys.file_exists path then Sys.remove path;
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listener (Unix.ADDR_UNIX path);
-  Unix.listen listener 16;
-  Log.info (fun m -> m "listening on %s" path);
-  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 8 in
-  let owner : (string, conn) Hashtbl.t = Hashtbl.create 16 in
-  let stop = ref false in
-  let drop (c : conn) =
-    Hashtbl.remove conns c.fd;
-    Hashtbl.iter
-      (fun id o -> if o.fd == c.fd then Hashtbl.remove owner id)
-      owner;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
-  in
-  let send_conn c json =
-    try send c.fd json
-    with Unix.Unix_error _ ->
-      Log.warn (fun m -> m "client write failed; dropping connection");
-      drop c
-  in
-  (* route an engine response to whichever client owns the id *)
-  let route (id, json) =
-    match Hashtbl.find_opt owner id with
-    | Some c ->
-        Hashtbl.remove owner id;
-        send_conn c json
-    | None -> Log.debug (fun m -> m "dropping response for orphan id %S" id)
-  in
-  let dispatch (c : conn) =
-    let rec go () =
-      if !stop then ()
-      else
-        match Proto.Frames.next c.frames with
-        | Ok None -> ()
-        | Error msg ->
-            send_conn c (Proto.error_response ~id:"" ~reason:("bad frame: " ^ msg));
-            drop c
-        | Ok (Some payload) ->
-            (match Proto.parse_request payload with
-            | Error msg -> send_conn c (Proto.error_response ~id:"" ~reason:msg)
-            | Ok (Proto.Shutdown _ as req) ->
-                List.iter (fun (_, j) -> send_conn c j) (Serve.submit engine req);
-                List.iter route (Serve.shutdown engine);
-                stop := true
-            | Ok (Proto.Tune { id; _ } as req) -> (
-                match Serve.submit engine req with
-                | [] -> Hashtbl.replace owner id c (* answered on completion *)
-                | responses -> List.iter (fun (_, j) -> send_conn c j) responses)
-            | Ok req ->
-                List.iter (fun (_, j) -> send_conn c j) (Serve.submit engine req));
-            if Hashtbl.mem conns c.fd then go ()
-    in
-    go ()
-  in
-  while not !stop do
-    let fds = listener :: Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
-    let timeout = if Serve.has_work engine then 0.0 else -1.0 in
-    let ready =
-      match Unix.select fds [] [] timeout with
-      | r, _, _ -> r
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-    in
-    List.iter
-      (fun fd ->
-        if fd == listener then begin
-          let client, _ = Unix.accept listener in
-          Hashtbl.replace conns client
-            { fd = client; frames = Proto.Frames.create () }
-        end
-        else
-          match Hashtbl.find_opt conns fd with
-          | None -> ()
-          | Some c -> (
-              match read_chunk fd with
-              | None -> drop c
-              | Some chunk ->
-                  Proto.Frames.feed c.frames chunk;
-                  dispatch c))
-      ready;
-    if (not !stop) && Serve.has_work engine then begin
-      List.iter route (Serve.step engine);
-      maybe_crash engine kill_after_rounds
-    end
-  done;
-  Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) conns;
-  (try Unix.close listener with Unix.Unix_error _ -> ());
-  if Sys.file_exists path then Sys.remove path
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close listener with Unix.Unix_error _ -> ());
+      if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_UNIX path);
+      Unix.listen listener 16;
+      Log.info (fun m -> m "listening on %s" path);
+      serve ?kill_after_rounds ~listener ~clients:[]
+        ~unowned:(fun (id, _) ->
+          Log.debug (fun m -> m "dropping the reply to orphan id %S" id))
+        engine)
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                             *)

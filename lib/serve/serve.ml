@@ -52,12 +52,12 @@ type config = {
 }
 
 let default_config ?(jobs = 1) ?(max_active = 4) ?(max_queue = 8)
-    ?(shards = 16) ?journal_dir ?default_deadline_rounds () =
+    ?journal_dir ?default_deadline_rounds () =
   {
     pool = Pool.create ~jobs ();
     max_active;
     max_queue;
-    store = Store.create ~shards ();
+    store = Store.create ();
     journal_dir;
     default_deadline_rounds;
   }

@@ -29,14 +29,12 @@ val default_config :
   ?jobs:int ->
   ?max_active:int ->
   ?max_queue:int ->
-  ?shards:int ->
   ?journal_dir:string ->
   ?default_deadline_rounds:int ->
   unit ->
   config
 (** Fresh pool + store with the given knobs; defaults: [jobs:1],
-    [max_active:4], [max_queue:8], [shards:16], no journal, no default
-    deadline. *)
+    [max_active:4], [max_queue:8], no journal, no default deadline. *)
 
 type t
 

@@ -1,6 +1,6 @@
-(* The daemon's cross-session measurement store: a sharded map from
-   (measurement context, canonical program digest) to simulator results
-   and quarantine decisions, shared by every session the daemon runs.
+(* The daemon's cross-session measurement store: a map from (measurement
+   context, canonical program digest) to simulator results and
+   quarantine decisions, shared by every session the daemon runs.
 
    Entries are namespaced by the context key (Workload.context_key), so
    sessions may only ever observe entries produced under an identical
@@ -11,21 +11,12 @@
    failing is answered from quarantine by every later session instead of
    burning its retry budget again.
 
-   Shards are plain Hashtbls behind per-shard mutexes.  The tuner only
-   calls into the store from the scheduler domain today (sessions are
-   cooperatively interleaved, and pool workers never touch task state),
-   but the store is the one structure a future multi-domain daemon would
-   share, so it is locked now — the per-shard cost is one uncontended
-   mutex acquisition per lookup. *)
+   Every call arrives on one domain (the engine steps its sessions there;
+   pool workers only simulate), so the one mutex over both tables and
+   the counters is never contended. *)
 
 module Profiler = Alt_machine.Profiler
 module Measure = Alt_tuner.Measure
-
-type shard = {
-  lock : Mutex.t;
-  results : (string, Profiler.result) Hashtbl.t;
-  quarantine : (string, string) Hashtbl.t;
-}
 
 type stats = {
   mutable result_hits : int;
@@ -34,18 +25,18 @@ type stats = {
   mutable quarantine_inserts : int;
 }
 
-type t = { shards : shard array; stats : stats; slock : Mutex.t }
+type t = {
+  lock : Mutex.t;
+  results : (string, Profiler.result) Hashtbl.t;
+  quarantine : (string, string) Hashtbl.t;
+  stats : stats;
+}
 
-let create ?(shards = 16) () =
-  if shards < 1 then invalid_arg "Store.create: shards must be >= 1";
+let create () =
   {
-    shards =
-      Array.init shards (fun _ ->
-          {
-            lock = Mutex.create ();
-            results = Hashtbl.create 64;
-            quarantine = Hashtbl.create 8;
-          });
+    lock = Mutex.create ();
+    results = Hashtbl.create 1024;
+    quarantine = Hashtbl.create 128;
     stats =
       {
         result_hits = 0;
@@ -53,57 +44,41 @@ let create ?(shards = 16) () =
         quarantine_hits = 0;
         quarantine_inserts = 0;
       };
-    slock = Mutex.create ();
   }
 
-let locked lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Entries are keyed by "<ctx>/<program digest>"; the shard is chosen by
-   the combined key's hash so one hot context still spreads over all
-   shards. *)
-let slot t key = t.shards.(Hashtbl.hash key mod Array.length t.shards)
+(* Entries are keyed by "<ctx>/<program digest>"; [count] bumps the
+   table's hit or insert counter. *)
+let find t table ~count ~ctx key =
+  locked t (fun () ->
+      let r = Hashtbl.find_opt table (ctx ^ "/" ^ key) in
+      if Option.is_some r then count t.stats;
+      r)
 
-let find_result t ~ctx key =
+let publish t table ~count ~ctx key v =
   let k = ctx ^ "/" ^ key in
-  let s = slot t k in
-  let r = locked s.lock (fun () -> Hashtbl.find_opt s.results k) in
-  (match r with
-  | Some _ -> locked t.slock (fun () -> t.stats.result_hits <- t.stats.result_hits + 1)
-  | None -> ());
-  r
-
-let publish_result t ~ctx key result =
-  let k = ctx ^ "/" ^ key in
-  let s = slot t k in
-  locked s.lock (fun () ->
-      if not (Hashtbl.mem s.results k) then begin
-        Hashtbl.replace s.results k result;
-        locked t.slock (fun () ->
-            t.stats.result_inserts <- t.stats.result_inserts + 1)
+  locked t (fun () ->
+      if not (Hashtbl.mem table k) then begin
+        Hashtbl.replace table k v;
+        count t.stats
       end)
 
-let find_quarantine t ~ctx key =
-  let k = ctx ^ "/" ^ key in
-  let s = slot t k in
-  let r = locked s.lock (fun () -> Hashtbl.find_opt s.quarantine k) in
-  (match r with
-  | Some _ ->
-      locked t.slock (fun () ->
-          t.stats.quarantine_hits <- t.stats.quarantine_hits + 1)
-  | None -> ());
-  r
+let find_result t =
+  find t t.results ~count:(fun s -> s.result_hits <- s.result_hits + 1)
 
-let publish_quarantine t ~ctx key reason =
-  let k = ctx ^ "/" ^ key in
-  let s = slot t k in
-  locked s.lock (fun () ->
-      if not (Hashtbl.mem s.quarantine k) then begin
-        Hashtbl.replace s.quarantine k reason;
-        locked t.slock (fun () ->
-            t.stats.quarantine_inserts <- t.stats.quarantine_inserts + 1)
-      end)
+let publish_result t =
+  publish t t.results ~count:(fun s -> s.result_inserts <- s.result_inserts + 1)
+
+let find_quarantine t =
+  find t t.quarantine ~count:(fun s ->
+      s.quarantine_hits <- s.quarantine_hits + 1)
+
+let publish_quarantine t =
+  publish t t.quarantine ~count:(fun s ->
+      s.quarantine_inserts <- s.quarantine_inserts + 1)
 
 let view t ~ctx : Measure.shared_store =
   {
@@ -114,17 +89,14 @@ let view t ~ctx : Measure.shared_store =
   }
 
 let sizes t =
-  Array.fold_left
-    (fun (r, q) s ->
-      locked s.lock (fun () ->
-          (r + Hashtbl.length s.results, q + Hashtbl.length s.quarantine)))
-    (0, 0) t.shards
+  locked t (fun () -> (Hashtbl.length t.results, Hashtbl.length t.quarantine))
 
 let stats t =
-  locked t.slock (fun () ->
+  locked t (fun () ->
+      let s = t.stats in
       {
-        result_hits = t.stats.result_hits;
-        result_inserts = t.stats.result_inserts;
-        quarantine_hits = t.stats.quarantine_hits;
-        quarantine_inserts = t.stats.quarantine_inserts;
+        result_hits = s.result_hits;
+        result_inserts = s.result_inserts;
+        quarantine_hits = s.quarantine_hits;
+        quarantine_inserts = s.quarantine_inserts;
       })

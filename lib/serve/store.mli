@@ -1,6 +1,6 @@
-(** The daemon's cross-session measurement store: sharded maps from
+(** The daemon's cross-session measurement store: two tables from
     (measurement context, canonical program digest) to simulator results
-    and quarantine decisions, behind per-shard mutexes.  Sessions plug
+    and quarantine decisions, behind one mutex.  Sessions plug
     in through {!view}, which namespaces every entry by the session's
     {!Workload.context_key} — only sessions with an identical
     measurement configuration can observe each other's entries, which
@@ -20,8 +20,7 @@ type stats = {
   mutable quarantine_inserts : int;
 }
 
-val create : ?shards:int -> unit -> t
-(** Default 16 shards; raises [Invalid_argument] below 1. *)
+val create : unit -> t
 
 val view : t -> ctx:string -> Measure.shared_store
 (** The store as seen by one measurement context — pass the session's
@@ -36,7 +35,7 @@ val find_quarantine : t -> ctx:string -> string -> string option
 val publish_quarantine : t -> ctx:string -> string -> string -> unit
 
 val sizes : t -> int * int
-(** [(results, quarantine)] entry totals across all shards. *)
+(** [(results, quarantine)] entry totals. *)
 
 val stats : t -> stats
 (** A consistent copy of the hit/insert counters. *)

@@ -26,7 +26,7 @@ module Tuner = Alt_tuner.Tuner
 module Json = Alt_obs.Json
 
 type op_spec = {
-  kind : string; (* c2d dil grp dep c1d c3d gmm t2d *)
+  kind : string; (* one of [op_kinds] *)
   batch : int;
   channels : int;
   out_channels : int;
@@ -46,34 +46,52 @@ let default_op =
     stride = 1;
   }
 
-(* The CLI's operator constructor, shared by tune-op/show-op/serve. *)
-let op_of_spec (s : op_spec) : Opdef.t =
+(* Every operator kind, in help order, with how a spec builds it: the
+   one table behind [op_kinds] (the CLI's --op values) and [op_of_spec],
+   so the two cannot drift. *)
+let constructors (s : op_spec) : (string * (unit -> Opdef.t)) list =
   let n = s.batch and i = s.channels and o = s.out_channels in
   let hw = s.spatial and k = s.kernel and stride = s.stride in
-  match s.kind with
-  | "c2d" ->
-      Ops.c2d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw ~kh:k
-        ~kw:k ~stride ()
-  | "dil" ->
-      Ops.dil ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw ~kh:k
-        ~kw:k ~stride ()
-  | "grp" ->
-      Ops.grp ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw ~kh:k
-        ~kw:k ~groups:2 ~stride ()
-  | "dep" ->
-      Ops.dep ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~c:i ~h:hw ~w:hw ~kh:k
-        ~kw:k ~stride ()
-  | "c1d" ->
-      Ops.c1d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~w:(hw * hw)
-        ~kw:k ~stride ()
-  | "c3d" ->
-      Ops.c3d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~d:4 ~h:hw ~w:hw
-        ~kd:k ~kh:k ~kw:k ~stride ()
-  | "gmm" -> Ops.gmm ~name:"op" ~a:"A" ~b:"B" ~out:"C" ~m:hw ~k:i ~n:o ()
-  | "t2d" ->
-      Ops.t2d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw ~kh:k
-        ~kw:k ()
-  | k -> Fmt.failwith "unknown operator kind %S" k
+  [
+    ( "c2d",
+      fun () ->
+        Ops.c2d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw
+          ~kh:k ~kw:k ~stride () );
+    ( "grp",
+      fun () ->
+        Ops.grp ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw
+          ~kh:k ~kw:k ~groups:2 ~stride () );
+    ( "dep",
+      fun () ->
+        Ops.dep ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~c:i ~h:hw ~w:hw
+          ~kh:k ~kw:k ~stride () );
+    ( "dil",
+      fun () ->
+        Ops.dil ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw
+          ~kh:k ~kw:k ~stride () );
+    ( "c1d",
+      fun () ->
+        Ops.c1d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~w:(hw * hw)
+          ~kw:k ~stride () );
+    ( "c3d",
+      fun () ->
+        Ops.c3d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~d:4 ~h:hw
+          ~w:hw ~kd:k ~kh:k ~kw:k ~stride () );
+    ( "gmm",
+      fun () -> Ops.gmm ~name:"op" ~a:"A" ~b:"B" ~out:"C" ~m:hw ~k:i ~n:o () );
+    ( "t2d",
+      fun () ->
+        Ops.t2d ~name:"op" ~inp:"X" ~ker:"K" ~out:"Y" ~n ~i ~o ~h:hw ~w:hw
+          ~kh:k ~kw:k () );
+  ]
+
+let op_kinds = List.map fst (constructors default_op)
+
+(* The CLI's operator constructor, shared by tune-op/show-op/serve. *)
+let op_of_spec (s : op_spec) : Opdef.t =
+  match List.assoc_opt s.kind (constructors s) with
+  | Some build -> build ()
+  | None -> Fmt.failwith "unknown operator kind %S" s.kind
 
 let op_spec_to_json (s : op_spec) : Json.t =
   Json.Obj

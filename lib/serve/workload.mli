@@ -11,7 +11,7 @@ module Machine = Alt_machine.Machine
 module Json = Alt_obs.Json
 
 type op_spec = {
-  kind : string;  (** c2d, dil, grp, dep, c1d, c3d, gmm, t2d *)
+  kind : string;  (** one of {!op_kinds} *)
   batch : int;
   channels : int;
   out_channels : int;
@@ -23,6 +23,10 @@ type op_spec = {
 val default_op : op_spec
 
 val string_field : Json.t -> string -> string -> string
+
+val op_kinds : string list
+(** Every operator kind {!op_of_spec} builds, in help order: c2d, grp,
+    dep, dil, c1d, c3d, gmm, t2d. *)
 
 val op_of_spec : op_spec -> Opdef.t
 (** Construct the operator (raises [Failure] on an unknown kind — use

@@ -11,22 +11,23 @@ module Shape = Alt_tensor.Shape
 module Opdef = Alt_ir.Opdef
 module Graph = Alt_graph.Graph
 
+(* The operator kind with its window geometry: "conv:3.1.1", "gmm", ... *)
+let kind_tag (op : Opdef.t) =
+  match op.Opdef.kind with
+  | Opdef.Conv c ->
+      Fmt.str "conv:%s"
+        (String.concat ","
+           (List.map
+              (fun (s : Opdef.conv_spatial) ->
+                Fmt.str "%d.%d.%d" s.Opdef.kernel s.Opdef.stride
+                  s.Opdef.dilation)
+              c.spatials))
+  | Opdef.Matmul m -> if m.batched then "bmm" else "gmm"
+  | Opdef.Simple -> "simple"
+
 (* Structural signature of a tuning task for deduplication. *)
 let signature (op : Opdef.t) (fused : Opdef.t list) : string =
-  let kind_tag =
-    match op.Opdef.kind with
-    | Opdef.Conv c ->
-        Fmt.str "conv:%s"
-          (String.concat ","
-             (List.map
-                (fun (s : Opdef.conv_spatial) ->
-                  Fmt.str "%d.%d.%d" s.Opdef.kernel s.Opdef.stride
-                    s.Opdef.dilation)
-                c.spatials))
-    | Opdef.Matmul m -> if m.batched then "bmm" else "gmm"
-    | Opdef.Simple -> "simple"
-  in
-  Fmt.str "%s|out=%a|in=%s|chain=%d" kind_tag Shape.pp op.Opdef.out_shape
+  Fmt.str "%s|out=%a|in=%s|chain=%d" (kind_tag op) Shape.pp op.Opdef.out_shape
     (String.concat ";"
        (List.map (fun (_, s) -> Shape.to_string s) op.Opdef.inputs))
     (List.length fused)
@@ -53,20 +54,7 @@ let fusable_chain (g : Graph.t) (node : Graph.node) : Graph.node list =
    tasks whose latency structure is close enough for the transferred
    trees to rank candidates usefully. *)
 let transfer_key (op : Opdef.t) : string =
-  let kind_tag =
-    match op.Opdef.kind with
-    | Opdef.Conv c ->
-        Fmt.str "conv:%s"
-          (String.concat ","
-             (List.map
-                (fun (s : Opdef.conv_spatial) ->
-                  Fmt.str "%d.%d.%d" s.Opdef.kernel s.Opdef.stride
-                    s.Opdef.dilation)
-                c.spatials))
-    | Opdef.Matmul m -> if m.batched then "bmm" else "gmm"
-    | Opdef.Simple -> "simple"
-  in
-  Fmt.str "%s|rank=%d|nred=%d" kind_tag
+  Fmt.str "%s|rank=%d|nred=%d" (kind_tag op)
     (Shape.rank op.Opdef.out_shape)
     (List.length op.Opdef.reduce)
 

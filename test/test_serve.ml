@@ -1,6 +1,6 @@
 (* Tests for the tuning-as-a-service daemon (DESIGN.md §13): wire
-   protocol framing, the sharded cross-session store, and the serve
-   engine's headline guarantees —
+   protocol framing, the cross-session store, both transports, and the
+   serve engine's headline guarantees —
 
    - N concurrent daemon sessions produce byte-identical results to N
      solo tune-op runs (with and without faults, for every pool size);
@@ -195,7 +195,7 @@ let some_result () =
   | o -> Alcotest.failf "fixed candidate did not measure: %a" Measure.pp_outcome o
 
 let test_store_isolation_and_first_writer () =
-  let st = Store.create ~shards:4 () in
+  let st = Store.create () in
   let r = some_result () in
   Store.publish_result st ~ctx:"ctxA" "k1" r;
   Alcotest.(check bool)
@@ -222,10 +222,7 @@ let test_store_isolation_and_first_writer () =
   Alcotest.(check int) "result inserts" 1 s.Store.result_inserts;
   Alcotest.(check int) "quarantine inserts" 1 s.Store.quarantine_inserts;
   Alcotest.(check bool) "hits counted" true (s.Store.result_hits >= 2);
-  Alcotest.(check (pair int int)) "sizes" (1, 1) (Store.sizes st);
-  (match Store.create ~shards:0 () with
-  | _ -> Alcotest.fail "accepted 0 shards"
-  | exception Invalid_argument _ -> ())
+  Alcotest.(check (pair int int)) "sizes" (1, 1) (Store.sizes st)
 
 let test_context_keys () =
   let a = spec () in
@@ -617,6 +614,139 @@ let test_pipe_daemon_rejects_bad_stream () =
   | l -> Alcotest.failf "expected one error frame, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
+(* Socket-mode daemon                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every wait on the socket daemon is bounded, so a regression fails
+   instead of hanging the suite. *)
+let wait_bound_s = 30.0
+
+let poll ~what cond =
+  let deadline = Unix.gettimeofday () +. wait_bound_s in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.005
+  done
+
+(* The file appears at bind, a moment before listen: retry refusals. *)
+let connect path =
+  let fd = ref None in
+  poll ~what:"a connection" (fun () ->
+      let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect s (Unix.ADDR_UNIX path) with
+      | () ->
+          fd := Some s;
+          true
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+          Unix.close s;
+          false);
+  Option.get !fd
+
+let send_request fd r =
+  let frame = Proto.frame_json (Proto.request_to_json r) in
+  Alcotest.(check int)
+    "request written whole" (String.length frame)
+    (Unix.write_substring fd frame 0 (String.length frame))
+
+(* The frames [fd] receives until [want] have arrived or the daemon
+   closes the connection. *)
+let recv ?(want = max_int) fd =
+  let d = Proto.Frames.create () in
+  let buf = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. wait_bound_s in
+  let rec go acc =
+    match Proto.Frames.next d with
+    | Error e -> Alcotest.failf "daemon sent a bad frame: %s" e
+    | Ok (Some p) -> (
+        match Json.parse p with
+        | Ok j -> go (j :: acc)
+        | Error e -> Alcotest.failf "daemon sent bad JSON: %s" e)
+    | Ok None when List.length acc >= want -> List.rev acc
+    | Ok None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then Alcotest.fail "timed out waiting for the daemon";
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> go acc
+        | _ -> (
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> List.rev acc
+            | n ->
+                Proto.Frames.feed d (Bytes.sub_string buf 0 n);
+                go acc))
+  in
+  go []
+
+let call path r =
+  let fd = connect path in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      send_request fd r;
+      match recv ~want:1 fd with
+      | [ j ] -> j
+      | l -> Alcotest.failf "expected one reply, got %d" (List.length l))
+
+let int_member name j =
+  match Option.bind (Json.member name j) Json.to_int_opt with
+  | Some v -> v
+  | None -> Alcotest.failf "no %S in %s" name (Json.to_string j)
+
+let test_socket_daemon () =
+  let specs = [ ("a", spec ()); ("b", spec ~op:c2d_op ~seed:1 ()) ] in
+  let piped =
+    run_pipe_on_file ~requests:(List.map (fun (id, s) -> tune ~id s) specs)
+  in
+  with_tmpdir @@ fun dir ->
+  let path = Filename.concat dir "s.sock" in
+  let engine = Serve.create (Serve.default_config ~max_active:2 ()) in
+  let returned = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set returned true)
+          (fun () -> Daemon.run_socket ~path engine))
+  in
+  poll ~what:"the socket file" (fun () -> Sys.file_exists path);
+  (* two clients connect at once, each submits its own spec *)
+  let clients = List.map (fun (id, s) -> (id, s, connect path)) specs in
+  List.iter (fun (id, s, fd) -> send_request fd (tune ~id s)) clients;
+  (* a third submits and leaves before its reply *)
+  let gone = connect path in
+  send_request gone (tune ~id:"c" (spec ~budget:8 ~seed:2 ()));
+  Unix.close gone;
+  let stats = ref Json.Null in
+  poll ~what:"the sessions to finish" (fun () ->
+      stats := call path (Proto.Stats { id = "s" });
+      int_member "active" !stats = 0 && int_member "waiting" !stats = 0);
+  Alcotest.(check int)
+    "the orphaned session completed too" 3
+    (int_member "completed" !stats);
+  let bye = call path (Proto.Shutdown { id = "k" }) in
+  Alcotest.(check bool)
+    "shutdown answered" true
+    (Json.member "shutting_down" bye = Some (Json.Bool true));
+  poll ~what:"run_socket to return" (fun () -> Atomic.get returned);
+  Domain.join daemon;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  (* each connection got exactly its own reply, as the pipe gives it *)
+  List.iter
+    (fun (id, _, fd) ->
+      let frames = recv fd in
+      Unix.close fd;
+      let expected =
+        List.find
+          (fun j ->
+            Option.bind (Json.member "id" j) Json.to_string_opt = Some id)
+          piped
+      in
+      Alcotest.(check (list string))
+        ("client " ^ id ^ " = pipe reply")
+        [ Json.to_string expected ]
+        (List.map Json.to_string frames))
+    clients
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -714,5 +844,7 @@ let () =
             test_pipe_daemon_end_to_end;
           Alcotest.test_case "pipe daemon rejects a bad stream" `Quick
             test_pipe_daemon_rejects_bad_stream;
+          Alcotest.test_case "socket daemon: two clients, an orphan, shutdown"
+            `Quick test_socket_daemon;
         ] );
     ]
