@@ -2,7 +2,7 @@
 .PHONY: all check test bench bench-profiler bench-profiler-smoke \
 	bench-tuner bench-tuner-smoke fault-smoke obs-smoke exec-smoke \
 	serve-smoke relation-smoke bench-crossval bench-crossval-smoke \
-	bench-exec bench-exec-smoke bench-e2e bench-e2e-smoke clean
+	bench-e2e bench-e2e-smoke clean
 
 all:
 	dune build @all
@@ -86,18 +86,6 @@ bench-crossval:
 bench-crossval-smoke:
 	ALT_BENCH_SCALE=smoke dune exec bench/bench_crossval.exe
 
-# domain-parallel exec benchmark: measures the layout zoo at 1/2/4
-# domains, writes BENCH_exec.json with serial-vs-parallel wall curves,
-# and fails on any legality fallback (silent serialization) or — at
-# quick/full on a >= 4 core box — if the macro-bound geomean speedup at
-# 4 domains drops below 1.5x; also re-checks the exec<->sim Spearman
-# floor under parallel measurement (ALT_BENCH_SCALE=smoke|quick|full)
-bench-exec:
-	dune exec bench/bench_exec.exe
-
-bench-exec-smoke:
-	ALT_BENCH_SCALE=smoke dune exec bench/bench_exec.exe
-
 # end-to-end scheduler benchmark: tunes the zoo twice at equal global
 # budget (static split vs gradient scheduler + cost-model transfer),
 # writes BENCH_e2e.json with per-model latency-vs-trials curves, and
@@ -111,7 +99,7 @@ bench-e2e-smoke:
 
 check: all test relation-smoke bench-profiler-smoke bench-tuner-smoke \
 	fault-smoke obs-smoke exec-smoke serve-smoke bench-crossval-smoke \
-	bench-exec-smoke bench-e2e-smoke
+	bench-e2e-smoke
 
 # quick-scale regeneration of the paper's tables and figures
 bench:

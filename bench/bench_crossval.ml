@@ -109,7 +109,7 @@ let json_of_rows rows =
 
 let () =
   let repeats = pick ~smoke:3 ~quick:5 ~full:9 in
-  let cfg = { Exec.warmup = 1; repeats; clock = Exec.Wall; domains = 1 } in
+  let cfg = { Exec.warmup = 1; repeats; clock = Exec.Wall } in
   (* streaming workload: miss-dominated on both devices, so layout is
      the first-order cost and rank agreement should be strongest *)
   let side = pick ~smoke:512 ~quick:768 ~full:1536 in

@@ -162,24 +162,10 @@ let exec_repeats_arg =
           "Timed runs per exec-backend measurement; the median is the \
            reported latency.")
 
-let exec_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "exec-domains" ] ~docv:"N"
-        ~doc:
-          "Domains each exec-backend kernel runs its leading parallel loops \
-           across (0 = all cores; default 1 = serial, today's behavior).  \
-           Outputs are bit-identical for every value; kernels whose \
-           schedules cannot be proven write-disjoint fall back to serial \
-           and are counted in exec.parallel.fallbacks.  Composes with \
-           --jobs: each concurrently measured candidate uses the shared \
-           domain team in turn.")
-
-let backend_of sel ~warmup ~repeats ~domains =
-  let domains = if domains <= 0 then Pool.default_jobs () else domains in
+let backend_of sel ~warmup ~repeats =
   match sel with
   | `Sim -> Runtime.Sim
-  | `Exec -> Runtime.Exec { Exec.warmup; repeats; clock = Exec.Wall; domains }
+  | `Exec -> Runtime.Exec { Exec.warmup; repeats; clock = Exec.Wall }
 
 let op_kind_arg =
   let kinds = List.map (fun k -> (k, k)) Workload.op_kinds in
@@ -235,7 +221,7 @@ let system_arg =
 let tune_op_cmd =
   let run machine budget seed jobs kind batch channels out_channels spatial
       kernel stride system fault_rate fault_seed retries watchdog checkpoint
-      resume backend_sel exec_warmup exec_repeats exec_domains trace metrics =
+      resume backend_sel exec_warmup exec_repeats trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
@@ -245,7 +231,6 @@ let tune_op_cmd =
     let faults = faults_of ~rate:fault_rate ~seed:fault_seed in
     let backend =
       backend_of backend_sel ~warmup:exec_warmup ~repeats:exec_repeats
-        ~domains:exec_domains
     in
     let task =
       Measure.make_task ~machine ~faults ~retries ?watchdog_points:watchdog
@@ -270,14 +255,9 @@ let tune_op_cmd =
     Fmt.pr "system      : %s@." (Tuner.system_name system);
     (match backend with
     | Runtime.Sim -> ()
-    | Runtime.Exec cfg ->
-        (* the serial line is byte-identical to before the knob existed *)
-        if cfg.Exec.domains = 1 then
-          Fmt.pr "backend     : %s (wall-clock, serial device)@."
-            (Runtime.backend_tag backend)
-        else
-          Fmt.pr "backend     : %s (wall-clock, %d domains)@."
-            (Runtime.backend_tag backend) cfg.Exec.domains);
+    | Runtime.Exec _ ->
+        Fmt.pr "backend     : %s (wall-clock, serial device)@."
+          (Runtime.backend_tag backend));
     Fmt.pr "machine     : %a@." Machine.pp machine;
     Fmt.pr "jobs        : %d (%.2fs wall; cache %d hits / %d misses)@." jobs
       elapsed
@@ -324,8 +304,8 @@ let tune_op_cmd =
       $ batch_arg $ channels_arg $ out_channels_arg $ spatial_arg $ kernel_arg
       $ stride_arg $ system_arg $ fault_rate_arg $ fault_seed_arg
       $ retries_arg $ watchdog_arg $ checkpoint_arg $ resume_arg
-      $ backend_arg $ exec_warmup_arg $ exec_repeats_arg $ exec_domains_arg
-      $ trace_arg $ metrics_arg)
+      $ backend_arg $ exec_warmup_arg $ exec_repeats_arg $ trace_arg
+      $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* tune-model                                                         *)
@@ -372,15 +352,13 @@ let scheduler_arg =
 
 let tune_model_cmd =
   let run machine budget seed jobs model batch system scheduler fault_rate
-      fault_seed retries backend_sel exec_warmup exec_repeats
-      exec_domains trace metrics =
+      fault_seed retries backend_sel exec_warmup exec_repeats trace metrics =
     setup_logs ();
     setup_obs ~trace ~metrics;
     let jobs = resolve_jobs jobs in
     let faults = faults_of ~rate:fault_rate ~seed:fault_seed in
     let backend =
       backend_of backend_sel ~warmup:exec_warmup ~repeats:exec_repeats
-        ~domains:exec_domains
     in
     let spec = zoo_spec model ~batch in
     Fmt.pr "tuning %s with %s on %a (budget %d)...@." spec.Zoo.name
@@ -403,8 +381,7 @@ let tune_model_cmd =
       const run $ machine_arg $ budget_arg $ seed_arg $ jobs_arg $ model_arg
       $ batch_arg $ gsystem_arg $ scheduler_arg $ fault_rate_arg
       $ fault_seed_arg $ retries_arg $ backend_arg
-      $ exec_warmup_arg $ exec_repeats_arg $ exec_domains_arg
-      $ trace_arg $ metrics_arg)
+      $ exec_warmup_arg $ exec_repeats_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* schedule                                                           *)

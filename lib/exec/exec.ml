@@ -20,9 +20,9 @@ module Trace = Alt_obs.Trace
 module Json = Alt_obs.Json
 
 type clock = Wall | Virtual of (Program.t -> float)
-type cfg = { warmup : int; repeats : int; clock : clock; domains : int }
+type cfg = { warmup : int; repeats : int; clock : clock }
 
-let default_cfg = { warmup = 2; repeats = 5; clock = Wall; domains = 1 }
+let default_cfg = { warmup = 2; repeats = 5; clock = Wall }
 
 type wall = {
   median_ms : float;
@@ -32,46 +32,23 @@ type wall = {
   samples : float array;
   macro_groups : int;
   generic_groups : int;
-  par_chunks : int;
-  par_fallbacks : int;
-  imbalance_pct : float;
 }
 
-(* Observability: counters are cheap and domain-safe; the histograms are
+(* Observability: counters are cheap and domain-safe; the histogram is
    only touched from the measuring (tuning) domain. *)
 let m_compiles = Metrics.counter "exec.compiles"
 let m_runs = Metrics.counter "exec.runs"
 let m_macro_groups = Metrics.counter "exec.macro_groups"
 let m_generic_groups = Metrics.counter "exec.generic_groups"
-let m_par_chunks = Metrics.counter "exec.parallel.chunks"
-let m_par_fallbacks = Metrics.counter "exec.parallel.fallbacks"
 
 let h_wall =
   Metrics.histogram "exec.wall_ms"
     ~buckets:[ 0.001; 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0 ]
 
-let h_imbalance =
-  Metrics.histogram "exec.parallel.imbalance_pct"
-    ~buckets:[ 1.0; 5.0; 10.0; 25.0; 50.0; 100.0 ]
-
 let median sorted =
   let n = Array.length sorted in
   if n land 1 = 1 then sorted.(n / 2)
   else 0.5 *. (sorted.((n / 2) - 1) +. sorted.(n / 2))
-
-(* Load imbalance of the latest parallel run: how much slower the
-   slowest chunk was than the mean, in percent.  0 when serial (or when
-   the run was too fast for the clock to resolve). *)
-let imbalance_of (k : Kernel.t) =
-  let ms = k.Kernel.par_ms in
-  let n = Array.length ms in
-  if n = 0 then 0.0
-  else begin
-    let sum = Array.fold_left ( +. ) 0.0 ms in
-    let mx = Array.fold_left Float.max 0.0 ms in
-    let mean = sum /. float_of_int n in
-    if mean <= 0.0 then 0.0 else (mx -. mean) /. mean *. 100.0
-  end
 
 let summarize (k : Kernel.t) samples =
   let sorted = Array.copy samples in
@@ -86,13 +63,10 @@ let summarize (k : Kernel.t) samples =
     samples;
     macro_groups = k.Kernel.stats.Kernel.macro_groups;
     generic_groups = k.Kernel.stats.Kernel.generic_groups;
-    par_chunks = k.Kernel.stats.Kernel.par_chunks;
-    par_fallbacks = k.Kernel.stats.Kernel.par_fallbacks;
-    imbalance_pct = imbalance_of k;
   }
 
 let measure_inner cfg prog ~bufs =
-  let k = Kernel.compile ~domains:cfg.domains prog ~bufs in
+  let k = Kernel.compile prog ~bufs in
   let samples =
     match cfg.clock with
     | Virtual f ->
@@ -121,9 +95,6 @@ let measure_inner cfg prog ~bufs =
       | Wall -> cfg.warmup + cfg.repeats);
     Metrics.add m_macro_groups w.macro_groups;
     Metrics.add m_generic_groups w.generic_groups;
-    Metrics.add m_par_chunks w.par_chunks;
-    Metrics.add m_par_fallbacks w.par_fallbacks;
-    if w.par_chunks > 0 then Metrics.observe h_imbalance w.imbalance_pct;
     Metrics.observe h_wall w.median_ms
   end;
   w
@@ -131,19 +102,16 @@ let measure_inner cfg prog ~bufs =
 let measure ?(cfg = default_cfg) prog ~bufs =
   if cfg.repeats < 1 then invalid_arg "Exec.measure: repeats < 1";
   if cfg.warmup < 0 then invalid_arg "Exec.measure: warmup < 0";
-  if cfg.domains < 1 then invalid_arg "Exec.measure: domains < 1";
   if Trace.enabled () then
     Trace.with_span "exec.measure"
       ~attrs:
-        ([
-           ("program", Json.String prog.Program.pname);
-           ("repeats", Json.Int cfg.repeats);
-           ( "clock",
-             Json.String
-               (match cfg.clock with Wall -> "wall" | Virtual _ -> "virtual") );
-         ]
-        (* only when engaged, so default traces stay byte-identical *)
-        @ if cfg.domains > 1 then [ ("domains", Json.Int cfg.domains) ] else [])
+        [
+          ("program", Json.String prog.Program.pname);
+          ("repeats", Json.Int cfg.repeats);
+          ( "clock",
+            Json.String
+              (match cfg.clock with Wall -> "wall" | Virtual _ -> "virtual") );
+        ]
       (fun () -> measure_inner cfg prog ~bufs)
   else measure_inner cfg prog ~bufs
 

@@ -1,5 +1,7 @@
 (** Exec-backend measurement discipline (DESIGN.md §12): compile once,
-    warm up, then take repeated timed runs and report the median.
+    warm up, then take repeated timed runs and report the median.  The
+    device is serial: a kernel runs its [Parallel] loops like any other
+    loop (see {!Kernel}).
 
     Wall-clock numbers are inherently noisy, so two rules hold
     everywhere this module is used: assertions compare ratios, never
@@ -16,11 +18,7 @@ type clock =
       (** deterministic pseudo-time: every sample is [f prog]; the
           kernel still executes (once) so outputs are produced *)
 
-type cfg = { warmup : int; repeats : int; clock : clock; domains : int }
-(** [domains] > 1 runs each kernel's leading parallel band across that
-    many OCaml domains when the disjointness check passes (see
-    {!Kernel.compile}); outputs are bit-identical to [domains = 1]
-    regardless. *)
+type cfg = { warmup : int; repeats : int; clock : clock }
 
 (** One measurement: order statistics over the timed samples plus the
     kernel's compile-time coverage counters. *)
@@ -32,11 +30,6 @@ type wall = {
   samples : float array;  (** per-repeat milliseconds, in run order *)
   macro_groups : int;
   generic_groups : int;
-  par_chunks : int;  (** parallel chunks dispatched over all runs *)
-  par_fallbacks : int;  (** 1 iff [domains > 1] could not engage *)
-  imbalance_pct : float;
-      (** (slowest chunk - mean) / mean of the final run, percent; 0
-          when serial *)
 }
 
 val measure : ?cfg:cfg -> Program.t -> bufs:float array array -> wall
@@ -47,9 +40,8 @@ val measure : ?cfg:cfg -> Program.t -> bufs:float array array -> wall
     accumulate into the previous run's outputs.  After [measure] returns,
     [bufs] holds the outputs of the final run, element-wise equal to a
     single interpreter execution.
-    Raises [Invalid_argument] if [repeats < 1], [warmup < 0] or
-    [domains < 1], or on a buffer shape mismatch (see
-    {!Kernel.compile}). *)
+    Raises [Invalid_argument] if [repeats < 1] or [warmup < 0], or on a
+    buffer shape mismatch (see {!Kernel.compile}). *)
 
 val spread : wall -> float
 (** Relative spread [(max - min) / median] of the timed samples: the

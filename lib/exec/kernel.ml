@@ -14,37 +14,21 @@
    to a simulator run of the same program (test/test_exec.ml pins it).
    The kernels take every group the leaf compiler accepts; the
    simulator declines loads under a select and several Reduce leaves.
+   [Parallel] loops run serially, like any other loop: the simulator's
+   machine model is what prices [Schedule.parallel]. *)
 
-   Parallel driver (DESIGN.md §15): with [domains > 1] the leading
-   [Parallel] loops of the nest are flattened into one iteration space,
-   chunked into deterministic contiguous blocks, and the blocks run on a
-   resident {!Alt_parallel.Team}.  Each block executes an independently
-   compiled copy of the inner nest (own loop environment, own hoisted
-   bases), so blocks share nothing but the buffers; a compile-time
-   legality check proves every buffer written in the nest is touched at
-   offsets disjoint across distinct parallel indices, which is what
-   keeps reduction accumulation chains sequential per output element and
-   the outputs bit-identical to a serial run.  Nests that fail the check
-   (or have no parallel band) fall back to the serial path and count a
-   [par_fallbacks] tick, so silent serialization is observable. *)
-
-module Var = Alt_tensor.Var
-module Ixexpr = Alt_tensor.Ixexpr
 module Shape = Alt_tensor.Shape
 module Layout = Alt_tensor.Layout
 module Program = Alt_ir.Program
 module Sexpr = Alt_ir.Sexpr
 module Loopenv = Alt_ir.Loopenv
 module Lower = Alt_ir.Lower
-module Team = Alt_parallel.Team
 
 type stats = {
   mutable macro_groups : int;
   mutable generic_groups : int;
   mutable macro_runs : int;
   mutable generic_runs : int;
-  mutable par_chunks : int;
-  mutable par_fallbacks : int;
 }
 
 type t = {
@@ -52,7 +36,6 @@ type t = {
   bufs : float array array;
   run : unit -> unit;
   stats : stats;
-  par_ms : float array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -189,165 +172,7 @@ let compile_stmts ctx st vm (slots : Program.slot array)
   in
   comp body
 
-(* ------------------------------------------------------------------ *)
-(* Parallel driver (DESIGN.md §15)                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Leading [Parallel] loops of the nest — the band lower.ml puts at the
-   root when [Schedule.parallel > 0]. *)
-let rec peel_parallel acc = function
-  | Program.For (l, b) when l.Program.kind = Program.Parallel ->
-      peel_parallel (l :: acc) b
-  | s -> (List.rev acc, s)
-
-(* Disjointness legality: the peeled band may be chunked across domains
-   iff for every buffer written anywhere in the nest, all accesses to it
-   (reads and writes alike) land at offsets disjoint across distinct
-   parallel index tuples.  Sufficient condition, per written slot:
-
-   - every access offset is affine in every loop variable (under the
-     loop bounds, which discharges the div/mod pairs tiling and fusing
-     introduce), and all accesses to the slot share one profile: the
-     same (variable -> aggregate element stride) map and the same
-     constant-offset range;
-   - the offset map is mixed-radix injective: listing the dimensions
-     (|s_v|, extent_v) of every variable with nonzero stride sorted by
-     |s| ascending, each must clear the reach of everything finer,
-       |s_j| > W + sum_{i<j} |s_i| * (extent_i - 1)
-     where W is the width of the constant-offset range (0 for plain
-     affine accesses).  Injectivity over all variables jointly implies
-     distinct parallel tuples touch disjoint footprints — the slices
-     cannot meet.  This admits permuted/transposed/tiled layouts (their
-     offset maps are exactly compact mixed radix);
-   - every parallel variable of extent > 1 must carry a nonzero stride:
-     a parallel-invariant write (a scalar reduction over the band, or a
-     temp not indexed by it) would be carried across chunks, so it is
-     rejected.  Sequential variables with stride 0 are fine — that is
-     the per-element reduction chain, which stays inside one chunk.
-
-   Reads of never-written slots are unconstrained (concurrent reads are
-   fine), which is what admits pad/unfold input views. *)
-let parallel_legal (p : Program.t) (par_loops : Program.loop list) : bool =
-  let slots = p.Program.slots in
-  let all_loops = ref [] in
-  Program.iter_stmt
-    (function
-      | Program.For (l, _) -> all_loops := l :: !all_loops
-      | _ -> ())
-    p.Program.body;
-  let all_loops = List.rev !all_loops in
-  let extents : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (l : Program.loop) ->
-      Hashtbl.replace extents (Var.id l.Program.v) l.Program.extent)
-    all_loops;
-  let bounds v =
-    match Hashtbl.find_opt extents (Var.id v) with
-    | Some e -> Some (0, e - 1)
-    | None -> None
-  in
-  let written : (int, unit) Hashtbl.t = Hashtbl.create 4 in
-  Program.iter_stmt
-    (function
-      | Program.Store (a, _) | Program.Reduce (a, _, _) ->
-          Hashtbl.replace written a.Program.slot ()
-      | _ -> ())
-    p.Program.body;
-  let exception Illegal in
-  (* Profile of one access: (var id -> aggregate element stride) sorted
-     assoc + constant-offset range. *)
-  let profile (a : Program.access) : (int * int) list * int * int =
-    let strides = Layout.phys_strides slots.(a.Program.slot).Program.layout in
-    let tbl : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let lo = ref 0 and hi = ref 0 in
-    Array.iteri
-      (fun i e ->
-        let s = strides.(i) in
-        let resid = ref e in
-        List.iter
-          (fun (l : Program.loop) ->
-            match Ixexpr.coeff_of ~bounds !resid l.Program.v with
-            | None -> raise Illegal
-            | Some 0 -> ()
-            | Some c -> (
-                (match Ixexpr.drop_var ~bounds !resid l.Program.v with
-                | None -> raise Illegal
-                | Some r -> resid := r);
-                let vid = Var.id l.Program.v in
-                let prev =
-                  match Hashtbl.find_opt tbl vid with Some x -> x | None -> 0
-                in
-                Hashtbl.replace tbl vid (prev + (c * s))))
-          all_loops;
-        match Ixexpr.range ~bounds !resid with
-        | None -> raise Illegal
-        | Some (rlo, rhi) ->
-            (* physical strides are nonnegative *)
-            lo := !lo + (rlo * s);
-            hi := !hi + (rhi * s))
-      a.Program.idx;
-    let entries =
-      Hashtbl.fold (fun vid s acc -> (vid, s) :: acc) tbl []
-      |> List.filter (fun (_, s) -> s <> 0)
-      |> List.sort compare
-    in
-    (entries, !lo, !hi)
-  in
-  (* Group every access to a written slot. *)
-  let by_slot : (int, Program.access list ref) Hashtbl.t = Hashtbl.create 4 in
-  let add (a : Program.access) =
-    if Hashtbl.mem written a.Program.slot then
-      match Hashtbl.find_opt by_slot a.Program.slot with
-      | Some r -> r := a :: !r
-      | None -> Hashtbl.replace by_slot a.Program.slot (ref [ a ])
-  in
-  Program.iter_stmt
-    (function
-      | Program.Store (a, e) ->
-          add a;
-          List.iter add (Program.expr_accesses e)
-      | Program.Reduce (a, _, e) ->
-          add a;
-          List.iter add (Program.expr_accesses e)
-      | _ -> ())
-    p.Program.body;
-  let slot_ok _slot (accs : Program.access list ref) =
-    match !accs with
-    | [] -> ()
-    | a0 :: rest ->
-        let prof0 = profile a0 in
-        List.iter (fun a -> if profile a <> prof0 then raise Illegal) rest;
-        let entries, lo, hi = prof0 in
-        (* every extent > 1 parallel var must appear with nonzero stride *)
-        List.iter
-          (fun (l : Program.loop) ->
-            if
-              l.Program.extent > 1
-              && not (List.mem_assoc (Var.id l.Program.v) entries)
-            then raise Illegal)
-          par_loops;
-        let dims =
-          List.filter_map
-            (fun (vid, s) ->
-              match Hashtbl.find_opt extents vid with
-              | Some e when e > 1 -> Some (abs s, e)
-              | _ -> None)
-            entries
-          |> List.sort compare
-        in
-        let reach = ref (hi - lo) in
-        List.iter
-          (fun (s, e) ->
-            if s <= !reach then raise Illegal;
-            reach := !reach + (s * (e - 1)))
-          dims
-  in
-  try
-    Hashtbl.iter slot_ok by_slot;
-    true
-  with Illegal -> false
-
-let compile ?(domains = 1) (p : Program.t) ~(bufs : float array array) : t =
+let compile (p : Program.t) ~(bufs : float array array) : t =
   if Array.length bufs <> Array.length p.Program.slots then
     invalid_arg "Kernel.compile: buffer count mismatch";
   Array.iteri
@@ -360,93 +185,14 @@ let compile ?(domains = 1) (p : Program.t) ~(bufs : float array array) : t =
           (Fmt.str "Kernel.compile: slot %d (%s) has %d elements, want %d" i
              p.Program.slots.(i).Program.sname (Array.length b) want))
     bufs;
-  if domains < 1 then invalid_arg "Kernel.compile: domains must be >= 1";
   let ctx = { env = [||]; bufs } in
   let st =
-    {
-      macro_groups = 0;
-      generic_groups = 0;
-      macro_runs = 0;
-      generic_runs = 0;
-      par_chunks = 0;
-      par_fallbacks = 0;
-    }
+    { macro_groups = 0; generic_groups = 0; macro_runs = 0; generic_runs = 0 }
   in
   let vm = Loopenv.create () in
-  let serial = compile_stmts ctx st vm p.Program.slots p.Program.body in
+  let run = compile_stmts ctx st vm p.Program.slots p.Program.body in
   ctx.env <- Loopenv.alloc_env vm;
-  let par_loops, inner = peel_parallel [] p.Program.body in
-  if domains = 1 then { prog = p; bufs; run = serial; stats = st; par_ms = [||] }
-  else if par_loops = [] || not (parallel_legal p par_loops) then begin
-    (* requested parallel execution but cannot engage: loud, not silent *)
-    st.par_fallbacks <- 1;
-    { prog = p; bufs; run = serial; stats = st; par_ms = [||] }
-  end
-  else begin
-    let extents =
-      Array.of_list (List.map (fun l -> l.Program.extent) par_loops)
-    in
-    let k = Array.length extents in
-    let total = Array.fold_left ( * ) 1 extents in
-    let nchunks = min domains (max 1 total) in
-    let team = Team.get ~domains in
-    (* One compiled copy of the inner nest per chunk — own env, own vm,
-       own hoisted bases, own run counters — so chunks share nothing but
-       the buffers.  Copy selection is by chunk index, not by worker
-       domain, so counters and outputs are scheduling-independent. *)
-    let copies =
-      Array.init nchunks (fun _ ->
-          let cctx = { env = [||]; bufs } in
-          let cst =
-            {
-              macro_groups = 0;
-              generic_groups = 0;
-              macro_runs = 0;
-              generic_runs = 0;
-              par_chunks = 0;
-              par_fallbacks = 0;
-            }
-          in
-          let cvm = Loopenv.create () in
-          let body = compile_stmts cctx cst cvm p.Program.slots inner in
-          let pslots =
-            Array.of_list
-              (List.map (fun l -> Loopenv.var_slot cvm l.Program.v) par_loops)
-          in
-          cctx.env <- Loopenv.alloc_env cvm;
-          (cctx, cst, body, pslots))
-    in
-    let par_ms = Array.make nchunks 0.0 in
-    let run_chunk c =
-      let cctx, _, body, pslots = copies.(c) in
-      let lo = c * total / nchunks and hi = (c + 1) * total / nchunks in
-      let t0 = Unix.gettimeofday () in
-      for pt = lo to hi - 1 do
-        (* row-major decode of the flat parallel point into the band;
-           ascending flat order = the serial nest's visit order *)
-        let rem = ref pt in
-        let env = cctx.env in
-        for d = k - 1 downto 0 do
-          env.(pslots.(d)) <- !rem mod extents.(d);
-          rem := !rem / extents.(d)
-        done;
-        body ()
-      done;
-      par_ms.(c) <- (Unix.gettimeofday () -. t0) *. 1e3
-    in
-    let run () =
-      Team.parallel_for team ~chunks:nchunks run_chunk;
-      st.par_chunks <- st.par_chunks + nchunks;
-      Array.iter
-        (fun ((_, cst, _, _) : ctx * stats * (unit -> unit) * int array) ->
-          st.macro_runs <- st.macro_runs + cst.macro_runs;
-          st.generic_runs <- st.generic_runs + cst.generic_runs;
-          cst.macro_runs <- 0;
-          cst.generic_runs <- 0)
-        copies
-    in
-    { prog = p; bufs; run; stats = st; par_ms }
-  end
+  { prog = p; bufs; run; stats = st }
 
 let reset_non_inputs (k : t) =
   Array.iteri

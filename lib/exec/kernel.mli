@@ -30,17 +30,9 @@
     (pinned by test/test_exec.ml, whose oracle is that interpreter, not
     the shared leaf compiler).
 
-    With [~domains > 1] the leading [Parallel] loops (the band
-    [Schedule.parallel] marks) run chunked across a resident
-    {!Alt_parallel.Team}: the band's iteration space is flattened and
-    split into [min domains points] deterministic contiguous blocks,
-    each executing its own compiled copy of the inner nest.  A
-    compile-time disjointness check (DESIGN.md §15) proves every written
-    buffer is touched at offsets disjoint across parallel indices —
-    reduction chains stay sequential per output element — so outputs
-    stay bit-identical to serial execution.  Programs that fail the
-    check, or have no parallel band, fall back to the serial path and
-    tick [par_fallbacks]. *)
+    [Parallel] loops run serially, like every other loop: the wall
+    clock of a parallel-marked nest is its serial time, and the
+    simulator's machine model is what prices [Schedule.parallel]. *)
 
 module Program = Alt_ir.Program
 
@@ -52,11 +44,6 @@ type stats = {
   mutable generic_groups : int;  (** groups that fell back *)
   mutable macro_runs : int;  (** innermost-loop executions, macro path *)
   mutable generic_runs : int;  (** innermost-loop executions, fallback *)
-  mutable par_chunks : int;
-      (** chunks dispatched across [run]s (0 when serial) *)
-  mutable par_fallbacks : int;
-      (** 1 when [domains > 1] was requested but the program runs
-          serially (no parallel band, or disjointness check failed) *)
 }
 
 type t = private {
@@ -64,21 +51,16 @@ type t = private {
   bufs : float array array;
   run : unit -> unit;  (** one full execution of the program *)
   stats : stats;
-  par_ms : float array;
-      (** per-chunk wall-clock of the latest parallel [run], in ms;
-          [[||]] on the serial path.  Feeds the imbalance metric. *)
 }
 
-val compile : ?domains:int -> Program.t -> bufs:float array array -> t
+val compile : Program.t -> bufs:float array array -> t
 (** Compile the program against per-slot physical buffers (see
-    [Runtime.alloc_bufs]; lengths are validated).  [?domains] (default
-    [1]) > 1 engages the parallel driver when legal — outputs are
-    bit-identical either way.  The returned closure may be invoked
-    repeatedly.  Lowered programs initialize every element they reduce
-    into, so a re-run computes the same result from any buffer state;
-    only a hand-built nest without an init store accumulates into what
-    the output buffers hold, and then needs {!reset_non_inputs} between
-    runs.  Raises [Invalid_argument] if [domains < 1]. *)
+    [Runtime.alloc_bufs]; lengths are validated).  The returned closure
+    may be invoked repeatedly.  Lowered programs initialize every
+    element they reduce into, so a re-run computes the same result from
+    any buffer state; only a hand-built nest without an init store
+    accumulates into what the output buffers hold, and then needs
+    {!reset_non_inputs} between runs. *)
 
 val reset_non_inputs : t -> unit
 (** Zero every non-[Input] buffer, restoring the post-[alloc_bufs]

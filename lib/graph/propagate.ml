@@ -258,21 +258,3 @@ let plan ?(mode = Full) (g : Graph.t)
     conversions = !conversions;
     fused_ops = !fused_ops;
   }
-
-let pp_stage ppf = function
-  | Convert { tensor; dst; _ } ->
-      Fmt.pf ppf "convert %s -> %a" tensor Layout.pp dst
-  | Complex_stage { node; fused; _ } ->
-      Fmt.pf ppf "complex %s%s" node.Graph.op.Opdef.name
-        (if fused = [] then ""
-         else
-           Fmt.str " (+%a)"
-             Fmt.(list ~sep:comma string)
-             (List.map (fun (n : Graph.node) -> n.Graph.op.Opdef.name) fused))
-  | Simple_stage { node; _ } ->
-      Fmt.pf ppf "simple %s" node.Graph.op.Opdef.name
-
-let pp ppf p =
-  Fmt.pf ppf "plan: %d stages, %d conversions, %d fused ops@."
-    (List.length p.stages) p.conversions p.fused_ops;
-  List.iter (fun s -> Fmt.pf ppf "  %a@." pp_stage s) p.stages

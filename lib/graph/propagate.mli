@@ -37,5 +37,3 @@ type plan = {
 
 val plan : ?mode:mode -> Graph.t -> choices:(string * choice) list -> plan
 (** [choices] maps complex-operator names to their tuned layouts. *)
-
-val pp : plan Fmt.t

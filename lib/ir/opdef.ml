@@ -112,15 +112,6 @@ let input_shape t name =
   | Some s -> s
   | None -> invalid_arg (Fmt.str "Opdef %s: unknown input %s" t.name name)
 
-(* Inclusive bounds for all iterators of the operator. *)
-let bounds t : Ixexpr.bounds =
-  let tbl = Hashtbl.create 16 in
-  Array.iteri
-    (fun i v -> Hashtbl.replace tbl (Var.id v) (0, t.out_shape.(i) - 1))
-    t.spatial;
-  List.iter (fun (v, e) -> Hashtbl.replace tbl (Var.id v) (0, e - 1)) t.reduce;
-  fun v -> Hashtbl.find_opt tbl (Var.id v)
-
 let window_fn t : Alt_tensor.Layout.window =
   fun v -> List.assoc_opt v (List.map (fun (w, s) -> (w, s)) t.window)
 
@@ -283,11 +274,3 @@ let reference_eval t (inputs : (string * float array) list) : float array =
   in
   nest spatial point ();
   out
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>op %s: %s%a = %s(...)@ spatial [%a]@ reduce [%a]@ body %a@]"
-    t.name t.out_name Shape.pp t.out_shape t.name
-    Fmt.(array ~sep:comma (using Var.name string))
-    t.spatial
-    Fmt.(list ~sep:comma (pair ~sep:(any ":") (using Var.name string) int))
-    t.reduce Sexpr.pp t.body

@@ -74,9 +74,6 @@ val make :
 
 val input_shape : t -> string -> Shape.t
 
-val bounds : t -> Ixexpr.bounds
-(** Inclusive ranges of every iterator. *)
-
 val window_fn : t -> Alt_tensor.Layout.window
 
 val flops : t -> int
@@ -87,5 +84,3 @@ val reference_eval : t -> (string * float array) list -> float array
     point in row-major order, its reduction points lexicographically from
     [init].  Raises [Invalid_argument] on a missing or wrong-size input
     and on any out-of-range read, checked per index at every point. *)
-
-val pp : t Fmt.t

@@ -40,26 +40,20 @@ type backend = Sim | Exec of Alt_exec.Exec.cfg
 let backend_tag = function
   | Sim -> "sim"
   | Exec cfg ->
-      (* the :dN suffix appears only off-default, so every pre-existing
-         checkpoint fingerprint (written before domains existed) still
-         matches a domains=1 run *)
-      Fmt.str "exec:w%d:r%d:%s%s" cfg.Alt_exec.Exec.warmup
+      Fmt.str "exec:w%d:r%d:%s" cfg.Alt_exec.Exec.warmup
         cfg.Alt_exec.Exec.repeats
         (match cfg.Alt_exec.Exec.clock with
         | Alt_exec.Exec.Wall -> "wall"
         | Alt_exec.Exec.Virtual _ -> "virtual")
-        (if cfg.Alt_exec.Exec.domains = 1 then ""
-         else Fmt.str ":d%d" cfg.Alt_exec.Exec.domains)
 
 (* Present an exec measurement in the profiler's result type, so every
    consumer of measurements (tuners, caches, checkpoints, CLI printers)
    works unchanged.  The exec device has no counter model: instruction
    and cache fields are zero, [flops] is the program's static count, and
    [cycles] is derived from the wall clock at the machine's frequency.
-   The exec device always executes the full program ([sampled=false]).
-   With [cfg.domains > 1] the wall clock already reflects real multicore
-   execution of the parallel band, so [parallel_extent] is reported for
-   symmetry only — no model speedup is applied on top. *)
+   The exec device always executes the full program ([sampled=false]),
+   and serially: [parallel_extent] is reported for symmetry only, and
+   no model speedup is applied to the wall clock. *)
 let result_of_wall ~(machine : Machine.t) (p : Program.t)
     (w : Alt_exec.Exec.wall) : Profiler.result =
   {

@@ -12,17 +12,17 @@ val alloc_bufs :
 
 (** Which device measures a program (DESIGN.md §12): [Sim] interprets it
     under the cache simulator (the default everywhere); [Exec] compiles
-    it to macro-kernels and times real execution with the given
+    it to macro-kernels and times real, serial execution with the given
     warmup/repeat discipline.  Both produce element-wise identical
-    outputs and a {!Profiler.result}. *)
+    outputs and a {!Profiler.result}; only [Sim] models the speedup of
+    [Parallel] loops. *)
 type backend = Sim | Exec of Alt_exec.Exec.cfg
 
 val backend_tag : backend -> string
-(** Short stable tag ("sim", "exec:w2:r5:wall", "exec:w2:r5:wall:d4",
+(** Short stable tag ("sim", "exec:w2:r5:wall", "exec:w1:r3:virtual",
     ...) used in measurement-cache fingerprints: sim and exec results
-    never mix, and neither do exec results at different domain counts.
-    The [:dN] suffix is omitted at [domains = 1] so fingerprints from
-    before the knob existed remain valid. *)
+    never mix, and neither do exec results under different warmup,
+    repeat or clock settings. *)
 
 val measure :
   machine:Machine.t -> ?max_points:int -> backend -> Program.t ->

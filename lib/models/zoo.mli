@@ -12,11 +12,6 @@ val resnet18 :
 val mobilenet_v2 : ?batch:int -> ?size:int -> ?classes:int -> unit -> spec
 (** Inverted-residual CNN with depthwise convolutions. *)
 
-val bert :
-  ?batch:int -> ?seq:int -> ?hidden:int -> ?heads:int -> ?layers:int ->
-  name:string -> unit -> spec
-(** Transformer encoder stack (multi-head attention + FFN + layernorm). *)
-
 val bert_base : ?batch:int -> unit -> spec
 val bert_tiny : ?batch:int -> unit -> spec
 

@@ -33,7 +33,6 @@ type record = {
 
 type sink = {
   oc : out_channel;
-  path : string;
   lock : Mutex.t;
   mutable seq : int;
   mutable last_ts : int;
@@ -80,15 +79,6 @@ let sink_write (r : record) =
           s.seq <- seq + 1;
           output_string s.oc (render_line seq ts r))
 
-let flush () =
-  match Atomic.get sink with
-  | None -> ()
-  | Some s ->
-      Mutex.lock s.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock s.lock)
-        (fun () -> Stdlib.flush s.oc)
-
 let close () =
   match Atomic.get sink with
   | None -> ()
@@ -105,13 +95,11 @@ let configure ~path =
   close ();
   let oc = open_out path in
   Atomic.set sink
-    (Some { oc; path; lock = Mutex.create (); seq = 0; last_ts = 0 });
+    (Some { oc; lock = Mutex.create (); seq = 0; last_ts = 0 });
   if not !at_exit_installed then begin
     at_exit_installed := true;
     Stdlib.at_exit close
   end
-
-let path () = Option.map (fun s -> s.path) (Atomic.get sink)
 
 let configure_from_env () =
   match Sys.getenv_opt "ALT_TRACE" with

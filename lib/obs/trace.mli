@@ -30,8 +30,6 @@ val configure_from_env : unit -> unit
 (** Honour [ALT_TRACE=FILE]: like {!configure} when set. *)
 
 val close : unit -> unit
-val flush : unit -> unit
-val path : unit -> string option
 
 (** {1 Spans and events} *)
 

@@ -148,24 +148,3 @@ let adam_step ?(lr = 1e-3) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) t =
           l.b.(o) <- l.b.(o) -. (lr *. m /. (Float.sqrt v +. eps)))
         l.gb)
     t.layers
-
-(* Deep copy (used to snapshot pretrained agents). *)
-let copy t =
-  {
-    sizes = Array.copy t.sizes;
-    step = t.step;
-    layers =
-      Array.map
-        (fun l ->
-          {
-            w = Array.map Array.copy l.w;
-            b = Array.copy l.b;
-            gw = Array.map Array.copy l.gw;
-            gb = Array.copy l.gb;
-            mw = Array.map Array.copy l.mw;
-            vw = Array.map Array.copy l.vw;
-            mb = Array.copy l.mb;
-            vb = Array.copy l.vb;
-          })
-        t.layers;
-  }

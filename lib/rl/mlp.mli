@@ -30,6 +30,3 @@ val zero_grads : t -> unit
 
 val adam_step :
   ?lr:float -> ?beta1:float -> ?beta2:float -> ?eps:float -> t -> unit
-
-val copy : t -> t
-(** Deep copy (snapshotting pretrained agents). *)

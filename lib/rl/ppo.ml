@@ -153,11 +153,3 @@ let update ?(epochs = 4) t (batch : sample list) =
       t.log_std <- Float.max (Float.log 0.15) (Float.min (Float.log 0.6) t.log_std)
     done
   end
-
-let copy t =
-  {
-    t with
-    actor = Mlp.copy t.actor;
-    critic = Mlp.copy t.critic;
-    rng = Random.State.copy t.rng;
-  }

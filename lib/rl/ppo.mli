@@ -39,10 +39,6 @@ val act_uniform : t -> float array -> float * sample
 (** Uniform warm-up action scored under the current policy (for the first
     proposals of a fresh agent). *)
 
-val value : t -> float array -> float
-
 val update : ?epochs:int -> t -> sample list -> unit
 (** One PPO update (clipped surrogate + critic regression + entropy
     bonus) over a batch of rewarded samples. *)
-
-val copy : t -> t

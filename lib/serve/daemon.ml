@@ -3,7 +3,8 @@
 
    One [select] loop serves both transports.  It decodes each client's
    frames, answers synchronous requests at once, routes every tune reply
-   to the client that submitted its id, and steps the engine.  Input is
+   to the client that submitted its id (refusing a tune whose id another
+   client still awaits), and steps the engine.  Input is
    drained ahead of scheduling — every frame already readable is
    admitted before the next engine step — so a run driven from a
    pre-written request file is fully deterministic: admission depends
@@ -108,9 +109,19 @@ let serve ?kill_after_rounds ?listener ~clients ~unowned engine =
         reply c json
     | None -> unowned (id, json)
   in
+  let pending_elsewhere c id =
+    match Hashtbl.find_opt owner id with Some o -> o != c | None -> false
+  in
   let dispatch c payload =
     match Proto.parse_request payload with
     | Error msg -> reply c (Proto.error_response ~id:"" ~reason:msg)
+    | Ok (Proto.Tune { id; _ }) when pending_elsewhere c id ->
+        (* replies are routed by id, so a second session under an id
+           another connection awaits would take that connection's reply *)
+        reply c
+          (Proto.error_response ~id
+             ~reason:
+               (Fmt.str "request id %S is pending on another connection" id))
     | Ok (Proto.Shutdown _ as req) ->
         List.iter (fun (_, j) -> reply c j) (Serve.submit engine req);
         List.iter route (Serve.shutdown engine);

@@ -25,7 +25,9 @@ val run_pipe :
 val run_socket : ?kill_after_rounds:int -> path:string -> Serve.t -> unit
 (** Serve any number of concurrent clients over a Unix-domain socket at
     [path] (an existing socket file is replaced).  Tune responses are
-    routed to the connection that submitted the id; a disconnected
+    routed to the connection that submitted the id, so a tune whose id
+    another connection still awaits is answered at once with an error
+    naming the id and never reaches the engine; a disconnected
     client's sessions still run and journal, but their responses are
     dropped, as are those of recovered sessions.  Returns after a
     [Shutdown] request, with every connection closed and the socket file

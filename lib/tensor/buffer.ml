@@ -1,19 +1,6 @@
-(* Concrete tensor storage: a float array laid out according to a layout.
-
-   The [data] array is row-major over the layout's physical shape.  Logical
-   views are obtained by packing/unpacking through the layout, which is how
-   conversion operators, offline weight packing and test oracles move
-   data. *)
-
-type t = { layout : Layout.t; data : float array }
-
-let create layout =
-  { layout; data = Array.make (Layout.num_physical_elements layout) 0.0 }
-
-let layout t = t.layout
-let data t = t.data
-let logical_shape t = Layout.logical_shape t.layout
-let physical_shape t = Layout.physical_shape t.layout
+(* Logical tensor data: deterministic contents and element-wise
+   comparison of flat row-major [float array]s.  Physical buffers are
+   plain arrays too, packed and unpacked through their layouts. *)
 
 let random ?(seed = 0) shape =
   let st = Random.State.make [| seed; Shape.num_elements shape |] in

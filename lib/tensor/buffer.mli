@@ -1,15 +1,5 @@
-(** Concrete tensor storage: a float array row-major over a layout's
-    physical shape. *)
-
-type t = { layout : Layout.t; data : float array }
-
-val create : Layout.t -> t
-(** Zero-initialized physical buffer. *)
-
-val layout : t -> Layout.t
-val data : t -> float array
-val logical_shape : t -> Shape.t
-val physical_shape : t -> Shape.t
+(** Logical tensor data for tests and benchmarks: deterministic
+    contents and element-wise comparison of flat [float array]s. *)
 
 val random : ?seed:int -> Shape.t -> float array
 (** Deterministic pseudo-random logical data in [-1, 1). *)

@@ -50,7 +50,6 @@ let fmod a b = a - (fdiv a b * b)
 let const n = Const n
 let var v = Var v
 let zero = Const 0
-let one = Const 1
 
 let add a b =
   match (a, b) with

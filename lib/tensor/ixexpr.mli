@@ -30,7 +30,6 @@ val fmod : int -> int -> int
 val const : int -> t
 val var : Var.t -> t
 val zero : t
-val one : t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t

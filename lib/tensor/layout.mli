@@ -46,11 +46,6 @@ val invertible : t -> bool
 (** True if the logical->physical index map is a bijection (no advanced
     primitives); required of output-tensor layouts. *)
 
-val apply : t -> prim -> t
-(** Appends a primitive, validated against the current physical shape;
-    raises {!Layout_error} if it is illegal there (such as an unfold
-    tile or stride below 1, or a tile larger than the extent). *)
-
 val split : t -> dim:int -> factors:int list -> t
 (** Factors must multiply to the current extent of [dim]. *)
 

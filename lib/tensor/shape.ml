@@ -6,8 +6,6 @@
 
 type t = int array
 
-let of_list = Array.of_list
-let to_list = Array.to_list
 let rank (s : t) = Array.length s
 
 let num_elements (s : t) = Array.fold_left ( * ) 1 s

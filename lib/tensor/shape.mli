@@ -2,8 +2,6 @@
 
 type t = int array
 
-val of_list : int list -> t
-val to_list : t -> int list
 val rank : t -> int
 val num_elements : t -> int
 val equal : t -> t -> bool

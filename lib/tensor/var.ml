@@ -18,7 +18,6 @@ let id v = v.id
 let name v = v.name
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
-let hash v = v.id
 
 let pp ppf v = Fmt.pf ppf "%s#%d" v.name v.id
 

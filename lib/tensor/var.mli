@@ -9,7 +9,6 @@ val id : t -> int
 val name : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 val pp : t Fmt.t
 
 module Map : Map.S with type key = t

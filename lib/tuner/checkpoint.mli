@@ -26,16 +26,22 @@ type t = {
 }
 
 val save : path:string -> t -> unit
-(** Atomic write (temp file + rename): a crash mid-save never corrupts an
-    existing checkpoint.  Emits a ["checkpoint.save"] trace span when
+(** Write format 2: the prefix ["ALTCKPT"], a version byte [2], the
+    payload length (8 bytes, big-endian), the payload's MD5 digest (16
+    bytes), then the payload, the marshalled record (DESIGN.md §8).
+    Atomic write (temp file + rename): a crash mid-save never corrupts
+    an existing checkpoint.  Emits a ["checkpoint.save"] trace span when
     tracing is enabled. *)
 
 val load : path:string -> t
-(** Raises [Failure] with a message naming [path] on every malformed
-    input: a file too short to hold the magic, a foreign file (magic
-    mismatch), a format-version mismatch, and a truncated or corrupt
-    version/record section (Marshal errors are translated; they never
-    escape raw). *)
+(** Raises [Failure] with a message that starts with [path] on every
+    malformed input: a file too short to hold the prefix and version, a
+    foreign file (prefix mismatch), a format-version mismatch (a format
+    1 file fails with "checkpoint format version 1, expected 2"), a
+    truncated header, a payload length that disagrees with the file
+    size, and a payload whose digest does not match.  All of these are
+    checked before the payload is unmarshalled, so a flipped bit or a
+    truncated tail never reaches Marshal. *)
 
 val load_opt : path:string -> t option
 (** [None] when [path] does not exist; otherwise {!load}. *)

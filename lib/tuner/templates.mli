@@ -9,17 +9,6 @@ module Layout = Alt_tensor.Layout
 module Opdef = Alt_ir.Opdef
 module Propagate = Alt_graph.Propagate
 
-(** Generic tiled-layout construction. *)
-
-type part = Whole of int | Outer of int | Mid of int | Inner of int
-
-type dim_op =
-  | Dsplit of int list (** inner factors; the outermost part is derived *)
-  | Dunfold of int * int (** tile, stride *)
-
-val make : Shape.t -> (int * dim_op) list -> part list -> Layout.t
-(** Tile/unfold logical dims and permute the resulting parts. *)
-
 (** {1 Templates} *)
 
 type knob = { kname : string; extent : int }

@@ -75,7 +75,6 @@ type loop_explorer =
   | Walk (** random walk, everything measured (FlexTensor: no cost model) *)
   | Restricted (** AutoTVM-like: restricted knob space *)
 
-val state_dim : int
 val actor_input_dim : int
 (** Input width of the layout PPO actor (state embedding + knob features). *)
 

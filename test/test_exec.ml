@@ -106,9 +106,9 @@ let poisoned_bufs prog ~inputs =
    kernel skips stays NaN, and one it doubles (or accumulates across the
    two runs) differs from the single interpreter run.  Returns the
    kernel for its stats. *)
-let poisoned_differential ?(domains = 1) prog ~inputs =
+let poisoned_differential prog ~inputs =
   let be = poisoned_bufs prog ~inputs and bs = poisoned_bufs prog ~inputs in
-  let k = Kernel.compile ~domains prog ~bufs:be in
+  let k = Kernel.compile prog ~bufs:be in
   k.Kernel.run ();
   k.Kernel.run ();
   let _ = Profiler.run ~fast:false prog ~bufs:bs in
@@ -417,8 +417,8 @@ let test_generic_fallback () =
 (* ------------------------------------------------------------------ *)
 
 (* Each nest below puts one of the chain runner's obligations on the
-   line (DESIGN.md §12); [parallel] marks its leading loops parallel for
-   the 4-domain variants. *)
+   line (DESIGN.md §12); [parallel] marks its leading loops [Parallel]
+   for the (e) variants, which the kernel runs like any other loops. *)
 
 (* (a) A reduce_outer conv with a fused relu: the tile's init, update and
    epilogue loops are siblings over the same inner-band variables, each
@@ -491,27 +491,18 @@ let chain_multi_leaf ~parallel =
   (Option.get (Measure.program_of task choice sched), task.Measure.feeds)
 
 (* Kernel == interpreter bit for bit from NaN-poisoned buffers, with
-   every leaf group on the macro path (and, at 4 domains, run in
-   parallel chunks). *)
-let check_chain ~domains label (prog, inputs) =
-  let k, same = poisoned_differential ~domains prog ~inputs in
+   every leaf group on the macro path. *)
+let check_chain label (prog, inputs) =
+  let k, same = poisoned_differential prog ~inputs in
   let st = k.Kernel.stats in
   Alcotest.(check bool) (label ^ ": kernel == interpreter, bitwise") true same;
   Alcotest.(check bool) (label ^ ": macro path engaged") true
     (st.Kernel.macro_groups > 0 && st.Kernel.macro_runs > 0);
   Alcotest.(check int) (label ^ ": no generic group") 0
-    st.Kernel.generic_groups;
-  if domains > 1 then begin
-    Alcotest.(check int) (label ^ ": no parallel fallback") 0
-      st.Kernel.par_fallbacks;
-    Alcotest.(check bool) (label ^ ": chunks dispatched") true
-      (st.Kernel.par_chunks > 0)
-  end
+    st.Kernel.generic_groups
 
-let chain_case ?(domains = 1) label nest =
-  let parallel = if domains > 1 then 2 else 0 in
-  Alcotest.test_case label `Quick (fun () ->
-      check_chain ~domains label (nest ~parallel))
+let chain_case ?(parallel = 0) label nest =
+  Alcotest.test_case label `Quick (fun () -> check_chain label (nest ~parallel))
 
 let chain_cases =
   [
@@ -519,10 +510,10 @@ let chain_cases =
     chain_case "(b) chain starts below a div/mod loop" chain_below_divmod;
     chain_case "(c) select reads an outer chain variable" chain_select;
     chain_case "(d) multi-leaf innermost level" chain_multi_leaf;
-    chain_case ~domains:4 "(e) (a) at 4 domains" chain_shared_vars;
-    chain_case ~domains:4 "(e) (b) at 4 domains" chain_below_divmod;
-    chain_case ~domains:4 "(e) (c) at 4 domains" chain_select;
-    chain_case ~domains:4 "(e) (d) at 4 domains" chain_multi_leaf;
+    chain_case ~parallel:2 "(e) (a) at 4 domains" chain_shared_vars;
+    chain_case ~parallel:2 "(e) (b) at 4 domains" chain_below_divmod;
+    chain_case ~parallel:2 "(e) (c) at 4 domains" chain_select;
+    chain_case ~parallel:2 "(e) (d) at 4 domains" chain_multi_leaf;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -574,7 +565,7 @@ let mac_alias_cases =
   List.map
     (fun (label, moving, swap) ->
       Alcotest.test_case label `Quick (fun () ->
-          check_chain ~domains:1 label (mac_alias_nest ~moving ~swap)))
+          check_chain label (mac_alias_nest ~moving ~swap)))
     [ ("1st operand aliases a scalar accumulator", false, false);
       ("2nd operand aliases a scalar accumulator", false, true);
       ("1st operand aliases a moving accumulator", true, false);
@@ -776,7 +767,7 @@ let test_measure_repeatable () =
   and bs = Runtime.alloc_bufs prog ~inputs:task.Measure.feeds in
   let w =
     Exec.measure
-      ~cfg:{ Exec.warmup = 2; repeats = 3; clock = Exec.Wall; domains = 1 }
+      ~cfg:{ Exec.warmup = 2; repeats = 3; clock = Exec.Wall }
       prog ~bufs:be
   in
   Alcotest.(check int) "3 samples" 3 (Array.length w.Exec.samples);
@@ -799,7 +790,7 @@ let test_virtual_clock () =
   let clock = Exec.Virtual (fun p -> float_of_int p.Program.flops *. 1e-6) in
   let measure () =
     let bufs = Runtime.alloc_bufs prog ~inputs:task.Measure.feeds in
-    (Exec.measure ~cfg:{ Exec.warmup = 2; repeats = 5; clock; domains = 1 } prog ~bufs, bufs)
+    (Exec.measure ~cfg:{ Exec.warmup = 2; repeats = 5; clock } prog ~bufs, bufs)
   in
   let w1, b1 = measure () in
   let w2, b2 = measure () in
@@ -824,7 +815,7 @@ let test_backend_through_runtime () =
     Runtime.run_logical ~machine:Machine.intel_cpu prog
       ~inputs:task.Measure.feeds
   in
-  let cfg = { Exec.warmup = 1; repeats = 3; clock = Exec.Wall; domains = 1 } in
+  let cfg = { Exec.warmup = 1; repeats = 3; clock = Exec.Wall } in
   let outs_exec, r =
     Runtime.run_logical ~machine:Machine.intel_cpu
       ~backend:(Runtime.Exec cfg) prog ~inputs:task.Measure.feeds
@@ -840,95 +831,12 @@ let test_backend_through_runtime () =
     && r.Profiler.flops = float_of_int prog.Program.flops)
 
 (* ------------------------------------------------------------------ *)
-(* Parallel driver (DESIGN.md §15)                                    *)
+(* Directed serial nests                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* One full kernel execution at a given domain count. *)
-let run_with_domains ~domains prog ~inputs =
-  let bufs = Runtime.alloc_bufs prog ~inputs in
-  let k = Kernel.compile ~domains prog ~bufs in
-  k.Kernel.run ();
-  (k, bufs)
-
-(* The §15 contract: exec_domains = 1 and exec_domains = 4 produce
-   bit-identical buffers, engaged or fallen back. *)
-let parallel_differential ?(fused = []) op (choice : Propagate.choice) sched =
-  let task = Measure.make_task ~fused ~machine:Machine.intel_cpu op in
-  match Measure.program_of task choice sched with
-  | None -> true
-  | Some prog ->
-      let _, b1 =
-        run_with_domains ~domains:1 prog ~inputs:task.Measure.feeds
-      in
-      let _, b4 =
-        run_with_domains ~domains:4 prog ~inputs:task.Measure.feeds
-      in
-      Array.for_all2 bufs_equal b1 b4
-
-let prop_parallel op nactions name =
-  QCheck2.Test.make ~count:15 ~name
-    QCheck2.Gen.(
-      triple
-        (array_size (return nactions) (float_bound_exclusive 1.0))
-        (array_size (return 32) (float_bound_exclusive 1.0))
-        (int_range 0 2))
-    (fun (actions, point, par) ->
-      let tpl = Option.get (Templates.for_op op) in
-      let choice = tpl.Templates.decode actions in
-      let space = Loopspace.of_layout op choice.Propagate.out_layout in
-      let sched =
-        Loopspace.decode space (Array.sub point 0 (Loopspace.dim space))
-      in
-      parallel_differential op choice (Schedule.parallel sched par))
-
-let test_parallel_directed () =
-  (* the layout-primitive-heavy candidates from the directed suite, with
-     their leading loops marked parallel *)
-  let op, choice, sched = alt_template_candidate () in
-  Alcotest.(check bool)
-    "ALT template (unfold): domains 1 == 4" true
-    (parallel_differential op choice (Schedule.parallel sched 2));
-  let relu =
-    Ops.relu ~name:"r" ~inp:"Y" ~out:"Z" ~shape:conv_op.Opdef.out_shape ()
-  in
-  let inp = Layout.pad (trivial [| 1; 4; 8; 8 |]) ~dim:2 ~lo:1 ~hi:1 in
-  let pchoice =
-    {
-      Propagate.out_layout = trivial conv_op.Opdef.out_shape;
-      in_layouts = [ ("X", inp) ];
-    }
-  in
-  let psched = Schedule.parallel (Schedule.default ~rank:4 ~nred:3) 2 in
-  Alcotest.(check bool)
-    "padded + fused relu: domains 1 == 4" true
-    (parallel_differential ~fused:[ relu ] conv_op pchoice psched)
-
-let test_parallel_engages () =
-  (* a tuned parallel matmul must actually chunk — and still match the
-     scalar interpreter bit for bit *)
-  let task = Measure.make_task ~machine:Machine.intel_cpu gmm_op in
-  let choice = Templates.trivial_choice gmm_op in
-  let sched = Schedule.parallel (Schedule.default ~rank:2 ~nred:1) 1 in
-  let prog = Option.get (Measure.program_of task choice sched) in
-  let k4, b4 = run_with_domains ~domains:4 prog ~inputs:task.Measure.feeds in
-  Alcotest.(check bool)
-    "chunks dispatched" true
-    (k4.Kernel.stats.Kernel.par_chunks > 0);
-  Alcotest.(check int) "no fallback" 0 k4.Kernel.stats.Kernel.par_fallbacks;
-  Alcotest.(check bool)
-    "per-chunk timings recorded" true
-    (Array.length k4.Kernel.par_ms = k4.Kernel.stats.Kernel.par_chunks
-    && Array.for_all (fun ms -> Float.is_finite ms && ms >= 0.0)
-         k4.Kernel.par_ms);
-  let bs = Runtime.alloc_bufs prog ~inputs:task.Measure.feeds in
-  let _ = Profiler.run ~machine:Machine.intel_cpu ~fast:false prog ~bufs:bs in
-  Alcotest.(check bool)
-    "parallel outputs == interpreter" true
-    (Array.for_all2 bufs_equal b4 bs)
-
 (* A bare parallel loop reducing into one scalar: every iteration writes
-   offset 0.  Non-disjoint (the forced-fallback case) and, having no
-   init store, the canonical Reduce-accumulation footgun. *)
+   offset 0 and, with no init store, it is the canonical
+   Reduce-accumulation footgun. *)
 let scalar_reduce_prog n =
   let i = Var.fresh "i" in
   {
@@ -951,31 +859,13 @@ let scalar_reduce_prog n =
     flops = n;
   }
 
-let test_forced_fallback () =
-  (* the disjointness check must refuse the scalar reduction and the
-     driver must fall back — loudly — while outputs stay identical *)
-  let n = 64 in
-  let prog = scalar_reduce_prog n in
-  let inputs = [ ("X", Buffer.random ~seed:3 [| n |]) ] in
-  let k1, b1 = run_with_domains ~domains:1 prog ~inputs in
-  let k4, b4 = run_with_domains ~domains:4 prog ~inputs in
-  Alcotest.(check int) "serial path has no fallback tick" 0
-    k1.Kernel.stats.Kernel.par_fallbacks;
-  Alcotest.(check int) "fallback counted" 1
-    k4.Kernel.stats.Kernel.par_fallbacks;
-  Alcotest.(check int) "no chunks dispatched" 0
-    k4.Kernel.stats.Kernel.par_chunks;
-  Alcotest.(check bool) "outputs identical" true
-    (Array.for_all2 bufs_equal b1 b4)
-
-(* The disjointness check driven by the relation algebra: an overlapped
-   unfold (stride < tile) makes the window relation non-injective, so a
-   nest whose parallel loop runs over tiles while storing back through
-   the inverse window map [t*stride + r] has chunks with overlapping
-   write footprints.  The driver must refuse to chunk and fall back,
-   with bit-identical outputs (the overlapped writes carry equal values,
-   but the checker cannot know that). *)
-let test_relation_noninjective_fallback () =
+(* An overlapped unfold (stride < tile) makes the window relation
+   non-injective, so a nest over tiles that stores back through the
+   inverse window map [t*stride + r] writes the overlapped elements more
+   than once, with equal values.  The kernel must match the interpreter
+   bit for bit from NaN-poisoned buffers, and the stores must rebuild
+   the logical tensor. *)
+let test_noninjective_window_store () =
   let d = 7 and tile = 3 and stride = 2 in
   let src = Layout.unfold (trivial [| d |]) ~dim:0 ~tile ~stride in
   Alcotest.(check bool)
@@ -1016,22 +906,11 @@ let test_relation_noninjective_fallback () =
     }
   in
   let logical = Array.init d (fun i -> float_of_int (i + 1)) in
-  let inputs = [ ("X", logical) ] in
-  let k1, b1 = run_with_domains ~domains:1 prog ~inputs in
-  let k4, b4 = run_with_domains ~domains:4 prog ~inputs in
-  Alcotest.(check int) "serial path has no fallback tick" 0
-    k1.Kernel.stats.Kernel.par_fallbacks;
-  Alcotest.(check int) "fallback counted" 1
-    k4.Kernel.stats.Kernel.par_fallbacks;
-  Alcotest.(check int) "no chunks dispatched" 0
-    k4.Kernel.stats.Kernel.par_chunks;
-  Alcotest.(check bool) "outputs identical" true
-    (Array.for_all2 bufs_equal b1 b4);
-  (* folding the unfolded view back through the inverse window map must
-     reproduce the logical tensor exactly *)
+  let k, same = poisoned_differential prog ~inputs:[ ("X", logical) ] in
+  Alcotest.(check bool) "kernel == interpreter, bitwise" true same;
   let yi = Program.slot_index prog "Y" in
   Alcotest.(check bool) "inverse window reconstructs the tensor" true
-    (bufs_equal b1.(yi) logical)
+    (bufs_equal k.Kernel.bufs.(yi) logical)
 
 let test_reset_required () =
   (* the Reduce-accumulation footgun (kernel.mli): back-to-back runs
@@ -1063,40 +942,12 @@ let test_reset_required () =
   let mb = Runtime.alloc_bufs prog ~inputs in
   let _ =
     Exec.measure
-      ~cfg:{ Exec.warmup = 0; repeats = 3; clock = Exec.Wall; domains = 1 }
+      ~cfg:{ Exec.warmup = 0; repeats = 3; clock = Exec.Wall }
       prog ~bufs:mb
   in
   Alcotest.(check bool)
     "measured outputs == single run" true
     (bufs_equal reference.(yi) mb.(yi))
-
-let test_measure_parallel_fields () =
-  (* Exec.measure at domains = 4: wall carries the parallel counters and
-     the buffers equal the serial measurement's *)
-  let task = Measure.make_task ~machine:Machine.intel_cpu gmm_op in
-  let choice = Templates.trivial_choice gmm_op in
-  let sched = Schedule.parallel (Schedule.default ~rank:2 ~nred:1) 1 in
-  let prog = Option.get (Measure.program_of task choice sched) in
-  let measure domains =
-    let bufs = Runtime.alloc_bufs prog ~inputs:task.Measure.feeds in
-    let w =
-      Exec.measure
-        ~cfg:{ Exec.warmup = 1; repeats = 2; clock = Exec.Wall; domains }
-        prog ~bufs
-    in
-    (w, bufs)
-  in
-  let w1, b1 = measure 1 in
-  let w4, b4 = measure 4 in
-  Alcotest.(check int) "serial: no chunks" 0 w1.Exec.par_chunks;
-  Alcotest.(check (float 0.0)) "serial: no imbalance" 0.0 w1.Exec.imbalance_pct;
-  Alcotest.(check bool) "parallel: chunks counted" true
-    (w4.Exec.par_chunks > 0);
-  Alcotest.(check int) "parallel: no fallback" 0 w4.Exec.par_fallbacks;
-  Alcotest.(check bool) "imbalance finite" true
-    (Float.is_finite w4.Exec.imbalance_pct && w4.Exec.imbalance_pct >= 0.0);
-  Alcotest.(check bool) "outputs equal across domain counts" true
-    (Array.for_all2 bufs_equal b1 b4)
 
 let test_buffer_reuse () =
   (* satellite: the second candidate of a task must be served from the
@@ -1178,7 +1029,7 @@ let test_rank_correlation () =
     (Fmt.str "enough distinct candidates (%d)" (List.length progs))
     true
     (List.length progs >= 8);
-  let cfg = { Exec.warmup = 1; repeats = 5; clock = Exec.Wall; domains = 1 } in
+  let cfg = { Exec.warmup = 1; repeats = 5; clock = Exec.Wall } in
   let wall p =
     let bufs = Runtime.alloc_bufs p ~inputs:task.Measure.feeds in
     Exec.measure ~cfg p ~bufs
@@ -1276,6 +1127,8 @@ let () =
               test_pool_tile_init;
             Alcotest.test_case "two runs == one interpreter run" `Quick
               test_rerun_idempotent;
+            Alcotest.test_case "non-injective window store" `Quick
+              test_noninjective_window_store;
           ] );
       ( "engine",
         [
@@ -1292,30 +1145,12 @@ let () =
               test_pack_directed;
           ] );
       ("mac-alias", mac_alias_cases);
-      ( "parallel",
-        qsuite
-          [
-            prop_parallel conv_op 6 "conv2d: domains 1 == 4 (random par)";
-            prop_parallel gmm_op 3 "matmul: domains 1 == 4 (random par)";
-          ]
-        @ [
-            Alcotest.test_case "directed: unfold/pad/fused-relu" `Quick
-              test_parallel_directed;
-            Alcotest.test_case "parallel chunks engage" `Quick
-              test_parallel_engages;
-            Alcotest.test_case "non-disjoint nest falls back" `Quick
-              test_forced_fallback;
-            Alcotest.test_case "non-injective window relation falls back"
-              `Quick test_relation_noninjective_fallback;
-          ] );
       ( "measurement",
         [
           Alcotest.test_case "warmup/repeat/median discipline" `Quick
             test_measure_repeatable;
           Alcotest.test_case "reset-before-repeat regression" `Quick
             test_reset_required;
-          Alcotest.test_case "parallel measurement fields" `Quick
-            test_measure_parallel_fields;
           Alcotest.test_case "buffer-cache reuse" `Quick test_buffer_reuse;
           Alcotest.test_case "virtual clock deterministic" `Quick
             test_virtual_clock;

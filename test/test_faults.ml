@@ -46,7 +46,6 @@ let exec_backend =
       Exec.warmup = 0;
       repeats = 1;
       clock = Exec.Virtual (fun p -> 0.001 *. float_of_int p.Program.flops);
-      domains = 1;
     }
 
 let choice_equal (a : Propagate.choice) (b : Propagate.choice) =
@@ -271,42 +270,6 @@ let prop_exec_faulty_differential =
           task
       in
       result_equal (run 1) (run 4))
-
-(* jobs x domains composition (DESIGN.md §15): pool workers measuring
-   concurrently, each kernel fanning its parallel band out over the
-   shared 4-domain team, under 30% faults — the trajectory must still be
-   byte-identical to the serial pool, serial kernels.  Exercises
-   Team.parallel_for being entered from inside Pool tasks. *)
-let exec_domains_backend domains =
-  Runtime.Exec
-    {
-      Exec.warmup = 0;
-      repeats = 1;
-      clock = Exec.Virtual (fun p -> 0.001 *. float_of_int p.Program.flops);
-      domains;
-    }
-
-let prop_jobs_domains_composition =
-  QCheck2.Test.make ~count:10
-    ~name:"exec backend, 30% faults: jobs=1/domains=1 = jobs=4/domains=4"
-    QCheck2.Gen.(int_bound 999)
-    (fun seed ->
-      let op = tiny_c2d () in
-      let run jobs domains =
-        let task =
-          make_task
-            ~faults:(Fault.create ~seed ~rate:0.3 ())
-            ~retries:2
-            ~backend:(exec_domains_backend domains)
-            op
-        in
-        Tuner.tune_loop_only ~seed ~jobs ~explorer:Tuner.Guided ~budget:12
-          ~layouts:[ Templates.trivial_choice op ]
-          task
-      in
-      (* the backend tag (and so the fingerprint) differs at domains=4,
-         but the measured trajectory must not: compare fields *)
-      result_equal (run 1 1) (run 4 4) && result_equal (run 1 4) (run 1 1))
 
 (* Every explorer policy (and the GBDT cost model they feed) must survive
    a run where every measurement fails: finite budget fully spent, no NaN
@@ -571,7 +534,6 @@ let () =
           prop_fault_off_retries_inert;
           prop_faulty_differential;
           prop_exec_faulty_differential;
-          prop_jobs_domains_composition;
         ];
       ( "checkpoint",
         [

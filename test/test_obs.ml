@@ -518,10 +518,11 @@ let test_checkpoint_corrupt_magic () =
       expect_load_failure "foreign magic" path)
 
 let test_checkpoint_truncated () =
-  (* magic alone: the version marshal is missing *)
+  (* prefix and version alone: the length, digest and payload are
+     missing *)
   with_tmp (fun path ->
       let oc = open_out_bin path in
-      output_string oc "ALTCKPT\001";
+      output_string oc "ALTCKPT\002";
       close_out oc;
       expect_load_failure "magic only" path);
   (* a valid checkpoint cut short mid-record *)
@@ -543,17 +544,66 @@ let contains_sub s sub =
 
 let test_checkpoint_version_mismatch () =
   with_tmp (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "ALTCKPT\001";
-      Marshal.to_channel oc (99 : int) [];
-      Marshal.to_channel oc (sample_checkpoint ()) [];
-      close_out oc;
+      Checkpoint.save ~path (sample_checkpoint ());
+      let bytes =
+        Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+      in
+      (* the version byte follows the 7-byte prefix *)
+      Bytes.set_uint8 bytes 7 99;
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_bytes oc bytes);
       match Checkpoint.load ~path with
       | _ -> Alcotest.fail "expected Failure on version 99"
       | exception Failure msg ->
           Alcotest.(check bool)
             "message names the version" true
             (contains_sub msg "version 99"))
+
+(* Every single-bit flip and every truncation of a real checkpoint
+   fails as the documented Failure naming the path, never as another
+   exception and never as a record: the prefix and version catch the
+   first bytes, the stored length catches cuts, and the digest catches
+   flips in the payload before Marshal reads it. *)
+let test_checkpoint_flips_and_truncations () =
+  with_tmp (fun path ->
+      let op = tiny_c2d () in
+      let task = make_task op in
+      let r =
+        Tuner.tune_loop_only ~seed:3 ~explorer:Tuner.Guided ~budget:8
+          ~layouts:[ Templates.trivial_choice op ]
+          task
+      in
+      let cache, quarantine = Measure.snapshot task in
+      let saved =
+        {
+          Checkpoint.fingerprint = Measure.fingerprint ~seed:3 ~tag:"t" task;
+          rounds = List.length r.Tuner.history;
+          spent = r.Tuner.spent;
+          best_latency = r.Tuner.best_latency;
+          rng_digest = "d";
+          cache;
+          quarantine;
+        }
+      in
+      Checkpoint.save ~path saved;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let write s =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+      in
+      let n = String.length bytes in
+      for bit = 0 to (8 * n) - 1 do
+        let b = Bytes.of_string bytes and i = bit / 8 in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl (bit mod 8)));
+        write (Bytes.to_string b);
+        expect_load_failure (Fmt.str "bit %d flipped" bit) path
+      done;
+      for len = 0 to n - 1 do
+        write (String.sub bytes 0 len);
+        expect_load_failure (Fmt.str "cut to %d bytes" len) path
+      done;
+      write bytes;
+      Alcotest.(check bool) "untouched file loads the saved record" true
+        (Checkpoint.load ~path = saved))
 
 let test_checkpoint_fingerprint_mismatch () =
   with_tmp (fun path ->
@@ -749,6 +799,8 @@ let () =
             test_checkpoint_version_mismatch;
           Alcotest.test_case "fingerprint mismatch on resume" `Quick
             test_checkpoint_fingerprint_mismatch;
+          Alcotest.test_case "every bit flip and truncation fails" `Quick
+            test_checkpoint_flips_and_truncations;
         ] );
       ( "trace-roundtrip",
         [

@@ -692,11 +692,10 @@ let int_member name j =
   | Some v -> v
   | None -> Alcotest.failf "no %S in %s" name (Json.to_string j)
 
-let test_socket_daemon () =
-  let specs = [ ("a", spec ()); ("b", spec ~op:c2d_op ~seed:1 ()) ] in
-  let piped =
-    run_pipe_on_file ~requests:(List.map (fun (id, s) -> tune ~id s) specs)
-  in
+(* [f path] while [Daemon.run_socket] serves [path] from a second
+   domain; [f] ends with a [shutdown] request, after which the daemon
+   must return and remove the socket file. *)
+let with_socket_daemon f =
   with_tmpdir @@ fun dir ->
   let path = Filename.concat dir "s.sock" in
   let engine = Serve.create (Serve.default_config ~max_active:2 ()) in
@@ -708,27 +707,39 @@ let test_socket_daemon () =
           (fun () -> Daemon.run_socket ~path engine))
   in
   poll ~what:"the socket file" (fun () -> Sys.file_exists path);
-  (* two clients connect at once, each submits its own spec *)
-  let clients = List.map (fun (id, s) -> (id, s, connect path)) specs in
-  List.iter (fun (id, s, fd) -> send_request fd (tune ~id s)) clients;
-  (* a third submits and leaves before its reply *)
-  let gone = connect path in
-  send_request gone (tune ~id:"c" (spec ~budget:8 ~seed:2 ()));
-  Unix.close gone;
-  let stats = ref Json.Null in
-  poll ~what:"the sessions to finish" (fun () ->
-      stats := call path (Proto.Stats { id = "s" });
-      int_member "active" !stats = 0 && int_member "waiting" !stats = 0);
-  Alcotest.(check int)
-    "the orphaned session completed too" 3
-    (int_member "completed" !stats);
-  let bye = call path (Proto.Shutdown { id = "k" }) in
-  Alcotest.(check bool)
-    "shutdown answered" true
-    (Json.member "shutting_down" bye = Some (Json.Bool true));
+  let r = f path in
   poll ~what:"run_socket to return" (fun () -> Atomic.get returned);
   Domain.join daemon;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  r
+
+let test_socket_daemon () =
+  let specs = [ ("a", spec ()); ("b", spec ~op:c2d_op ~seed:1 ()) ] in
+  let piped =
+    run_pipe_on_file ~requests:(List.map (fun (id, s) -> tune ~id s) specs)
+  in
+  let clients =
+    with_socket_daemon @@ fun path ->
+    (* two clients connect at once, each submits its own spec *)
+    let clients = List.map (fun (id, s) -> (id, s, connect path)) specs in
+    List.iter (fun (id, s, fd) -> send_request fd (tune ~id s)) clients;
+    (* a third submits and leaves before its reply *)
+    let gone = connect path in
+    send_request gone (tune ~id:"c" (spec ~budget:8 ~seed:2 ()));
+    Unix.close gone;
+    let stats = ref Json.Null in
+    poll ~what:"the sessions to finish" (fun () ->
+        stats := call path (Proto.Stats { id = "s" });
+        int_member "active" !stats = 0 && int_member "waiting" !stats = 0);
+    Alcotest.(check int)
+      "the orphaned session completed too" 3
+      (int_member "completed" !stats);
+    let bye = call path (Proto.Shutdown { id = "k" }) in
+    Alcotest.(check bool)
+      "shutdown answered" true
+      (Json.member "shutting_down" bye = Some (Json.Bool true));
+    clients
+  in
   (* each connection got exactly its own reply, as the pipe gives it *)
   List.iter
     (fun (id, _, fd) ->
@@ -745,6 +756,34 @@ let test_socket_daemon () =
         [ Json.to_string expected ]
         (List.map Json.to_string frames))
     clients
+
+(* Client A awaits id r0 when client B submits another spec under the
+   same id: B is refused at once and A still gets exactly its own
+   reply. *)
+let test_socket_refuses_pending_id () =
+  let long = spec ~op:c2d_op ~budget:200 ~seed:3 () in
+  let piped = run_pipe_on_file ~requests:[ tune ~id:"r0" long ] in
+  with_socket_daemon @@ fun path ->
+  let a = connect path in
+  send_request a (tune ~id:"r0" long);
+  poll ~what:"A's session to start" (fun () ->
+      int_member "active" (call path (Proto.Stats { id = "s" })) = 1);
+  let refused = call path (tune ~id:"r0" (spec ~budget:8 ())) in
+  Alcotest.(check string) "B is refused" "error" (status_of refused);
+  Alcotest.(check (option string))
+    "the reason names the id"
+    (Some {|request id "r0" is pending on another connection|})
+    (Option.bind (Json.member "reason" refused) Json.to_string_opt);
+  let frames = recv ~want:1 a in
+  Unix.close a;
+  Alcotest.(check (list string))
+    "A = pipe reply"
+    (List.map Json.to_string piped)
+    (List.map Json.to_string frames);
+  Alcotest.(check int)
+    "only A's session ran" 1
+    (int_member "completed" (call path (Proto.Stats { id = "s" })));
+  ignore (call path (Proto.Shutdown { id = "k" }) : Json.t)
 
 (* ------------------------------------------------------------------ *)
 
@@ -846,5 +885,7 @@ let () =
             test_pipe_daemon_rejects_bad_stream;
           Alcotest.test_case "socket daemon: two clients, an orphan, shutdown"
             `Quick test_socket_daemon;
+          Alcotest.test_case "socket daemon refuses an id another client awaits"
+            `Quick test_socket_refuses_pending_id;
         ] );
     ]
