@@ -20,7 +20,6 @@ let experiments =
     ("fig12", Fig12.run);
     ("fig13", Fig13.run);
     ("table3", Table3.run);
-    ("bechamel", Bechamel_suite.run);
   ]
 
 let () =

@@ -238,7 +238,11 @@ let tune_op_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let r =
-      Tuner.tune_op ~seed ~jobs ?checkpoint ?resume ~system ~budget task
+      try Tuner.tune_op ~seed ~jobs ?checkpoint ?resume ~system ~budget task
+      with (Failure msg | Invalid_argument msg)
+           when resume <> None && Tuner.unusable_checkpoint msg ->
+        Fmt.epr "error: cannot resume: %s@." msg;
+        exit 1
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     (* the summary below prints from the metrics registry: the task's

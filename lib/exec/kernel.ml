@@ -8,7 +8,9 @@
    simulator's fast engine runs too ([Loopenv.leaf_group]: hoisted
    bases and the multiply-accumulate specialization).  Each group runs
    with the perfect chain of loops above it whose variables every
-   access is affine in, on the shared chain walker ([Loopenv.chain]).
+   access is affine in, on the shared chain walker ([Loopenv.chain]);
+   a multiply-accumulate group runs the chain's innermost level inside
+   its own runner ([lg_fold]).
    Every combine function, evaluation order and accumulation chain
    matches the scalar interpreter, so kernel outputs are bit-identical
    to a simulator run of the same program (test/test_exec.ml pins it).
@@ -26,6 +28,7 @@ module Lower = Alt_ir.Lower
 
 type stats = {
   mutable macro_groups : int;
+  mutable folded_groups : int;
   mutable generic_groups : int;
   mutable macro_runs : int;
   mutable generic_runs : int;
@@ -124,16 +127,33 @@ let compile_stmts ctx st vm (slots : Program.slot array)
                   in
                   let levels, rest = climb [] outer in
                   let levels = Array.of_list levels in
+                  let vslot = Loopenv.var_slot vm l.Program.v
+                  and n = l.Program.extent
+                  and nl = Array.length levels in
+                  (* a multiply-accumulate runs the chain's innermost
+                     level inside its runner; the chain never writes that
+                     level's variable then, and sibling groups reuse
+                     loop variables, so its slot is zeroed before the
+                     chain evaluates the bases *)
+                  let inner, chained, zero =
+                    match g.Loopenv.lg_fold with
+                    | Some fold when nl > 0 ->
+                        st.folded_groups <- st.folded_groups + 1;
+                        let lv = levels.(nl - 1) in
+                        ( fold lv n,
+                          Array.sub levels 0 (nl - 1),
+                          lv.Loopenv.lv_slot )
+                    | _ -> (g.Loopenv.lg_inner n, levels, vslot)
+                  in
                   let run =
-                    Loopenv.chain
-                      ~vslot:(Loopenv.var_slot vm l.Program.v)
-                      g.Loopenv.lg_bases levels
-                      (g.Loopenv.lg_inner l.Program.extent)
+                    Loopenv.chain ~vslot g.Loopenv.lg_bases chained inner
                   in
                   let runs = Loopenv.chain_points levels in
                   ( (fun () ->
                       st.macro_runs <- st.macro_runs + runs;
-                      run ctx.env),
+                      let env = ctx.env in
+                      env.(zero) <- 0;
+                      run env),
                     rest )
               | None ->
                   st.generic_groups <- st.generic_groups + 1;
@@ -187,7 +207,13 @@ let compile (p : Program.t) ~(bufs : float array array) : t =
     bufs;
   let ctx = { env = [||]; bufs } in
   let st =
-    { macro_groups = 0; generic_groups = 0; macro_runs = 0; generic_runs = 0 }
+    {
+      macro_groups = 0;
+      folded_groups = 0;
+      generic_groups = 0;
+      macro_runs = 0;
+      generic_runs = 0;
+    }
   in
   let vm = Loopenv.create () in
   let run = compile_stmts ctx st vm p.Program.slots p.Program.body in

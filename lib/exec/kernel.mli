@@ -10,7 +10,11 @@
     hoisted base offsets, with the multiply-accumulate shape every
     conv/matmul reduction lowers to specialized (invariant operands
     hoisted, scalar accumulators kept in a register, innermost
-    iterations unrolled).  Everything else falls back to a generic
+    iterations unrolled), and a store guarded by the bounds test of a
+    pad or a padded/unfolded conversion runs as three ranges computed
+    once per run (the else-branch below and above the range where the
+    guard holds, the then-branch inside it, each a fill or a copy when
+    it is a constant or a plain load).  Everything else falls back to a generic
     compiled interpretation of the same nest.
 
     A macro-kernel runs with its chain: the longest run of loops directly
@@ -20,8 +24,14 @@
     evaluates each hoisted base once per chain entry, then moves it by
     precomputed per-loop strides, rewinding after each loop ends; it
     still writes every chain variable to the loop environment for the
-    select conditions that read it.  A chain visits the same points in
-    the same order as the loops it replaces.
+    select conditions that read it.  A group of one multiply-accumulate
+    leaf hands the chain's innermost level to the leaf's own runner
+    ({!Alt_ir.Loopenv.leaf_group}'s [lg_fold]), which moves its operands
+    by that level's strides; the chain walks the levels above, and the
+    folded level's variable is zeroed before each chain entry, since the
+    chain evaluates its bases with every variable below it at 0 and
+    sibling groups reuse loop variables.  A chain visits the same points
+    in the same order as the loops it replaces.
 
     The value semantics mirror the scalar interpreter in
     [lib/machine/profiler.ml] operation for operation — same combine
@@ -41,6 +51,9 @@ module Program = Alt_ir.Program
     compiler targets. *)
 type stats = {
   mutable macro_groups : int;  (** groups compiled to macro-kernels *)
+  mutable folded_groups : int;
+      (** macro groups whose chain's innermost level runs inside the
+          multiply-accumulate runner *)
   mutable generic_groups : int;  (** groups that fell back *)
   mutable macro_runs : int;  (** innermost-loop executions, macro path *)
   mutable generic_runs : int;  (** innermost-loop executions, fallback *)

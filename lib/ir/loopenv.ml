@@ -21,7 +21,8 @@
    enclosing loops; the chain walker and the leaf values below are the
    ones both use.  The simulator adds only its cache pass and counters,
    and declines some groups the kernels run (loads under a select,
-   several Reduce leaves). *)
+   several Reduce leaves); only the kernels fold a chain level into the
+   multiply-accumulate runner. *)
 
 module Var = Alt_tensor.Var
 module Ixexpr = Alt_tensor.Ixexpr
@@ -293,11 +294,19 @@ let rec compile_value vm bufs (base_of : Program.access -> base)
 type leaf = { step : int -> unit; run : int -> unit }
 
 (* The multiply-accumulate leaf [c += a * b] every conv/matmul reduction
-   lowers to, as tight array loops.  A scalar accumulator (stride 0) is
-   kept in a register over a 4x unrolled loop that still adds in one
-   sequential chain; a moving one hoists a loop-invariant operand.  Both
-   shortcuts need operands that cannot alias the accumulator: a deferred
-   store, or a hoisted read, would miss the updates in between. *)
+   lowers to, as tight array loops.  [runner ny ya yb yc] is the loop of
+   [n] iterations run [ny] times, the offsets of a, b and c moving by
+   [ya], [yb] and [yc] from one run to the next, in the variant the
+   strides select: the leaf's own loop is [runner 1 0 0 0], and a
+   chain's innermost level folds into it as [ny] runs (see
+   [leaf_group]).  A scalar accumulator (stride 0) is kept in a register
+   over a 4x unrolled loop that still adds in one sequential chain; a
+   moving one hoists a loop-invariant operand.  Both shortcuts need
+   operands that cannot alias the accumulator: a deferred store, or a
+   hoisted read, would miss the updates in between.  Each run starts
+   from what the run before it stored, so every variant adds in the
+   scalar interpreter's order.  Returns the leaf and the folded runner
+   of a level. *)
 let mac_leaf bufs base_of (c : Program.access) (la : Program.access)
     (lb : Program.access) =
   let pc = base_of c and pa = base_of la and pb = base_of lb in
@@ -311,51 +320,158 @@ let mac_leaf bufs base_of (c : Program.access) (la : Program.access)
     let o = pc.b_at + (sc * x) in
     buf.(o) <- buf.(o) +. (ba.(pa.b_at + (sa * x)) *. bb.(pb.b_at + (sb * x)))
   in
-  let run n =
-    let oa = pa.b_at and ob = pb.b_at and oc = pc.b_at in
-    if sc = 0 && (not alias_a) && not alias_b then begin
-      let acc = ref buf.(oc) in
+  let runner ny ya yb yc : int -> unit =
+    if sc = 0 && (not alias_a) && not alias_b then fun n ->
       let n4 = n - (n land 3) in
-      let x = ref 0 in
-      while !x < n4 do
-        let xa = oa + (sa * !x) and xb = ob + (sb * !x) in
-        acc := !acc +. (ba.(xa) *. bb.(xb));
-        acc := !acc +. (ba.(xa + sa) *. bb.(xb + sb));
-        acc := !acc +. (ba.(xa + (2 * sa)) *. bb.(xb + (2 * sb)));
-        acc := !acc +. (ba.(xa + (3 * sa)) *. bb.(xb + (3 * sb)));
-        x := !x + 4
-      done;
-      for x = n4 to n - 1 do
-        acc := !acc +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
-      done;
-      buf.(oc) <- !acc
-    end
-    else if sa = 0 && not alias_a then begin
-      let va = ba.(oa) in
-      for x = 0 to n - 1 do
-        let o = oc + (sc * x) in
-        buf.(o) <- buf.(o) +. (va *. bb.(ob + (sb * x)))
+      for y = 0 to ny - 1 do
+        let oa = pa.b_at + (ya * y) and ob = pb.b_at + (yb * y) in
+        let oc = pc.b_at + (yc * y) in
+        let acc = ref buf.(oc) in
+        let x = ref 0 in
+        while !x < n4 do
+          let xa = oa + (sa * !x) and xb = ob + (sb * !x) in
+          acc := !acc +. (ba.(xa) *. bb.(xb));
+          acc := !acc +. (ba.(xa + sa) *. bb.(xb + sb));
+          acc := !acc +. (ba.(xa + (2 * sa)) *. bb.(xb + (2 * sb)));
+          acc := !acc +. (ba.(xa + (3 * sa)) *. bb.(xb + (3 * sb)));
+          x := !x + 4
+        done;
+        for x = n4 to n - 1 do
+          acc := !acc +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
+        done;
+        buf.(oc) <- !acc
       done
-    end
-    else if sb = 0 && not alias_b then begin
-      let vb = bb.(ob) in
-      for x = 0 to n - 1 do
-        let o = oc + (sc * x) in
-        buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. vb)
+    else if sa = 0 && not alias_a then fun n ->
+      for y = 0 to ny - 1 do
+        let va = ba.(pa.b_at + (ya * y)) in
+        let ob = pb.b_at + (yb * y) and oc = pc.b_at + (yc * y) in
+        for x = 0 to n - 1 do
+          let o = oc + (sc * x) in
+          buf.(o) <- buf.(o) +. (va *. bb.(ob + (sb * x)))
+        done
       done
-    end
-    else
-      for x = 0 to n - 1 do
-        let o = oc + (sc * x) in
-        buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
+    else if sb = 0 && not alias_b then fun n ->
+      for y = 0 to ny - 1 do
+        let vb = bb.(pb.b_at + (yb * y)) in
+        let oa = pa.b_at + (ya * y) and oc = pc.b_at + (yc * y) in
+        for x = 0 to n - 1 do
+          let o = oc + (sc * x) in
+          buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. vb)
+        done
+      done
+    else fun n ->
+      for y = 0 to ny - 1 do
+        let oa = pa.b_at + (ya * y) and ob = pb.b_at + (yb * y) in
+        let oc = pc.b_at + (yc * y) in
+        for x = 0 to n - 1 do
+          let o = oc + (sc * x) in
+          buf.(o) <- buf.(o) +. (ba.(oa + (sa * x)) *. bb.(ob + (sb * x)))
+        done
       done
   in
-  { step; run }
+  let fold lv n =
+    let ys b = Option.get (slot_stride b.b_off lv.lv_slot) in
+    let run = runner lv.lv_extent (ys pa) (ys pb) (ys pc) in
+    fun (_ : int array) -> run n
+  in
+  ({ step; run = runner 1 0 0 0 }, fold)
+
+(* A select guard that is a conjunction of [Cge]/[Clt] comparisons, each
+   affine in the innermost variable (slot [vslot]): per comparison,
+   whether it is [Cge], its difference and the difference's stride in
+   [vslot].  [None] for any other condition. *)
+let rec guard_terms vm vslot (c : Sexpr.cond) =
+  match c with
+  | Sexpr.Cmp (((Sexpr.Cge | Sexpr.Clt) as op), a, b) -> (
+      let d = compile_index vm (Ixexpr.sub a b) in
+      match slot_stride d vslot with
+      | Some k -> Some [ (op = Sexpr.Cge, d, k) ]
+      | None -> None)
+  | Sexpr.And (a, b) -> (
+      match (guard_terms vm vslot a, guard_terms vm vslot b) with
+      | Some ta, Some tb -> Some (ta @ tb)
+      | _ -> None)
+  | Sexpr.Cmp _ | Sexpr.Or _ -> None
+
+(* The stores of [e] into [a] at x in [x0, x1), in ascending x: a fill
+   for a constant, a copy for a plain load, and otherwise [e] evaluated
+   per x with the loop variable in the environment, for the selects
+   inside it. *)
+let store_range vm bufs base_of vslot (a : Program.access) (e : Program.pexpr)
+    : int -> int -> unit =
+  let b = base_of a in
+  let buf = bufs.(a.Program.slot) and stride = b.b_stride in
+  match e with
+  | Program.Pconst cst ->
+      fun x0 x1 ->
+        let at = b.b_at in
+        if stride = 1 then Array.fill buf (at + x0) (x1 - x0) cst
+        else
+          for x = x0 to x1 - 1 do
+            buf.(at + (stride * x)) <- cst
+          done
+  | Program.Pload l ->
+      let lb = base_of l in
+      let src = bufs.(l.Program.slot) and ls = lb.b_stride in
+      fun x0 x1 ->
+        let at = b.b_at and from = lb.b_at in
+        for x = x0 to x1 - 1 do
+          buf.(at + (stride * x)) <- src.(from + (ls * x))
+        done
+  | _ ->
+      let fe = compile_value vm bufs base_of e in
+      fun x0 x1 ->
+        let env = vm.env in
+        for x = x0 to x1 - 1 do
+          env.(vslot) <- x;
+          buf.(b.b_at + (stride * x)) <- fe x
+        done
+
+(* A store [a = c ? e1 : e2] whose guard [c] has [guard_terms] — the
+   zero-fill guards of pads and of conversions into padded or unfolded
+   layouts.  Every comparison is monotone in the innermost variable, so
+   [c] holds on one range [lo, hi) of the loop: a run computes it once,
+   from the differences at x = 0, and stores [e2] on [0, lo), [e1] on
+   [lo, hi) and [e2] on [hi, n), in ascending x.  Each x evaluates the
+   branch the interpreter would, so a branch's loads are never read
+   outside its range. *)
+let guarded_store vm bufs base_of vslot (a : Program.access) terms e1 e2 =
+  let terms = Array.of_list terms in
+  let on_true = store_range vm bufs base_of vslot a e1
+  and on_false = store_range vm bufs base_of vslot a e2 in
+  fun n ->
+    let env = vm.env in
+    env.(vslot) <- 0;
+    let lo = ref 0 and hi = ref n in
+    for i = 0 to Array.length terms - 1 do
+      (* the x with d0 + k·x >= 0 (Cge) or < 0 (Clt) *)
+      let ge, d, k = terms.(i) in
+      let d0 = eval d env in
+      if k = 0 then begin
+        if d0 >= 0 <> ge then hi := 0
+      end
+      else if k > 0 then begin
+        (* d0 + k·x >= 0 iff x >= ⌈-d0/k⌉ *)
+        let t = -Ixexpr.fdiv d0 k in
+        if ge then (if t > !lo then lo := t) else if t < !hi then hi := t
+      end
+      else begin
+        (* d0 + k·x >= 0 iff x < ⌊d0/-k⌋ + 1 *)
+        let t = Ixexpr.fdiv d0 (-k) + 1 in
+        if ge then (if t < !hi then hi := t) else if t > !lo then lo := t
+      end
+    done;
+    let lo = min !lo n in
+    let hi = max lo !hi in
+    on_false 0 lo;
+    on_true lo hi;
+    on_false hi n
 
 type leaf_group = {
   lg_bases : base array;
   lg_base : Program.access -> base;
   lg_inner : int -> int array -> unit;
+  lg_fold : (level -> int -> int array -> unit) option;
 }
 
 let leaf_group vm (slots : Program.slot array) (bufs : float array array)
@@ -386,6 +502,7 @@ let leaf_group vm (slots : Program.slot array) (bufs : float array array)
     in
     { step; run }
   in
+  let fold = ref None in
   let compile_leaf (s : Program.stmt) : leaf =
     match s with
     | Program.Store (a, e) -> (
@@ -394,23 +511,24 @@ let leaf_group vm (slots : Program.slot array) (bufs : float array array)
         let buf = bufs.(a.Program.slot) and stride = b.b_stride in
         let step x = buf.(b.b_at + (stride * x)) <- fe x in
         match e with
-        | Program.Pconst cst ->
+        | Program.Pconst _ ->
             (* tile-init loops: no closure call per element *)
-            let run n =
-              let at = b.b_at in
-              if stride = 1 then Array.fill buf at n cst
-              else
-                for x = 0 to n - 1 do
-                  buf.(at + (stride * x)) <- cst
-                done
-            in
-            { step; run }
+            let fill = store_range vm bufs base_of vslot a e in
+            { step; run = (fun n -> fill 0 n) }
+        | Program.Pselect (c, e1, e2) -> (
+            match guard_terms vm vslot c with
+            | Some terms ->
+                let run = guarded_store vm bufs base_of vslot a terms e1 e2 in
+                { step; run }
+            | None -> generic step)
         | _ -> generic step)
     | Program.Reduce
         ( a,
           Program.Rsum,
           Program.Pbin (Sexpr.Bmul, Program.Pload la, Program.Pload lb) ) ->
-        mac_leaf bufs base_of a la lb
+        let leaf, f = mac_leaf bufs base_of a la lb in
+        fold := Some f;
+        leaf
     | Program.Reduce (a, r, e) ->
         let b = base_of a in
         let buf = bufs.(a.Program.slot) and stride = b.b_stride in
@@ -446,7 +564,8 @@ let leaf_group vm (slots : Program.slot array) (bufs : float array array)
       Some
         { lg_bases = Array.of_list (List.rev_map snd hoisted);
           lg_base = (fun a -> List.assoc a hoisted);
-          lg_inner = inner }
+          lg_inner = inner;
+          lg_fold = (if n_leaves = 1 then !fold else None) }
   | exception Fallback -> None
 
 (* Element stride of loop variable [v] through the flattened offset of

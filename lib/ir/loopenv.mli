@@ -110,9 +110,17 @@ val chain :
     innermost iteration, and whole-loop runners for constant fills, for
     the multiply-accumulate shape every conv/matmul reduction lowers to
     (a scalar accumulator stays in a register over a 4x unrolled loop
-    with one sequential accumulation chain), and for everything else.
-    Every combine function, evaluation order and accumulation chain is
-    the scalar interpreter's, so outputs are bit-identical to it. *)
+    with one sequential accumulation chain), for guarded stores, and for
+    everything else.  A guarded store — a single [Store (a, Pselect (c,
+    e1, e2))] whose [c] is a conjunction of [Cge]/[Clt] comparisons
+    affine in the innermost variable, the zero-fill guard of pads and of
+    conversions into padded or unfolded layouts — runs as three ranges
+    of the loop, [e2] for [x < lo], [e1] for [lo <= x < hi] and [e2] for
+    [x >= hi], with [lo] and [hi] computed once per run; every other
+    select is decided per element.  Every combine function, evaluation
+    order and accumulation chain is the scalar interpreter's, and each
+    element evaluates the branch the interpreter would, so outputs are
+    bit-identical to it. *)
 
 type leaf_group = private {
   lg_bases : base array;  (** one per distinct access, for {!chain} *)
@@ -122,6 +130,16 @@ type leaf_group = private {
       (** [lg_inner n]: the innermost loop of [n] iterations, the [inner]
           of {!chain}.  Several leaves interleave per iteration, since a
           later one may read what an earlier one wrote. *)
+  lg_fold : (level -> int -> int array -> unit) option;
+      (** for a group of one multiply-accumulate leaf: [fold lv n] runs
+          the innermost loop of [n] iterations once per iteration of the
+          chain level [lv], inside the leaf's runner (the same loops
+          [lg_inner] runs once), moving each operand by its stride in
+          [lv]'s variable.  It is the [inner] of a {!chain} over the
+          levels above [lv], and it never writes [lv]'s variable: the
+          caller zeroes that slot before each chain entry, since the
+          chain evaluates its bases with every variable below it at 0.
+          [None] for every other group. *)
 }
 
 val leaf_group :

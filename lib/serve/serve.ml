@@ -196,11 +196,6 @@ let status_response ?(extra = []) skey status id =
 (* Session lifecycle                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* A session: its tuning run as a fiber, suspended at every round's
    (already checkpointed) end.  Resume is attempted first; a corrupt or
    version/fingerprint-mismatched checkpoint is parked as [.bad] and the
@@ -228,7 +223,7 @@ let new_session t ~skey ~(spec : Workload.tune_spec) ~ids ~deadline : session
     | Some path -> (
         try build ~resume:path ()
         with (Failure msg | Invalid_argument msg)
-             when contains_sub msg "checkpoint" ->
+             when Tuner.unusable_checkpoint msg ->
           Log.warn (fun m ->
               m "session %s: unusable checkpoint (%s); restarting fresh" skey
                 msg);

@@ -830,6 +830,12 @@ let conv_fixed_layouts (op : Opdef.t) =
       [ Templates.gmm_kn op; Templates.gmm_nk op ]
   | Opdef.Simple -> [ Templates.trivial_choice op ]
 
+let unusable_checkpoint msg =
+  let n = String.length msg and sub = "checkpoint" in
+  let m = String.length sub in
+  let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+  go 0
+
 let tune_op ?(seed = 0) ?(jobs = 1) ?pool ?checkpoint ?resume ?stop
     ?on_progress ~(system : system) ~(budget : int) (task : Measure.task) :
     result =

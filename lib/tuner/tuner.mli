@@ -128,6 +128,13 @@ val tune_op :
   ?on_progress:(progress -> unit) ->
   system:system -> budget:int -> Measure.task -> result
 
+val unusable_checkpoint : string -> bool
+(** Whether the message of a [Failure] or [Invalid_argument] that a
+    tuning entry point given [?resume] raised reports a file it cannot
+    resume from: one {!Checkpoint.load} rejects (corrupt, truncated,
+    foreign or another format version), or a checkpoint another tuning
+    run wrote.  Both messages name the file. *)
+
 (** Resumable stepping over any tuning entry point — the suspension
     primitive of the scheduler and of the serve engine's sessions.
     [start f] wraps the tuner thunk [f] (which receives the [stop] probe

@@ -9,8 +9,10 @@
    shapes the tuner emits from NaN-poisoned buffers (compared bit for
    bit), plus directed candidates covering every layout primitive
    (split / reorder / fuse / unfold / pad), fused conv+relu chains, the
-   chain runner's obligations, and the generic fallback for non-affine
-   bodies.  The rank-correlation regression at the end is the
+   chain runner's obligations, the chain level folded into the
+   multiply-accumulate runner, the guarded-store ranges, and the generic
+   fallback for non-affine bodies.  The rank-correlation regression at
+   the end is the
    paper's cross-validation claim in miniature: simulator latency must
    rank a seeded candidate set like real execution does (tolerance-
    gated: wall clocks on loaded CI boxes can be arbitrarily noisy, so
@@ -33,6 +35,10 @@ module Rankcorr = Alt_exec.Rankcorr
 module Templates = Alt_tuner.Templates
 module Loopspace = Alt_tuner.Loopspace
 module Measure = Alt_tuner.Measure
+module Graph_tuner = Alt_tuner.Graph_tuner
+module Graph = Alt_graph.Graph
+module Compile = Alt_graph.Compile
+module Zoo = Alt_models.Zoo
 
 let machines = [ Machine.intel_cpu; Machine.nvidia_gpu; Machine.arm_cpu ]
 let trivial shape = Layout.create shape
@@ -491,15 +497,21 @@ let chain_multi_leaf ~parallel =
   (Option.get (Measure.program_of task choice sched), task.Measure.feeds)
 
 (* Kernel == interpreter bit for bit from NaN-poisoned buffers, with
-   every leaf group on the macro path. *)
-let check_chain label (prog, inputs) =
+   every leaf group on the macro path and, given [folded], that many
+   groups running a chain level inside the multiply-accumulate runner. *)
+let check_chain ?folded label (prog, inputs) =
   let k, same = poisoned_differential prog ~inputs in
   let st = k.Kernel.stats in
   Alcotest.(check bool) (label ^ ": kernel == interpreter, bitwise") true same;
   Alcotest.(check bool) (label ^ ": macro path engaged") true
     (st.Kernel.macro_groups > 0 && st.Kernel.macro_runs > 0);
   Alcotest.(check int) (label ^ ": no generic group") 0
-    st.Kernel.generic_groups
+    st.Kernel.generic_groups;
+  Option.iter
+    (fun f ->
+      Alcotest.(check int) (label ^ ": folded groups") f
+        st.Kernel.folded_groups)
+    folded
 
 let chain_case ?(parallel = 0) label nest =
   Alcotest.test_case label `Quick (fun () -> check_chain label (nest ~parallel))
@@ -526,19 +538,27 @@ let chain_cases =
    [Y[0] = 0.5; for i: Y[0] += Y[0] * W[i]], and [~moving:true] is
    [for j: Y[j] = X[j]; for i: Y[i] += Y[0] * W[i]], whose first
    iteration updates the operand the rest read; [~swap] makes the
-   aliased operand the second one. *)
-let mac_alias_nest ~moving ~swap =
+   aliased operand the second one.  [~fold:m] puts the MAC loop under a
+   loop over [y] of [m] iterations reading [W[i + y]], a level the
+   kernel folds into the MAC runner. *)
+let mac_alias_nest ?(fold = 1) ~moving ~swap () =
   let n = 13 in
-  let i = Var.fresh "i" and j = Var.fresh "j" in
+  let i = Var.fresh "i" and j = Var.fresh "j" and y = Var.fresh "y" in
   (* [slot[k·v]] of a 1-D slot *)
   let at slot k v =
     { Program.slot; idx = [| Ixexpr.mul (Ixexpr.const k) (Ixexpr.var v) |] }
   in
-  let loop v body =
-    Program.For ({ Program.v; extent = n; kind = Program.Serial }, body)
+  let loop ?(extent = n) v body =
+    Program.For ({ Program.v; extent; kind = Program.Serial }, body)
   in
-  let slot sname role = { Program.sname; layout = trivial [| n |]; role } in
-  let y0 = Program.Pload (at 0 0 i) and w = Program.Pload (at 1 1 i) in
+  let slot ?(len = n) sname role =
+    { Program.sname; layout = trivial [| len |]; role }
+  in
+  let y0 = Program.Pload (at 0 0 i)
+  and w =
+    Program.Pload
+      { Program.slot = 1; idx = [| Ixexpr.add (Ixexpr.var i) (Ixexpr.var y) |] }
+  in
   let init =
     if moving then loop j (Program.Store (at 0 1 j, Program.Pload (at 2 1 j)))
     else Program.Store (at 0 0 i, Program.Pconst 0.5)
@@ -550,26 +570,264 @@ let mac_alias_nest ~moving ~swap =
         if swap then Program.Pbin (Sexpr.Bmul, w, y0)
         else Program.Pbin (Sexpr.Bmul, y0, w) )
   in
+  let wn = n + fold - 1 in
   ( {
       Program.pname = "mac_alias";
-      body = Program.Block [ init; loop i mac ];
+      body = Program.Block [ init; loop ~extent:fold y (loop i mac) ];
       slots =
-        [| slot "Y" Program.Output; slot "W" Program.Input;
+        [| slot "Y" Program.Output; slot ~len:wn "W" Program.Input;
            slot "X" Program.Input |];
-      flops = 2 * n;
+      flops = 2 * n * fold;
     },
-    [ ("W", Buffer.random ~seed:11 [| n |]);
+    [ ("W", Buffer.random ~seed:11 [| wn |]);
       ("X", Buffer.random ~seed:12 [| n |]) ] )
+
+let alias_shapes =
+  [ ("1st operand aliases a scalar accumulator", false, false);
+    ("2nd operand aliases a scalar accumulator", false, true);
+    ("1st operand aliases a moving accumulator", true, false);
+    ("2nd operand aliases a moving accumulator", true, true) ]
 
 let mac_alias_cases =
   List.map
     (fun (label, moving, swap) ->
       Alcotest.test_case label `Quick (fun () ->
-          check_chain label (mac_alias_nest ~moving ~swap)))
-    [ ("1st operand aliases a scalar accumulator", false, false);
-      ("2nd operand aliases a scalar accumulator", false, true);
-      ("1st operand aliases a moving accumulator", true, false);
-      ("2nd operand aliases a moving accumulator", true, true) ]
+          check_chain label (mac_alias_nest ~moving ~swap ())))
+    alias_shapes
+  @ List.map
+      (fun (label, moving, swap) ->
+        let label = label ^ " under a fold" in
+        Alcotest.test_case label `Quick (fun () ->
+            check_chain ~folded:1 label
+              (mac_alias_nest ~fold:3 ~moving ~swap ())))
+      alias_shapes
+
+(* ------------------------------------------------------------------ *)
+(* Folded levels and guarded-store ranges                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Hand-built nests over 1-D slots.  [ix k0 terms] is [k0 + Σ c·v] over
+   the [(v, c)] of [terms]. *)
+let ix k0 terms =
+  List.fold_left
+    (fun e (v, c) -> Ixexpr.add e (Ixexpr.mul (Ixexpr.const c) (Ixexpr.var v)))
+    (Ixexpr.const k0) terms
+
+let at slot k0 terms = { Program.slot; idx = [| ix k0 terms |] }
+
+let for_ v extent body =
+  Program.For ({ Program.v; extent; kind = Program.Serial }, body)
+
+let hand_nest name slots body =
+  let slot (sname, len, role) =
+    { Program.sname; layout = trivial [| len |]; role }
+  in
+  { Program.pname = name; body; slots = Array.map slot slots; flops = 0 }
+
+(* The m x n nests below: [y] outer (the level a MAC folds), [x] inner
+   (7 iterations, so the scalar accumulator's 4x unroll has a tail). *)
+let m = 5
+and n = 7
+
+(* Every variant of the MAC runner under a folded level: the operand
+   strides select it, [C[0]] also accumulates across the fold, and [B]'s
+   index runs backwards.  [C] (m·n elements) is initialized by a loop of
+   its own, [A] and [B] are inputs of m·n elements. *)
+let folded_mac acc a b =
+  let y = Var.fresh "y" and x = Var.fresh "x" and j = Var.fresh "j" in
+  let sub = List.map (fun (w, c) -> ((if w = 0 then y else x), c)) in
+  let access slot (k0, terms) = at slot k0 (sub terms) in
+  ( hand_nest "folded_mac"
+      [| ("C", m * n, Program.Output); ("A", m * n, Program.Input);
+         ("B", m * n, Program.Input) |]
+      (Program.Block
+         [ for_ j (m * n)
+             (Program.Store (at 0 0 [ (j, 1) ], Program.Pconst 0.25));
+           for_ y m
+             (for_ x n
+                (Program.Reduce
+                   ( access 0 acc,
+                     Program.Rsum,
+                     Program.Pbin
+                       ( Sexpr.Bmul,
+                         Program.Pload (access 1 a),
+                         Program.Pload (access 2 b) ) ))) ]),
+    [ ("A", Buffer.random ~seed:21 [| m * n |]);
+      ("B", Buffer.random ~seed:22 [| m * n |]) ] )
+
+(* each index as (k0, [(0 for y | 1 for x, coefficient)]) *)
+let folded_mac_cases =
+  List.map
+    (fun (label, acc, a, b) ->
+      Alcotest.test_case label `Quick (fun () ->
+          check_chain ~folded:1 label (folded_mac acc a b)))
+    [ ( "scalar accumulator, moving with the fold",
+        (0, [ (0, 1) ]), (0, [ (0, n); (1, 1) ]), (0, [ (1, 1) ]) );
+      ( "scalar accumulator, fixed across the fold",
+        (0, []), (0, [ (0, n); (1, 1) ]), (0, [ (0, n); (1, 1) ]) );
+      ( "invariant 1st operand",
+        (0, [ (0, n); (1, 1) ]), (0, [ (0, 1) ]), (0, [ (1, 1) ]) );
+      ( "invariant 2nd operand",
+        (0, [ (1, m); (0, 1) ]), (0, [ (0, n); (1, 1) ]), (0, [ (0, 1) ]) );
+      ( "general, backward operand",
+        (0, [ (1, 1) ]), (0, [ (0, n); (1, 1) ]),
+        ((n - 1) * m, [ (1, -m); (0, 1) ]) ) ]
+
+(* A folded variable that a sibling group loops over first: the sibling's
+   chain leaves [y] at m - 1, and the MAC's chain must still evaluate its
+   bases with [y] at 0.  [~outer] repeats the block, so the MAC group
+   also re-enters after the sibling that follows it. *)
+let folded_sibling ~outer =
+  let y = Var.fresh "y" and x = Var.fresh "x" and j = Var.fresh "j" in
+  let t = Var.fresh "t" in
+  let yx = [ (y, n); (x, 1) ] in
+  let copy =
+    for_ y m
+      (for_ x n (Program.Store (at 3 0 yx, Program.Pload (at 1 0 yx))))
+  in
+  let mac =
+    for_ y m
+      (for_ x n
+         (Program.Reduce
+            ( at 0 0 [ (y, 1) ],
+              Program.Rsum,
+              Program.Pbin
+                ( Sexpr.Bmul,
+                  Program.Pload (at 3 0 yx),
+                  Program.Pload (at 2 0 [ (x, 1) ]) ) )))
+  in
+  let init = for_ j m (Program.Store (at 0 0 [ (j, 1) ], Program.Pconst 0.0)) in
+  let body =
+    if outer then for_ t 2 (Program.Block [ init; mac; copy ])
+    else Program.Block [ copy; init; mac ]
+  in
+  ( hand_nest "folded_sibling"
+      [| ("C", m, Program.Output); ("A", m * n, Program.Input);
+         ("B", n, Program.Input); ("T", m * n, Program.Temp) |]
+      body,
+    [ ("A", Buffer.random ~seed:23 [| m * n |]);
+      ("B", Buffer.random ~seed:24 [| n |]) ] )
+
+(* [Y[y·n + x] = c ? e1 : e2] over the m x n nest, from [X] (m·n
+   elements).  The guard's comparisons are given as (is [Cge], k0, y
+   coefficient, x coefficient); the branches as functions of y and x.
+   Out-of-range branch loads index outside [X], so a branch evaluated
+   outside its range raises. *)
+let guarded ?(store = fun y x -> [ (y, n); (x, 1) ]) cmps e1 e2 =
+  let y = Var.fresh "y" and x = Var.fresh "x" in
+  let cond =
+    List.map
+      (fun (ge, k0, cy, cx) ->
+        Sexpr.Cmp
+          ( (if ge then Sexpr.Cge else Sexpr.Clt),
+            ix k0 [ (y, cy); (x, cx) ],
+            Ixexpr.const 0 ))
+      cmps
+    |> function
+    | [] -> invalid_arg "guarded: no comparison"
+    | c :: cs -> List.fold_left (fun a c -> Sexpr.And (a, c)) c cs
+  in
+  ( hand_nest "guarded"
+      [| ("Y", m * n, Program.Output); ("X", m * n, Program.Input) |]
+      (for_ y m
+         (for_ x n
+            (Program.Store
+               (at 0 0 (store y x), Program.Pselect (cond, e1 y x, e2 y x))))),
+    [ ("X", Buffer.random ~seed:25 [| m * n |]) ] )
+
+(* [X[y·n + x + d]] and constants as branches *)
+let load_x d y x = Program.Pload (at 1 d [ (y, n); (x, 1) ])
+let const c _ _ = Program.Pconst c
+
+let guarded_cases =
+  let case label nest =
+    Alcotest.test_case label `Quick (fun () -> check_chain label nest)
+  in
+  [ case "empty range"
+      (guarded [ (true, -n, 0, 1) ] (load_x (m * n)) (const 0.0));
+    case "full range"
+      (guarded
+         [ (true, 3, 0, 1); (false, -n - 2, 0, 1) ]
+         (load_x 0) (load_x (-(m * n))));
+    case "clipped below"
+      (guarded [ (true, -2, 0, 1) ] (load_x (-2)) (const 0.0));
+    case "clipped above"
+      (guarded [ (false, -(n - 3), 0, 1) ] (load_x 3) (const 0.0));
+    case "moved by a chain variable"
+      (guarded
+         [ (true, 0, -1, 1); (false, -3, -1, 1) ]
+         (load_x 0) (const (-1.0)));
+    case "strides 3, 2, -1 and a chain variable"
+      (guarded
+         [ (true, -4, 0, 3); (false, -9, 0, 2); (true, n - 2, 0, -1);
+           (false, 0, 1, -1) ]
+         (load_x 0) (const 2.0));
+    case "strides -2 and -3 (empty)"
+      (guarded
+         [ (true, 7, 0, -2); (false, 10, 0, -3) ]
+         (load_x (m * n)) (const 3.0));
+    case "constant in the innermost variable"
+      (guarded [ (true, -2, 1, 0); (false, -4, 1, 0) ] (load_x 0) (const 4.0));
+    case "general branches, a select reads x"
+      (guarded [ (true, -1, 0, 1); (false, -5, 0, 1) ]
+         (fun y x -> Program.Pun (Sexpr.Uneg, load_x (-1) y x))
+         (fun _ x ->
+           Program.Pselect
+             ( Sexpr.Cmp (Sexpr.Cge, Ixexpr.var x, Ixexpr.const 3),
+               Program.Pconst 1.0,
+               Program.Pconst 2.0 )));
+    case "constant then-branch, strided store"
+      (guarded ~store:(fun y x -> [ (x, m); (y, 1) ])
+         [ (true, -1, 0, 1) ] (const 5.0) (load_x 0));
+    case "then-branch reads the element just stored"
+      (guarded [ (true, -2, 0, 1) ]
+         (fun y x -> Program.Pload (at 0 (-1) [ (y, n); (x, 1) ]))
+         (load_x 0)) ]
+
+(* The tuned quick zoo's convolutions run every MAC group with a chain
+   level folded, bit for bit as the interpreter does. *)
+let test_zoo_conv_folds () =
+  let zoo =
+    [ ("r18", (Zoo.resnet18 ~size:8 ~base:4 ()).Zoo.graph);
+      ("mv2", (Zoo.mobilenet_v2 ~size:8 ()).Zoo.graph);
+      ("r3d", (Zoo.resnet3d_18 ~size:8 ~depth:4 ~base:4 ()).Zoo.graph) ]
+  in
+  List.iter
+    (fun (key, g) ->
+      let tg =
+        Graph_tuner.tune_graph ~seed:5 ~system:Graph_tuner.Galt
+          ~machine:Machine.intel_cpu ~budget:200 g
+      in
+      let convs = ref 0 in
+      List.iter
+        (fun (cs : Compile.compiled_stage) ->
+          match cs.Compile.stage with
+          | Propagate.Complex_stage { node; _ } -> (
+              match node.Graph.op.Opdef.kind with
+              | Opdef.Conv _ ->
+                  incr convs;
+                  let prog = cs.Compile.prog in
+                  let inputs =
+                    Array.to_list prog.Program.slots
+                    |> List.filter (fun (s : Program.slot) ->
+                           s.Program.role = Program.Input)
+                    |> List.mapi (fun seed (s : Program.slot) ->
+                           ( s.Program.sname,
+                             Buffer.random ~seed
+                               (Layout.logical_shape s.Program.layout) ))
+                  in
+                  let k, same = poisoned_differential prog ~inputs in
+                  let st = k.Kernel.stats in
+                  let label = key ^ " " ^ cs.Compile.label in
+                  Alcotest.(check bool)
+                    (label ^ ": kernel == interpreter") true same;
+                  Alcotest.(check bool) (label ^ ": a MAC group folds") true
+                    (st.Kernel.folded_groups > 0)
+              | _ -> ())
+          | _ -> ())
+        tg.Graph_tuner.compiled.Compile.stages;
+      Alcotest.(check bool) (key ^ ": conv stages") true (!convs > 0))
+    zoo
 
 (* ------------------------------------------------------------------ *)
 (* Relation-derived layouts: random primitive chains (DESIGN.md §16)  *)
@@ -1145,6 +1403,21 @@ let () =
               test_pack_directed;
           ] );
       ("mac-alias", mac_alias_cases);
+      ( "folded-mac",
+        folded_mac_cases
+        @ [
+            Alcotest.test_case "sibling loops the folded variable first" `Quick
+              (fun () ->
+                check_chain ~folded:1 "sibling first"
+                  (folded_sibling ~outer:false));
+            Alcotest.test_case "sibling loops it in a repeated block" `Quick
+              (fun () ->
+                check_chain ~folded:1 "repeated block"
+                  (folded_sibling ~outer:true));
+            Alcotest.test_case "tuned zoo convs take the folded runner" `Quick
+              test_zoo_conv_folds;
+          ] );
+      ("guarded-store", guarded_cases);
       ( "measurement",
         [
           Alcotest.test_case "warmup/repeat/median discipline" `Quick

@@ -182,6 +182,148 @@ let test_request_roundtrip () =
   bad {|{"kind":"tune","id":"x","spec":{},"deadline_rounds":0}|}
 
 (* ------------------------------------------------------------------ *)
+(* Decoder fuzzing                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Byte-level properties of the two wire decoders: whatever bytes
+   arrive, every call returns [Ok] or [Error] and none raises (QCheck
+   reports an exception as a failure).  The counts are reduced for the
+   tier-1 run; QCHECK_LONG multiplies them by 50. *)
+let fuzz ~name ?print gen prop =
+  QCheck2.Test.make ~count:300 ~long_factor:50 ~name ?print gen prop
+
+(* Every frame [d] holds, pulled until it needs more bytes ([None]) or
+   reports the stream corrupt ([Some msg]). *)
+let drain d =
+  let rec go acc =
+    match Proto.Frames.next d with
+    | Ok (Some p) -> go (p :: acc)
+    | Ok None -> (List.rev acc, None)
+    | Error e -> (List.rev acc, Some e)
+  in
+  go []
+
+(* [wire] fed in the chunks [cuts] (positions, any order) split it into,
+   draining after each chunk, until the first error: the frames pulled
+   and the error, if any. *)
+let feed_chunks wire cuts =
+  let n = String.length wire in
+  let cuts =
+    List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) @ [ n ]
+  in
+  let d = Proto.Frames.create () in
+  let rec go from acc = function
+    | [] -> (acc, None)
+    | c :: cs -> (
+        if c > from then Proto.Frames.feed d (String.sub wire from (c - from));
+        match drain d with
+        | got, None -> go c (acc @ got) cs
+        | got, Some e -> (acc @ got, Some e))
+  in
+  go 0 [] cuts
+
+let gen_payloads =
+  QCheck2.Gen.(
+    list_size (int_range 0 5) (string_size ~gen:char (int_range 0 40)))
+
+let gen_cuts = QCheck2.Gen.(list_size (int_range 0 8) (int_range 0 1000))
+
+let print_wire (ps, cuts) =
+  Fmt.str "%S cut at %s" (String.concat "" (List.map Proto.frame ps))
+    (String.concat "," (List.map string_of_int cuts))
+
+let prop_frames_chunked =
+  fuzz ~name:"Frames: any chunking reassembles every frame" ~print:print_wire
+    QCheck2.Gen.(pair gen_payloads gen_cuts)
+    (fun (ps, cuts) ->
+      let wire = String.concat "" (List.map Proto.frame ps) in
+      feed_chunks wire cuts = (ps, None))
+
+let prop_frames_truncated =
+  fuzz ~name:"Frames: a truncated stream yields a prefix, then needs more"
+    QCheck2.Gen.(triple gen_payloads gen_cuts (int_range 0 1000))
+    (fun (ps, cuts, k) ->
+      let wire = String.concat "" (List.map Proto.frame ps) in
+      let got, err =
+        feed_chunks (String.sub wire 0 (k mod (String.length wire + 1))) cuts
+      in
+      err = None
+      && List.length got <= List.length ps
+      && List.filteri (fun i _ -> i < List.length got) ps = got)
+
+let flip_bits s flips =
+  let b = Bytes.of_string s in
+  List.iter
+    (fun (pos, bit) ->
+      if Bytes.length b > 0 then begin
+        let i = pos mod Bytes.length b in
+        Bytes.set b i
+          (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7))))
+      end)
+    flips;
+  Bytes.to_string b
+
+let gen_flips =
+  QCheck2.Gen.(
+    list_size (int_range 1 4) (pair (int_range 0 1000) (int_range 0 7)))
+
+let prop_frames_flipped =
+  fuzz ~name:"Frames: bit flips end in frames or an error, never a raise"
+    QCheck2.Gen.(triple gen_payloads gen_flips gen_cuts)
+    (fun (ps, flips, cuts) ->
+      let wire = flip_bits (String.concat "" (List.map Proto.frame ps)) flips in
+      let (_ : string list * string option) = feed_chunks wire cuts in
+      true)
+
+let prop_frames_oversize =
+  fuzz ~name:"Frames: a length prefix above max_frame is an error"
+    QCheck2.Gen.(
+      triple (int_range 1 1_000_000)
+        (string_size ~gen:char (int_range 0 40))
+        gen_cuts)
+    (fun (over, junk, cuts) ->
+      let wire = string_of_int (Proto.max_frame + over) ^ "\n" ^ junk in
+      match feed_chunks wire cuts with [], Some _ -> true | _ -> false)
+
+(* Valid requests as they travel, each mutated by up to three edits:
+   a bit flip, a deleted, inserted or replaced byte, or a truncation. *)
+let sample_requests =
+  List.map
+    (fun r -> Json.to_string (Proto.request_to_json r))
+    [
+      Proto.Tune { id = "t"; spec = spec (); deadline_rounds = Some 2 };
+      Proto.Tune
+        { id = "t2"; spec = spec ~op:c2d_op ~fault_rate:0.3 ();
+          deadline_rounds = None };
+      Proto.Compile
+        { id = "c"; op = gmm_op; machine = "arm-cpu"; preset = "blocked" };
+      Proto.Stats { id = "s" };
+      Proto.Shutdown { id = "k" };
+    ]
+
+let mutate s (kind, pos, c) =
+  let n = String.length s in
+  let i = if n = 0 then 0 else pos mod n in
+  match kind mod 5 with
+  | 0 -> flip_bits s [ (pos, Char.code c) ]
+  | 1 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+  | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | 3 when n > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+  | _ -> String.sub s 0 i
+
+let gen_mutated_request =
+  QCheck2.Gen.(
+    pair (oneofl sample_requests)
+      (list_size (int_range 1 3)
+         (triple (int_range 0 4) (int_range 0 10_000) char))
+    |> map (fun (s, edits) -> List.fold_left mutate s edits))
+
+let prop_parse_request_mutated =
+  fuzz ~name:"parse_request: mutated requests are Ok or Error, never a raise"
+    ~print:(Fmt.str "%S") gen_mutated_request (fun s ->
+      match Proto.parse_request s with Ok _ | Error _ -> true)
+
+(* ------------------------------------------------------------------ *)
 (* Store                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -838,6 +980,14 @@ let () =
           Alcotest.test_case "request codec roundtrip" `Quick
             test_request_roundtrip;
         ] );
+      qsuite "proto-fuzz"
+        [
+          prop_frames_chunked;
+          prop_frames_truncated;
+          prop_frames_flipped;
+          prop_frames_oversize;
+          prop_parse_request_mutated;
+        ];
       ( "store",
         [
           Alcotest.test_case "context isolation + first writer wins" `Quick
