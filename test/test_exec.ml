@@ -596,7 +596,7 @@ let mac_alias_cases =
     alias_shapes
   @ List.map
       (fun (label, moving, swap) ->
-        let label = label ^ " under a fold" in
+        let label = "folded: " ^ label in
         Alcotest.test_case label `Quick (fun () ->
             check_chain ~folded:1 label
               (mac_alias_nest ~fold:3 ~moving ~swap ())))
@@ -1417,7 +1417,7 @@ let () =
             Alcotest.test_case "tuned zoo convs take the folded runner" `Quick
               test_zoo_conv_folds;
           ] );
-      ("guarded-store", guarded_cases);
+      ("guard-ranges", guarded_cases);
       ( "measurement",
         [
           Alcotest.test_case "warmup/repeat/median discipline" `Quick
